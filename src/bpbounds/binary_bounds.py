@@ -101,11 +101,15 @@ def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
     return min(1.0, cb0 * lambda_eval(e, 1.0 - rho_eval(e, 1.0 - cb)))
 
 
+def _bsc_check_cb(cb: float, e: DegreeEnsemble) -> float:
+    """Check-node CB with every input a BSC of index cb, averaged over rho."""
+    return sum(w * math.sqrt(max(0.0, 1.0 - (1.0 - cb * cb) ** (k - 1)))
+               for k, w in e.rho)
+
+
 def lb_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
     """One iteration of the CB lower bound (BSC check replacement)."""
-    inner = sum(w * math.sqrt(max(0.0, 1.0 - (1.0 - cb * cb) ** (k - 1)))
-                for k, w in e.rho)
-    return min(1.0, cb0 * lambda_eval(e, inner))
+    return min(1.0, cb0 * lambda_eval(e, _bsc_check_cb(cb, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +252,7 @@ def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
     sbp = 1.0 - rho_eval(e, 1.0 - sb)
     if sb <= cb * cb * (1.0 + 1e-13):
         # BSC-consistent input: the mixture collapses to the single BSC
-        cbp = sum(w * math.sqrt(max(0.0, 1.0 - (1.0 - cb * cb) ** (k - 1)))
-                  for k, w in e.rho)
+        cbp = _bsc_check_cb(cb, e)
     else:
         t2 = min(1.0, (sb / cb) ** 2)
         q = min(1.0, cb * cb / sb)       # probability an input atom is active
@@ -317,71 +320,74 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
 
 
 # ---------------------------------------------------------------------------
-# the iteration driver
+# the iteration driver and the threshold bisection
 # ---------------------------------------------------------------------------
+
+def run_recursion(step, measure, start, limits: IterationLimits):
+    """Iterate ``state = step(state)`` from ``start`` and judge it by ``measure``.
+
+    Returns (verdict, states, iterations).  The verdict is "decodable" once
+    the measure drops below ``decode_eps``, "not-decodable" once it moves by
+    less than ``stall_eps`` in one iteration (the first iteration is compared
+    with ``measure(start)``), and "inconclusive" after ``max_iter``.
+    """
+    decode_eps, stall_eps = limits.decode_eps, limits.stall_eps
+    state = start
+    states = [start]
+    prev = measure(start)
+    for it in range(1, limits.max_iter + 1):
+        state = step(state)
+        states.append(state)
+        mu = measure(state)
+        if mu < decode_eps:
+            return "decodable", states, it
+        if abs(mu - prev) < stall_eps:
+            return "not-decodable", states, it
+        prev = mu
+    return "inconclusive", states, limits.max_iter
+
+
+def bisect(decodable, lo: float, hi: float, steps: int):
+    """Bisect ``steps`` times: lo moves up where ``decodable(mid)``, else hi."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if decodable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
 
 def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
                   limits: IterationLimits | None = None) -> BoundTrajectory:
     """Run a bound recursion from the uncoded channel's noise measures.
 
-    Decodable once the tracked measure drops below ``decode_eps``;
-    not-decodable when successive iterates change by less than ``stall_eps``
-    while still above it; inconclusive at ``max_iter``.
+    Tracks CB (ub-cb, lb-cb), SB (ub-sb) or max(CB, SB) (ub-cbsb): decodable
+    below ``decode_eps``; not-decodable once an iteration, the first one
+    included, moves it by less than ``stall_eps`` (a start at a nonzero
+    fixed point stalls after one iteration); inconclusive at ``max_iter``.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     limits = limits or IterationLimits()
 
-    if kind in ("ub-cb", "lb-cb"):
-        if start.cb is None:
-            raise ValueError(f"{kind} needs start.cb")
-        step = ub_cb_step if kind == "ub-cb" else lb_cb_step
-        x0 = x = start.cb
-        states = [(x, None)]
-        for it in range(1, limits.max_iter + 1):
-            xn = step(x, e, x0)
-            states.append((xn, None))
-            if xn < limits.decode_eps:
-                return BoundTrajectory(kind, states, "decodable", it)
-            if abs(xn - x) < limits.stall_eps:
-                return BoundTrajectory(kind, states, "not-decodable", it)
-            x = xn
-        return BoundTrajectory(kind, states, "inconclusive", limits.max_iter)
+    if kind == "ub-cbsb":
+        if start.cb is None or start.sb is None:
+            raise ValueError("ub-cbsb needs a full NoisePair start")
+        fam0 = variable_node_upper_family(start.cb, start.sb)
+        verdict, states, its = run_recursion(
+            lambda pair: two_dim_var_step(start, two_dim_check_step(pair, e), e, fam0),
+            lambda pair: max(pair.cb, pair.sb), start, limits)
+        return BoundTrajectory(kind, [(p.cb, p.sb) for p in states], verdict, its)
 
-    if kind == "ub-sb":
-        if start.sb is None:
-            raise ValueError("ub-sb needs start.sb")
-        s0 = s = start.sb
-        states = [(None, s)]
-        for it in range(1, limits.max_iter + 1):
-            sn = ub_sb_step(s, e, s0)
-            states.append((None, sn))
-            if sn < limits.decode_eps:
-                return BoundTrajectory(kind, states, "decodable", it)
-            if abs(sn - s) < limits.stall_eps:
-                return BoundTrajectory(kind, states, "not-decodable", it)
-            s = sn
-        return BoundTrajectory(kind, states, "inconclusive", limits.max_iter)
-
-    # ub-cbsb
-    if start.cb is None or start.sb is None:
-        raise ValueError("ub-cbsb needs a full NoisePair start")
-    pair0 = start
-    fam0 = variable_node_upper_family(pair0.cb, pair0.sb)
-    pair = start
-    states = [(pair.cb, pair.sb)]
-    mu_prev = None
-    for it in range(1, limits.max_iter + 1):
-        chk = two_dim_check_step(pair, e)
-        pair = two_dim_var_step(pair0, chk, e, fam0)
-        states.append((pair.cb, pair.sb))
-        mu = max(pair.cb, pair.sb)
-        if mu < limits.decode_eps:
-            return BoundTrajectory(kind, states, "decodable", it)
-        if mu_prev is not None and abs(mu - mu_prev) < limits.stall_eps:
-            return BoundTrajectory(kind, states, "not-decodable", it)
-        mu_prev = mu
-    return BoundTrajectory(kind, states, "inconclusive", limits.max_iter)
+    coord = "sb" if kind == "ub-sb" else "cb"
+    x0 = getattr(start, coord)
+    if x0 is None:
+        raise ValueError(f"{kind} needs start.{coord}")
+    step = {"ub-cb": ub_cb_step, "lb-cb": lb_cb_step, "ub-sb": ub_sb_step}[kind]
+    verdict, states, its = run_recursion(lambda x: step(x, e, x0), float, x0, limits)
+    states = [(None, x) for x in states] if coord == "sb" else [(x, None) for x in states]
+    return BoundTrajectory(kind, states, verdict, its)
 
 
 def ub_sb_star(p_star: float) -> float:

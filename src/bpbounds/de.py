@@ -11,15 +11,17 @@ preserved, which keeps BEC populations exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binary_bounds import IterationLimits, bisect, iterate_bound
 from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
-                       ChannelFamily, UnsupportedChannelError)
-from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
+                       ChannelFamily, NoisePair, UnsupportedChannelError)
+from .ensembles import DegreeEnsemble
 
 __all__ = [
     "LLR_MAX", "DeConfig", "LlrPopulation", "bec_threshold",
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 LLR_MAX = 40.0
+DE_BISECT_STEPS = 13
 
 
 @dataclass(frozen=True)
@@ -54,27 +57,14 @@ class LlrPopulation:
 def bec_threshold(e: DegreeEnsemble, tol: float = 1e-6) -> float:
     """Largest erasure probability with x -> eps lambda(1 - rho(1 - x)) -> 0.
 
-    The CB recursion is exact for the BEC, so bisection on it is the exact
-    BEC threshold.
+    The CB recursion (ub-cb) is exact for the BEC, so bisection on it is the
+    exact BEC threshold.
     """
-    def decodable(eps: float) -> bool:
-        x = eps
-        for _ in range(100_000):
-            xn = eps * lambda_eval(e, 1.0 - rho_eval(e, 1.0 - x))
-            if xn < 1e-12:
-                return True
-            if x - xn < 1e-15:
-                return False
-            x = xn
-        return False
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if decodable(mid):
-            lo = mid
-        else:
-            hi = mid
+    limits = IterationLimits(max_iter=100_000, decode_eps=1e-12, stall_eps=1e-15)
+    lo, hi = bisect(
+        lambda eps: iterate_bound("ub-cb", NoisePair(cb=eps), e,
+                                  limits).verdict == "decodable",
+        0.0, 1.0, math.ceil(-math.log2(tol)))
     return 0.5 * (lo + hi)
 
 
@@ -266,7 +256,7 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig,
 
 def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,
                  lo: float | None = None, hi: float | None = None,
-                 steps: int = 13):
+                 steps: int = DE_BISECT_STEPS):
     """Bisect the family parameter on the DE verdict (12 steps minimum).
 
     Returns (value, lo, hi) with value the final midpoint.  Verdicts at the
@@ -277,18 +267,15 @@ def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,
         raise ValueError("bisection needs at least 12 steps")
     lo = family.lo if lo is None else lo
     hi = family.hi if hi is None else hi
-    ok_lo, _ = de_decodable(family.build(lo), e, cfg, seed=cfg.seed + 1001) \
-        if lo > family.lo else (True, 0)
-    ok_hi, _ = de_decodable(family.build(hi), e, cfg, seed=cfg.seed + 1002)
-    if (lo > family.lo and not ok_lo) or ok_hi:
+    ok_lo = lo <= family.lo or de_decodable(family.build(lo), e, cfg,
+                                            seed=cfg.seed + 1001)[0]
+    ok_hi = de_decodable(family.build(hi), e, cfg, seed=cfg.seed + 1002)[0]
+    if not ok_lo or ok_hi:
         warnings.warn(
             f"non-monotone DE verdicts on [{lo}, {hi}] for {family.name}: "
             f"lo decodable={ok_lo}, hi decodable={ok_hi}")
-    for i in range(steps):
-        mid = 0.5 * (lo + hi)
-        ok, _ = de_decodable(family.build(mid), e, cfg, seed=cfg.seed + i)
-        if ok:
-            lo = mid
-        else:
-            hi = mid
+    seeds = itertools.count(cfg.seed)     # step i runs with seed cfg.seed + i
+    lo, hi = bisect(
+        lambda t: de_decodable(family.build(t), e, cfg, seed=next(seeds))[0],
+        lo, hi, steps)
     return 0.5 * (lo + hi), lo, hi

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import de as de_mod
-from .binary_bounds import (IterationLimits, iterate_bound, ub_sb_star)
+from .binary_bounds import IterationLimits, bisect, iterate_bound, ub_sb_star
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
 from .ensembles import DegreeEnsemble
@@ -48,6 +48,8 @@ class NonMonotoneError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """Final bisection bracket [lo, hi] and its midpoint ``value``;
+    ``iterations`` counts bisection steps, not the initial bracket probes."""
     parameter: str
     lo: float
     hi: float
@@ -100,10 +102,16 @@ def _steps_for(lo: float, hi: float, tol: float | None) -> int:
     return steps
 
 
-def _bound_decodable(kind: str, cb: float | None, sb: float | None,
-                     e: DegreeEnsemble, limits: IterationLimits) -> tuple:
-    traj = iterate_bound(kind, NoisePair(cb=cb, sb=sb), e, limits)
-    return traj.verdict == "decodable", traj.iterations
+def _bsc_de_threshold(e: DegreeEnsemble, de_config: DeConfig | None) -> float:
+    return de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e, de_config or DeConfig())[0]
+
+
+def _bound_decodable(kind: str, start: NoisePair, e: DegreeEnsemble,
+                     limits: IterationLimits | None) -> bool:
+    verdict = iterate_bound(kind, start, e, limits).verdict
+    # an inconclusive run certifies nothing for the inner bounds, and the
+    # outer bound lb-cb rules a channel out only when its recursion stalls
+    return verdict != "not-decodable" if kind == "lb-cb" else verdict == "decodable"
 
 
 def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
@@ -114,39 +122,25 @@ def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
     CB for ub-cb/lb-cb, SB for ub-sb; ub-sb-star returns 4 p*(1-p*) with p*
     the DE threshold of the BSC family.
     """
-    limits = limits or IterationLimits()
     if kind == "ub-sb-star":
-        p_star, _, _ = de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e,
-                                           de_config or DeConfig())
-        return ub_sb_star(p_star)
+        return ub_sb_star(_bsc_de_threshold(e, de_config))
     if kind not in ("ub-cb", "lb-cb", "ub-sb"):
         raise ValueError(f"measure_threshold does not support kind {kind!r}")
-    lo, hi = 0.0, 1.0
-    for _ in range(_steps_for(lo, hi, tol)):
-        mid = 0.5 * (lo + hi)
-        if kind == "ub-sb":
-            ok, _ = _bound_decodable(kind, None, mid, e, limits)
-        else:
-            ok, _ = _bound_decodable(kind, mid, None, e, limits)
-        if ok:
-            lo = mid
-        else:
-            hi = mid
+    coord = "sb" if kind == "ub-sb" else "cb"
+    lo, hi = bisect(
+        lambda x: _bound_decodable(kind, NoisePair(**{coord: x}), e, limits),
+        0.0, 1.0, _steps_for(0.0, 1.0, tol))
     return 0.5 * (lo + hi)
 
 
 def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
-                     limits: IterationLimits, sb_star: float | None):
+                     limits: IterationLimits | None, sb_star: float | None) -> bool:
     ch = family.build(theta)
     if kind == "ub-sb-star":
-        return sb_of(ch) <= sb_star, 0
-    if kind == "ub-cb" or kind == "lb-cb":
-        return _bound_decodable(kind, cb_of(ch), None, e, limits)
-    if kind == "ub-sb":
-        return _bound_decodable(kind, None, sb_of(ch), e, limits)
-    if kind == "ub-cbsb":
-        return _bound_decodable(kind, cb_of(ch), sb_of(ch), e, limits)
-    raise ValueError(f"unknown bound kind {kind!r}")
+        return sb_of(ch) <= sb_star
+    start = NoisePair(cb=None if kind == "ub-sb" else cb_of(ch),
+                      sb=sb_of(ch) if kind in ("ub-sb", "ub-cbsb") else None)
+    return _bound_decodable(kind, start, e, limits)
 
 
 def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
@@ -166,37 +160,27 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
     family = CHANNEL_FAMILIES[family_name]
-    limits = limits or IterationLimits()
     lo, hi = family.lo, family.hi
 
     if kind == "de":
-        cfg = de_config or DeConfig()
-        steps = 13
-        value, blo, bhi = de_mod.de_threshold(family, e, cfg, steps=steps)
-        return ThresholdResult(family.param, blo, bhi, value, "de", steps)
+        value, blo, bhi = de_mod.de_threshold(family, e, de_config or DeConfig())
+        return ThresholdResult(family.param, blo, bhi, value, "de",
+                               de_mod.DE_BISECT_STEPS)
 
     sb_star = None
     if kind == "ub-sb-star":
-        if p_star is None:
-            p_star, _, _ = de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e,
-                                               de_config or DeConfig())
-        sb_star = ub_sb_star(p_star)
+        sb_star = ub_sb_star(_bsc_de_threshold(e, de_config) if p_star is None
+                             else p_star)
 
-    lo_ok, _ = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, sb_star)
-    hi_ok, _ = _channel_verdict(kind, family, hi, e, limits, sb_star)
+    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, sb_star)
+    hi_ok = _channel_verdict(kind, family, hi, e, limits, sb_star)
     if not lo_ok or hi_ok:
         raise NonMonotoneError(family_name, lo, hi, lo_ok, hi_ok)
 
-    iterations = 0
-    for _ in range(_steps_for(lo, hi, tol)):
-        mid = 0.5 * (lo + hi)
-        ok, its = _channel_verdict(kind, family, mid, e, limits, sb_star)
-        iterations += 1
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(family.param, lo, hi, 0.5 * (lo + hi), kind, iterations)
+    steps = _steps_for(lo, hi, tol)
+    lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, sb_star),
+                    lo, hi, steps)
+    return ThresholdResult(family.param, lo, hi, 0.5 * (lo + hi), kind, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +189,8 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
 
 def _region_point(args):
     cb, sb, e, limits = args
-    ok, its = _bound_decodable("ub-cbsb", cb, sb, e, limits)
-    return cb, sb, ok, its
+    traj = iterate_bound("ub-cbsb", NoisePair(cb, sb), e, limits)
+    return cb, sb, traj.verdict == "decodable", traj.iterations
 
 
 def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
@@ -222,7 +206,6 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
     """
     if n_cb < 2 or n_sb < 2:
         raise ValueError("grid counts must be >= 2")
-    limits = limits or IterationLimits()
     tasks = []
     for i in range(n_cb):
         cb = i / (n_cb - 1)
@@ -236,8 +219,7 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
         points = [_region_point(t) for t in tasks]
 
     if p_star is None:
-        p_star, _, _ = de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e,
-                                           de_config or DeConfig())
+        p_star = _bsc_de_threshold(e, de_config)
     overlays = {
         "ub_cb": measure_threshold("ub-cb", e, limits=limits),
         "ub_sb": measure_threshold("ub-sb", e, limits=limits),

@@ -13,11 +13,12 @@ the one-dimensional CB bound there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_bounds import IterationLimits, ub_cb_step
+from .binary_bounds import IterationLimits, run_recursion, ub_cb_step
 from .channels import CbVector
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
 
@@ -45,24 +46,17 @@ def cb_vec_convolve(u: CbVector, v: CbVector) -> CbVector:
     Direct O(m^2) evaluation; entries may exceed 1 and are not clipped here.
     """
     _require_same_m(u, v)
-    m = u.m
-    out = np.array([float(np.dot(u.v, np.roll(v.v[::-1], x + 1))) for x in range(m)])
-    return CbVector(out)
+    return CbVector(_circ_conv(u.v, v.v))
+
+
+def _circ_conv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.array([float(np.dot(u, np.roll(v[::-1], x + 1))) for x in range(u.size)])
 
 
 def cb_vec_pointwise(u: CbVector, v: CbVector) -> CbVector:
     """Component-wise product (the variable-node combination)."""
     _require_same_m(u, v)
     return CbVector(u.v * v.v)
-
-
-def _conv_power(v: np.ndarray, k: int) -> np.ndarray:
-    """k-fold circular convolution power of v (k >= 1)."""
-    out = v
-    for _ in range(k - 1):
-        m = v.size
-        out = np.array([float(np.dot(out, np.roll(v[::-1], x + 1))) for x in range(m)])
-    return out
 
 
 def zm_bound_step(v: CbVector, v0: CbVector, e: DegreeEnsemble) -> CbVector:
@@ -81,7 +75,8 @@ def zm_bound_step(v: CbVector, v0: CbVector, e: DegreeEnsemble) -> CbVector:
         ]))
     rho_stage = np.zeros(v.m)
     for k, w in e.rho:
-        rho_stage += w * _conv_power(v.v, k - 1)
+        # (k-1)-fold circular convolution power of v
+        rho_stage += w * functools.reduce(_circ_conv, [v.v] * (k - 1))
     lam_stage = np.zeros(v.m)
     for k, w in e.lam:
         lam_stage += w * rho_stage ** (k - 1)
@@ -98,20 +93,10 @@ def zm_iterate(v0: CbVector, e: DegreeEnsemble,
     """
     if v0.v.max() > 1.0 + 1e-9:
         raise ValueError("initial CB vector entries must lie in [0, 1]")
-    limits = limits or IterationLimits()
-    v = v0
-    trajectory = [ZmBoundState(v, 0)]
-    prev = v.max_off_zero()
-    for it in range(1, limits.max_iter + 1):
-        v = zm_bound_step(v, v0, e)
-        trajectory.append(ZmBoundState(v, it))
-        mu = v.max_off_zero()
-        if mu < limits.decode_eps:
-            return "decodable", trajectory
-        if abs(mu - prev) < limits.stall_eps:
-            return "not-decodable", trajectory
-        prev = mu
-    return "inconclusive", trajectory
+    verdict, states, _ = run_recursion(lambda v: zm_bound_step(v, v0, e),
+                                       CbVector.max_off_zero, v0,
+                                       limits or IterationLimits())
+    return verdict, [ZmBoundState(v, it) for it, v in enumerate(states)]
 
 
 def sufficient_stability(e: DegreeEnsemble, v: CbVector) -> bool:

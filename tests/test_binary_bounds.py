@@ -254,6 +254,15 @@ class TestIterateBound:
         assert traj.verdict == "decodable"
         assert traj.iterations == 1
 
+    @pytest.mark.parametrize("kind,start", [
+        ("ub-cb", NoisePair(cb=1.0)), ("lb-cb", NoisePair(cb=1.0)),
+        ("ub-sb", NoisePair(sb=1.0)), ("ub-cbsb", NoisePair(1.0, 1.0))])
+    def test_fixed_point_start_stalls_after_one_iteration(self, e36, kind, start):
+        # the first iterate is compared with the start itself, for every kind
+        traj = iterate_bound(kind, start, e36)
+        assert traj.verdict == "not-decodable"
+        assert traj.iterations == 1
+
     def test_two_dim_cb_below_ub_cb_trajectory(self, e36):
         # the joint bound improves on the CB-only bound iteration by iteration
         p = 0.12

@@ -94,6 +94,22 @@ class TestChannelThreshold:
         assert 0.3 < res.value < 0.5
 
 
+class TestLbCbInconclusive:
+    # lb-cb is an outer bound: a run cut short by max_iter proves nothing,
+    # so it must not pull the threshold inward
+    SHORT = IterationLimits(max_iter=20)
+
+    def test_measure_threshold(self, e36):
+        full = measure_threshold("lb-cb", e36)
+        short = measure_threshold("lb-cb", e36, limits=self.SHORT)
+        assert short >= full - 2e-5
+
+    def test_channel_threshold(self, e36):
+        full = channel_threshold("lb-cb", "bsc", e36)
+        short = channel_threshold("lb-cb", "bsc", e36, limits=self.SHORT)
+        assert short.value >= full.value - (full.hi - full.lo)
+
+
 class TestRegionSweep:
     def test_small_grid(self, e36):
         grid = region_sweep(e36, 6, 4, p_star=0.0837)

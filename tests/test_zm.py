@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bpbounds import (Bsc, CbVector, DeConfig, DegreeEnsemble,
-                      MscChannel, cb_vec_convolve,
+                      MscChannel, NoisePair, cb_vec_convolve,
                       cb_vec_pointwise, cb_vector_of, convergence_rate,
-                      de_decodable, gfq_stability, necessary_stability_violated,
-                      regular_ensemble, sufficient_stability, ub_cb_step,
-                      zm_bound_step, zm_iterate)
+                      de_decodable, gfq_stability, iterate_bound,
+                      necessary_stability_violated, regular_ensemble,
+                      sufficient_stability, ub_cb_step, zm_bound_step,
+                      zm_iterate)
 
 
 V6A = CbVector(np.array([1, 0.5, 0, 0, 0, 0.5]))
@@ -166,10 +167,13 @@ class TestZmIterate:
 
     def test_m2_thresholds_match_binary(self):
         e = regular_ensemble(3, 6)
-        verdict, _ = zm_iterate(CbVector(np.array([1.0, 0.42])), e)
-        assert verdict == "decodable"
-        verdict, _ = zm_iterate(CbVector(np.array([1.0, 0.44])), e)
-        assert verdict == "not-decodable"
+        for cb, expect in ((0.42, "decodable"), (0.44, "not-decodable")):
+            verdict, traj = zm_iterate(CbVector(np.array([1.0, cb])), e)
+            assert verdict == expect
+            # same recursion, same stall rule: same verdict after as many steps
+            binary = iterate_bound("ub-cb", NoisePair(cb=cb), e)
+            assert binary.verdict == verdict
+            assert binary.iterations == traj[-1].iteration
 
     def test_all_ones_fixed_point(self):
         e = regular_ensemble(3, 6)
