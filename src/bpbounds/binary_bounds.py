@@ -20,8 +20,10 @@ SB and min(cb, sqrt(sb)) the true CB.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +44,7 @@ __all__ = [
 
 BOUND_KINDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb")
 
-ENUM_CAP = 20            # exact 2^d sign-pattern enumeration up to this many inputs
-PRODUCT_CAP = 100_000    # atom-product enumeration budget in phi_variable_sb
+ENUM_CAP = 1 << 20       # exact-enumeration budget in terms (2^20: 20 distinct BSCs)
 GRID_HALF = 40.0         # quantized-LLR fallback: grid on [-40, 40]
 GRID_BINS = 1 << 14
 
@@ -124,69 +125,83 @@ def _bsc_llr(a: float):
     return p, mag
 
 
+def _bsc_outcomes(w: float, a: float):
+    """(probability, LLR) outcomes of a BSC atom of weight w: none if perfect
+    (SB 0, not renormalised), one of LLR 0 if useless, no zero-probability flip."""
+    if a <= 0.0:
+        return []
+    if a >= 1.0:
+        return [(w, 0.0)]
+    p, mag = _bsc_llr(a)
+    return [(w * (1.0 - p), mag), (w * p, -mag)] if p > 0.0 else [(w, mag)]
+
+
+@functools.lru_cache(maxsize=64)
+def _compositions(n: int, m: int):
+    """Count vectors of n draws over m >= 1 outcomes, with log multinomials."""
+    bars = np.array(list(itertools.combinations(range(n + m - 1), m - 1)),
+                    dtype=np.int64).reshape(math.comb(n + m - 1, n), m - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + m - 1))
+    counts = np.diff(edges, axis=1) - 1
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    return counts, log_fact[n] - log_fact[counts].sum(axis=1)
+
+
+def _sb_of_draws(groups) -> float:
+    """Exact SB of a sum of independent LLR draws, ``groups`` = [(outcomes, n)]
+    with n >= 1 i.i.d. draws over (probability, LLR) outcomes.  Sums over the
+    count vectors K of each group, weight n!/prod(K_i!) prod(q_i^K_i) and LLR
+    K.l, outer-combined across groups: SB = sum w * 2 / (1 + e^L)."""
+    logw, llr = np.zeros(1), np.zeros(1)
+    for outs, n in groups:
+        if not outs:
+            return 0.0            # every draw perfect
+        counts, log_coef = _compositions(n, len(outs))
+        q, l = np.array(outs).T
+        logw = np.add.outer(logw, log_coef + counts @ np.log(q)).ravel()
+        llr = np.add.outer(llr, counts @ l).ravel()
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(logw) * 2.0 / (1.0 + np.exp(llr))))
+
+
+def _sb_of_atom_draws(draws, cap: int) -> float:
+    """SB of n independent draws from each atom list of ``draws`` = [(atoms, n)]:
+    exact while that takes at most ``cap`` terms, the density grid beyond."""
+    groups = [([o for w, a in atoms for o in _bsc_outcomes(w, a)], n)
+              for atoms, n in draws if n > 0]
+    if math.prod(math.comb(n + len(outs) - 1, n) for outs, n in groups) <= cap:
+        return _sb_of_draws(groups)
+    dens = [d for atoms, n in draws for d in [_family_density(atoms)] * n]
+    return _sb_of_density(_convolve_densities(dens))
+
+
 def sb_of_bsc_combination(avals, enum_cap: int = ENUM_CAP) -> float:
     """SB of a variable node whose inputs are BSCs with indices ``avals``.
 
-    The output LLR is the sum of the input LLRs +-log((1-p_i)/p_i); for up to
-    ``enum_cap`` inputs all 2^d sign patterns are enumerated exactly and
-    SB = sum_patterns Pr(pattern | X=0) * 2 / (1 + e^sum).  Beyond the cap a
-    quantized-density convolution takes over.  A perfect input (a = 0) forces
-    SB = 0; a useless input (a = 1) contributes LLR 0 and is dropped.
+    The output LLR is the sum of the input LLRs +-log((1-p_i)/p_i).  Equal
+    indices are grouped and only the number of flipped inputs per group is
+    enumerated, SB = sum_terms Pr(term | X=0) * 2 / (1 + e^LLR), exactly
+    while that takes at most ``enum_cap`` terms (d distinct indices take
+    2^d, k equal ones k + 1); beyond it a quantized-density convolution
+    takes over.  A perfect input (a = 0) forces SB = 0; a useless input
+    (a = 1) contributes LLR 0.
     """
-    vals = [float(a) for a in avals if a < 1.0]
-    if any(a <= 0.0 for a in vals):
-        return 0.0
-    if not vals:
-        return 1.0
-    if len(vals) > enum_cap:
-        dens = [_spike_density(a) for a in vals]
-        return _sb_of_density(_convolve_densities(dens))
-    if len(vals) <= 4:
-        # scalar fast path; the two-dimensional iteration lives here
-        pm = [_bsc_llr(a) for a in vals]
-        total = 0.0
-        for signs in itertools.product((0, 1), repeat=len(pm)):
-            w = 1.0
-            m = 0.0
-            for (p, mag), s in zip(pm, signs):
-                if s:
-                    w *= p
-                    m -= mag
-                else:
-                    w *= 1.0 - p
-                    m += mag
-            if m < 700.0:
-                total += w * 2.0 / (1.0 + math.exp(m))
-        return total
-    weights = np.array([1.0])
-    llrs = np.array([0.0])
-    for a in vals:
-        p, mag = _bsc_llr(a)
-        weights = np.concatenate([weights * (1.0 - p), weights * p])
-        llrs = np.concatenate([llrs + mag, llrs - mag])
-    with np.errstate(over="ignore"):
-        return float(np.sum(weights * 2.0 / (1.0 + np.exp(llrs))))
+    counts = Counter(min(float(a), 1.0) for a in avals)
+    return _sb_of_atom_draws([(((1.0, a),), n) for a, n in counts.items()], enum_cap)
 
 
-def _spike_density(a: float) -> np.ndarray:
-    """Two-spike LLR density of a BSC on the quantized grid."""
+def _family_density(atoms) -> np.ndarray:
+    """LLR density of a BSC mixture on the quantized grid, two spikes per atom."""
     dens = np.zeros(GRID_BINS + 1)
     half = GRID_BINS // 2
-    if a <= 0.0:
-        dens[-1] = 1.0
-        return dens
-    p, mag = _bsc_llr(a)
-    step = GRID_HALF / half
-    idx = min(half, int(round(mag / step)))
-    dens[half + idx] += 1.0 - p
-    dens[half - idx] += p
-    return dens
-
-
-def _family_density(fam: AtomicBscFamily) -> np.ndarray:
-    dens = np.zeros(GRID_BINS + 1)
-    for w, a in fam.atoms:
-        dens += w * _spike_density(a)
+    for w, a in atoms:
+        if a <= 0.0:
+            dens[-1] += w
+            continue
+        p, mag = _bsc_llr(a)
+        idx = min(half, int(round(mag / (GRID_HALF / half))))
+        dens[half + idx] += w * (1.0 - p)
+        dens[half - idx] += w * p
     return dens
 
 
@@ -218,13 +233,26 @@ def ub_sb_step(sb: float, e: DegreeEnsemble, sb0: float) -> float:
 
     Check stage: inputs replaced by BECs of equal SB, giving u = 1 - rho(1-sb).
     Variable stage: channel and check outputs replaced by BSCs of equal SB,
-    combined exactly.
+    combined exactly in plain Python: a degree-k node sums over the channel
+    sign and the number j of flipped inputs among k - 1, 2k terms with no
+    term cap.  The binomial weights come from lgamma, so they neither
+    overflow nor underflow to all-zero up to ``MAX_DEGREE``.
     """
     u = 1.0 - rho_eval(e, 1.0 - sb)
-    a_ch = math.sqrt(max(0.0, sb0))
-    a_in = math.sqrt(max(0.0, u))
-    out = sum(w * sb_of_bsc_combination([a_ch] + [a_in] * (k - 1))
-              for k, w in e.lam)
+    ch = _bsc_outcomes(1.0, math.sqrt(max(0.0, sb0)))
+    inp = _bsc_outcomes(1.0, math.sqrt(max(0.0, u)))
+    out = 0.0
+    for k, w in e.lam:
+        n = k - 1                 # >= 1, degrees are >= 2
+        terms = [(1.0, n * l) for _, l in inp]   # perfect, useless or never-flipped
+        if len(inp) == 2:
+            (q0, l0), (q1, l1) = inp
+            lgn, lq0, lq1 = math.lgamma(n + 1.0), math.log(q0), math.log(q1)
+            terms = [(math.exp(lgn - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
+                               + (n - j) * lq0 + j * lq1), (n - j) * l0 + j * l1)
+                     for j in range(n + 1)]
+        out += w * sum(qc * q * 2.0 / (1.0 + math.exp(lc + l))
+                       for qc, lc in ch for q, l in terms if lc + l < 700.0)
     return min(1.0, out)
 
 
@@ -269,30 +297,19 @@ def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
 
 
 def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,
-                    d_minus_1: int, product_cap: int = PRODUCT_CAP) -> float:
+                    d_minus_1: int, product_cap: int = ENUM_CAP) -> float:
     """SB of a variable node fed by one ch0 draw and d_minus_1 chin draws.
 
-    Exact product enumeration over atom selections while the number of terms
-    stays below ``product_cap``; otherwise the atom families are turned into
-    quantized LLR densities and convolved.
+    The chin draws are i.i.d., so only how many of them land on each
+    (atom, sign) outcome matters: the exact sum runs over those count
+    vectors, C(d_minus_1 + m - 1, m - 1) of them for m outcomes, times the
+    ch0 outcomes.  While that takes at most ``product_cap`` terms it is
+    exact; beyond, the atom families are turned into quantized LLR
+    densities and convolved.
     """
     if d_minus_1 < 0:
         raise ValueError("d_minus_1 must be >= 0")
-    if d_minus_1 == 0:
-        return ch0.moment_a2()        # SB of a BSC mixture is E[a^2]
-    n_terms = len(ch0.atoms) * len(chin.atoms) ** d_minus_1
-    if n_terms <= product_cap and d_minus_1 + 1 <= ENUM_CAP:
-        out = 0.0
-        for picks in itertools.product(chin.atoms, repeat=d_minus_1):
-            w_in = 1.0
-            for w, _ in picks:
-                w_in *= w
-            chosen = [a for _, a in picks]
-            for w0, a0 in ch0.atoms:
-                out += w_in * w0 * sb_of_bsc_combination([a0] + chosen)
-        return out
-    dens = [_family_density(ch0)] + [_family_density(chin)] * d_minus_1
-    return _sb_of_density(_convolve_densities(dens))
+    return _sb_of_atom_draws([(ch0.atoms, 1), (chin.atoms, d_minus_1)], product_cap)
 
 
 def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,

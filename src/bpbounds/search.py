@@ -90,11 +90,12 @@ class RegionGrid:
 
 
 def _steps_for(lo: float, hi: float, tol: float | None) -> int:
+    """Fewest halvings (at most 60) that bring [lo, hi] to width tol or less."""
     if tol is None:
         return DEFAULT_BISECT_STEPS
     if tol <= 0:
         raise ValueError("tol must be positive")
-    steps = 1
+    steps = 0
     width = hi - lo
     while width > tol and steps < 60:
         width *= 0.5

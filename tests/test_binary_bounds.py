@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bpbounds import (BscMixture, IterationLimits, NoisePair,
+from bpbounds import (AtomicBscFamily, BscMixture, IterationLimits, NoisePair,
                       SequenceMapperChannel, cb_check_bec, cb_check_bsc,
                       cb_var, iterate_bound, lb_cb_step, phi_variable_sb,
                       regular_ensemble, sb_matched_bsc_replacement,
@@ -11,11 +12,38 @@ from bpbounds import (BscMixture, IterationLimits, NoisePair,
                       two_dim_check_step, two_dim_var_step, ub_cb_step,
                       ub_sb_star, ub_sb_step, variable_node_upper_family)
 from bpbounds.binary_bounds import _bsc_llr
+from bpbounds.ensembles import rho_eval
 
 
 @pytest.fixture(scope="module")
 def e36():
     return regular_ensemble(3, 6)
+
+
+def _sign_pattern_sb(avals):
+    """Reference SB of a BSC combination: every one of the 2^d sign patterns."""
+    vals = [a for a in avals if a < 1.0]
+    if any(a <= 0.0 for a in vals):
+        return 0.0
+    pm = [_bsc_llr(a) for a in vals]
+    total = 0.0
+    for signs in itertools.product((0, 1), repeat=len(pm)):
+        w, m = 1.0, 0.0
+        for (p, mag), s in zip(pm, signs):
+            w, m = (w * p, m - mag) if s else (w * (1.0 - p), m + mag)
+        if m < 700.0:
+            total += w * 2.0 / (1.0 + math.exp(m))
+    return total
+
+
+def _ordered_pick_phi(ch0, chin, d_minus_1):
+    """Reference phi_variable_sb: every ordered atom pick, each one a BSC combination."""
+    out = 0.0
+    for picks in itertools.product(chin.atoms, repeat=d_minus_1):
+        w_in = math.prod(w for w, _ in picks)
+        for w0, a0 in ch0.atoms:
+            out += w_in * w0 * _sign_pattern_sb([a0] + [a for _, a in picks])
+    return out
 
 
 class TestElementaryTransfers:
@@ -106,8 +134,8 @@ class TestSbOfBscCombination:
 
     def test_scalar_and_vector_paths_agree(self):
         avals = [0.3, 0.5, 0.7, 0.2, 0.9, 0.4]
-        full = sb_of_bsc_combination(avals)          # vector path (d=6)
-        # scalar path covers d<=4; compare via associativity with a Monte Carlo
+        full = sb_of_bsc_combination(avals)
+        # independent Monte Carlo oracle for six distinct inputs
         rng = np.random.default_rng(2)
         n = 400_000
         llr = np.zeros(n)
@@ -117,6 +145,14 @@ class TestSbOfBscCombination:
         mc = np.mean(2.0 / (1.0 + np.exp(llr)))
         se = np.std(2.0 / (1.0 + np.exp(llr))) / math.sqrt(n)
         assert abs(full - mc) < 4 * se
+
+    def test_matches_sign_pattern_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            d = int(rng.integers(1, 11))
+            avals = list(rng.choice([0.0, 1e-9, 0.2, 0.45, 0.8, 0.999, 1.0], size=d))
+            assert sb_of_bsc_combination(avals) == pytest.approx(
+                _sign_pattern_sb(avals), rel=1e-12, abs=1e-300)
 
     def test_density_fallback_close_to_exact(self):
         avals = [0.6] * 8
@@ -128,6 +164,19 @@ class TestSbOfBscCombination:
 class TestUbSbStep:
     def test_zero(self, e36):
         assert ub_sb_step(0.0, e36, 0.0) == 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 25, 2000])
+    def test_variable_stage_matches_combination(self, k):
+        # the scalar binomial sum and the grouped kernel are both exact; the
+        # inputs keep the output SB near 0.02 even at k = 2000
+        e = regular_ensemble(k, 2 * k)
+        a_in = 0.1 ** (1.0 / (k - 1))
+        sb = 1.0 - (1.0 - a_in * a_in) ** (1.0 / (2 * k - 1))
+        u = 1.0 - rho_eval(e, 1.0 - sb)
+        sb0 = 0.3
+        want = sb_of_bsc_combination([math.sqrt(sb0)] + [math.sqrt(u)] * (k - 1))
+        assert 1e-3 < want < 1.0
+        assert ub_sb_step(sb, e, sb0) == pytest.approx(want, rel=1e-12)
 
     def test_threshold_frozen(self, e36):
         # frozen from the scratch bisection of this recursion: 0.263465
@@ -208,9 +257,33 @@ class TestPhiVariableSb:
 
     def test_density_fallback_matches_product_path(self):
         fam = variable_node_upper_family(0.5, 0.3)
-        exact = phi_variable_sb(fam, fam, 3)
-        quantized = phi_variable_sb(fam, fam, 3, product_cap=1)
-        assert quantized == pytest.approx(exact, abs=5e-4)
+        for d_minus_1 in (3, 11):         # dv = 12 is exact as well
+            exact = phi_variable_sb(fam, fam, d_minus_1)
+            quantized = phi_variable_sb(fam, fam, d_minus_1, product_cap=1)
+            assert quantized == pytest.approx(exact, abs=5e-4)
+
+    @pytest.mark.parametrize("d_minus_1", [1, 2, 3, 4])
+    def test_matches_ordered_pick_reference(self, d_minus_1):
+        rng = np.random.default_rng(d_minus_1)
+        fams = [AtomicBscFamily(((0.3, 0.0), (0.5, 0.6), (0.2, 1.0))),
+                AtomicBscFamily(((0.6, 1.0), (0.4, 0.35)))]
+        for _ in range(6):
+            cb = rng.uniform(1e-3, 1.0)
+            fams.append(variable_node_upper_family(cb, rng.uniform(cb * cb, cb)))
+        fams.append(variable_node_upper_family(0.05, 0.045))   # middle atom lifted
+        assert len(fams[-1].atoms) == 3
+        for ch0, chin in zip(fams, fams[1:] + fams[:1]):
+            assert phi_variable_sb(ch0, chin, d_minus_1) == pytest.approx(
+                _ordered_pick_phi(ch0, chin, d_minus_1), rel=1e-12, abs=1e-300)
+
+    def test_degree_24_is_exact_and_matches_grid(self):
+        # 6 outcomes per draw: 6 * C(28, 5) = 589,680 terms, inside the budget
+        fam = AtomicBscFamily(((0.3, 0.9), (0.3, 0.97), (0.4, 0.995)))
+        exact = phi_variable_sb(fam, fam, 23)
+        quantized = phi_variable_sb(fam, fam, 23, product_cap=1)
+        assert exact != quantized
+        assert exact == pytest.approx(quantized, abs=5e-4)
+        assert exact > 0.1
 
 
 class TestTwoDimVarStep:

@@ -94,6 +94,21 @@ class TestChannelThreshold:
         assert 0.3 < res.value < 0.5
 
 
+class TestStepsFor:
+    @pytest.mark.parametrize("tol,steps", [
+        (2e-5, 16), (1e-4, 14), (2e-4, 13), (5e-4, 11), (1.0, 0), (3.0, 0)])
+    def test_fewest_halvings_that_meet_tol(self, tol, steps):
+        from bpbounds.search import _steps_for
+        assert _steps_for(0.0, 1.0, tol) == steps
+        assert 2.0 ** -steps <= tol
+        assert steps == 0 or tol < 2.0 ** (1 - steps)     # one fewer would not do
+
+    def test_bracket_meets_tol(self, e36):
+        res = channel_threshold("ub-cb", "bec", e36, tol=1e-4)
+        assert res.iterations == 14
+        assert 0.5e-4 < res.hi - res.lo <= 1e-4
+
+
 class TestLbCbInconclusive:
     # lb-cb is an outer bound: a run cut short by max_iter proves nothing,
     # so it must not pull the threshold inward
