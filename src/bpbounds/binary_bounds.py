@@ -16,6 +16,11 @@ The two-dimensional step output is projected back onto the feasible
 region SB <= CB <= sqrt(SB).  The projection keeps a valid bound: the true
 pair satisfies those inequalities, so min(sb, cb) still dominates the true
 SB and min(cb, sqrt(sb)) the true CB.
+
+Every variable-node SB is computed exactly, by enumerating the outcome
+counts of i.i.d. BSC draws, so each computed SB is the true one of its
+replacement channels.  The enumeration has one term budget, ``ENUM_CAP``;
+a combination past it raises ValueError rather than being approximated.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ __all__ = [
 BOUND_KINDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb")
 
 ENUM_CAP = 1 << 20       # exact-enumeration budget in terms (2^20: 20 distinct BSCs)
-GRID_HALF = 40.0         # quantized-LLR fallback: grid on [-40, 40]
-GRID_BINS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,68 +167,35 @@ def _sb_of_draws(groups) -> float:
         return float(np.sum(np.exp(logw) * 2.0 / (1.0 + np.exp(llr))))
 
 
-def _sb_of_atom_draws(draws, cap: int) -> float:
-    """SB of n independent draws from each atom list of ``draws`` = [(atoms, n)]:
-    exact while that takes at most ``cap`` terms, the density grid beyond."""
+def _term_count(sizes) -> int:
+    """Terms ``_sb_of_draws`` sums for groups of n draws over m outcomes, [(m, n)]."""
+    return math.prod(math.comb(n + m - 1, n) for m, n in sizes)
+
+
+def _sb_of_atom_draws(draws) -> float:
+    """Exact SB of n independent draws from each atom list of ``draws`` =
+    [(atoms, n)]; a ValueError past ``ENUM_CAP`` terms."""
     groups = [([o for w, a in atoms for o in _bsc_outcomes(w, a)], n)
               for atoms, n in draws if n > 0]
-    if math.prod(math.comb(n + len(outs) - 1, n) for outs, n in groups) <= cap:
-        return _sb_of_draws(groups)
-    dens = [d for atoms, n in draws for d in [_family_density(atoms)] * n]
-    return _sb_of_density(_convolve_densities(dens))
+    terms = _term_count((len(outs), n) for outs, n in groups)
+    if terms > ENUM_CAP:
+        raise ValueError(f"exact SB needs {terms} terms, past the enumeration "
+                         f"budget ENUM_CAP = {ENUM_CAP}")
+    return _sb_of_draws(groups)
 
 
-def sb_of_bsc_combination(avals, enum_cap: int = ENUM_CAP) -> float:
+def sb_of_bsc_combination(avals) -> float:
     """SB of a variable node whose inputs are BSCs with indices ``avals``.
 
     The output LLR is the sum of the input LLRs +-log((1-p_i)/p_i).  Equal
     indices are grouped and only the number of flipped inputs per group is
-    enumerated, SB = sum_terms Pr(term | X=0) * 2 / (1 + e^LLR), exactly
-    while that takes at most ``enum_cap`` terms (d distinct indices take
-    2^d, k equal ones k + 1); beyond it a quantized-density convolution
-    takes over.  A perfect input (a = 0) forces SB = 0; a useless input
-    (a = 1) contributes LLR 0.
+    enumerated, SB = sum_terms Pr(term | X=0) * 2 / (1 + e^LLR), exactly.
+    d distinct indices take 2^d terms, k equal ones k + 1; past ``ENUM_CAP``
+    terms (more than 20 distinct indices) it raises ValueError.  A perfect
+    input (a = 0) forces SB = 0; a useless input (a = 1) contributes LLR 0.
     """
     counts = Counter(min(float(a), 1.0) for a in avals)
-    return _sb_of_atom_draws([(((1.0, a),), n) for a, n in counts.items()], enum_cap)
-
-
-def _family_density(atoms) -> np.ndarray:
-    """LLR density of a BSC mixture on the quantized grid, two spikes per atom."""
-    dens = np.zeros(GRID_BINS + 1)
-    half = GRID_BINS // 2
-    for w, a in atoms:
-        if a <= 0.0:
-            dens[-1] += w
-            continue
-        p, mag = _bsc_llr(a)
-        idx = min(half, int(round(mag / (GRID_HALF / half))))
-        dens[half + idx] += w * (1.0 - p)
-        dens[half - idx] += w * p
-    return dens
-
-
-def _convolve_densities(densities) -> np.ndarray:
-    from scipy.signal import fftconvolve
-
-    half = GRID_BINS // 2
-    out = densities[0]
-    for d in densities[1:]:
-        full = fftconvolve(out, d)
-        # index offsets add; fold saturated tails into the boundary bins
-        center = (full.size - 1) // 2
-        out = full[center - half:center + half + 1].copy()
-        out[0] += full[:center - half].sum()
-        out[-1] += full[center + half + 1:].sum()
-        out = np.clip(out, 0.0, None)
-    return out
-
-
-def _sb_of_density(dens: np.ndarray) -> float:
-    half = GRID_BINS // 2
-    grid = (np.arange(GRID_BINS + 1) - half) * (GRID_HALF / half)
-    with np.errstate(over="ignore"):
-        return float(np.sum(dens * 2.0 / (1.0 + np.exp(grid))))
+    return _sb_of_atom_draws([(((1.0, a),), n) for a, n in counts.items()])
 
 
 def ub_sb_step(sb: float, e: DegreeEnsemble, sb0: float) -> float:
@@ -297,19 +267,18 @@ def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
 
 
 def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,
-                    d_minus_1: int, product_cap: int = ENUM_CAP) -> float:
+                    d_minus_1: int) -> float:
     """SB of a variable node fed by one ch0 draw and d_minus_1 chin draws.
 
     The chin draws are i.i.d., so only how many of them land on each
     (atom, sign) outcome matters: the exact sum runs over those count
     vectors, C(d_minus_1 + m - 1, m - 1) of them for m outcomes, times the
-    ch0 outcomes.  While that takes at most ``product_cap`` terms it is
-    exact; beyond, the atom families are turned into quantized LLR
-    densities and convolved.
+    ch0 outcomes.  Past ``ENUM_CAP`` terms it raises ValueError; for
+    three-atom families (six outcomes) that is d_minus_1 >= 27.
     """
     if d_minus_1 < 0:
         raise ValueError("d_minus_1 must be >= 0")
-    return _sb_of_atom_draws([(ch0.atoms, 1), (chin.atoms, d_minus_1)], product_cap)
+    return _sb_of_atom_draws([(ch0.atoms, 1), (chin.atoms, d_minus_1)])
 
 
 def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
@@ -383,6 +352,13 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     below ``decode_eps``; not-decodable once an iteration, the first one
     included, moves it by less than ``stall_eps`` (a start at a nonzero
     fixed point stalls after one iteration); inconclusive at ``max_iter``.
+
+    ub-cbsb computes every variable-node SB exactly, so before its first
+    step it refuses, with a ValueError, an ensemble whose largest lambda
+    degree d could need more than ``ENUM_CAP`` terms: one channel draw and
+    d - 1 message draws over three-atom families (six outcomes each),
+    6 C(d + 4, 5) terms, which refuses d >= 28 whatever the start.  The
+    one-dimensional bounds accept every degree up to ``MAX_DEGREE``.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
@@ -391,6 +367,13 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     if kind == "ub-cbsb":
         if start.cb is None or start.sb is None:
             raise ValueError("ub-cbsb needs a full NoisePair start")
+        d = max(k for k, _ in e.lam)
+        terms = _term_count([(6, 1), (6, d - 1)])
+        if terms > ENUM_CAP:
+            raise ValueError(
+                f"ub-cbsb at lambda degree {d} needs up to {terms} terms per "
+                f"variable-node SB, past the exact enumeration budget "
+                f"ENUM_CAP = {ENUM_CAP}")
         fam0 = variable_node_upper_family(start.cb, start.sb)
         verdict, states, its = run_recursion(
             lambda pair: two_dim_var_step(start, two_dim_check_step(pair, e), e, fam0),

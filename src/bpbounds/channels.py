@@ -328,7 +328,8 @@ def sb_of(ch: BinaryChannel) -> float:
         return math.exp(-1.0 / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2) * val
     if isinstance(ch, BiLaplace):
         u = 1.0 / ch.lam
-        return (math.exp(-u) / math.cosh(u)
+        e2 = math.exp(-2.0 * u)         # e^-u / cosh u without overflow at small lam
+        return (2.0 * e2 / (1.0 + e2)
                 + 2.0 * math.exp(-u) * math.atan(math.tanh(u / 2.0)))
     if isinstance(ch, BiRayleigh):
         s2 = ch.sigma ** 2

@@ -4,8 +4,8 @@ Single results are printed as JSON (with a "schema" field), grids are written
 as CSV with a JSON overlay sidecar.  Every command is deterministic given its
 flags and seed.
 
-Exit codes: 0 success, 2 parse error, 3 non-monotone verdicts,
-4 unwritable output path, 5 symmetry violation.
+Exit codes: 0 success, 2 parse error or refused input, 3 non-monotone
+verdicts, 4 unwritable output path, 5 symmetry violation.
 """
 
 from __future__ import annotations
@@ -195,12 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional bounds on BP decodable thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ensemble=True):
+    def common(p, ensemble=True, max_iter=10_000,
+               max_iter_help="recursion iteration cap"):
         if ensemble:
             p.add_argument("--ensemble", help="ensemble JSON file "
                            "(default: regular (3,6))")
-        p.add_argument("--max-iter", type=int, default=10_000,
-                       help="recursion iteration cap (default 10000)")
+        p.add_argument("--max-iter", type=int, default=max_iter,
+                       help=f"{max_iter_help} (default {max_iter})")
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed for DE runs (default 0)")
         p.add_argument("--out", help="write JSON here instead of stdout")
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("de", help="sampled density-evolution threshold")
-    common(p)
+    common(p, max_iter=DeConfig().max_iter,
+           max_iter_help="DE iterations per probe, DeConfig's cap")
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     p.add_argument("--de-pop", type=int, default=200_000)
     p.set_defaults(func=cmd_de)

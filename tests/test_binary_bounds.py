@@ -11,7 +11,7 @@ from bpbounds import (AtomicBscFamily, BscMixture, IterationLimits, NoisePair,
                       sb_of_bsc_combination, sequence_mapper_cb,
                       two_dim_check_step, two_dim_var_step, ub_cb_step,
                       ub_sb_star, ub_sb_step, variable_node_upper_family)
-from bpbounds.binary_bounds import _bsc_llr
+from bpbounds.binary_bounds import ENUM_CAP, _bsc_llr
 from bpbounds.ensembles import rho_eval
 
 
@@ -34,6 +34,23 @@ def _sign_pattern_sb(avals):
         if m < 700.0:
             total += w * 2.0 / (1.0 + math.exp(m))
     return total
+
+
+def _monte_carlo_phi(fam0, famin, d_minus_1, seed, n=1_000_000):
+    """Monte Carlo SB of one fam0 draw plus d_minus_1 famin draws, with its
+    standard error."""
+    rng = np.random.default_rng(seed)
+    llr = np.zeros(n)
+    for fam in [fam0] + [famin] * d_minus_1:
+        w = np.array([x for x, _ in fam.atoms])
+        a = np.array([x for _, x in fam.atoms])
+        pick = rng.choice(a.size, size=n, p=w)
+        pm = [_bsc_llr(ai) if ai > 0 else (0.0, np.inf) for ai in a]
+        p = np.array([x for x, _ in pm])[pick]
+        mag = np.array([x for _, x in pm])[pick]
+        llr += np.where(rng.random(n) < p, -mag, mag)
+    vals = 2.0 / (1.0 + np.exp(np.clip(llr, -700, 700)))
+    return float(np.mean(vals)), float(np.std(vals)) / math.sqrt(n)
 
 
 def _ordered_pick_phi(ch0, chin, d_minus_1):
@@ -154,11 +171,13 @@ class TestSbOfBscCombination:
             assert sb_of_bsc_combination(avals) == pytest.approx(
                 _sign_pattern_sb(avals), rel=1e-12, abs=1e-300)
 
-    def test_density_fallback_close_to_exact(self):
-        avals = [0.6] * 8
-        exact = sb_of_bsc_combination(avals)
-        quantized = sb_of_bsc_combination(avals, enum_cap=4)
-        assert quantized == pytest.approx(exact, abs=5e-4)
+    def test_exact_up_to_twenty_distinct_indices(self):
+        # d distinct indices take 2^d terms: 2^20 is the budget, 2^21 past it
+        avals = list(np.linspace(0.5, 0.95, 21))
+        val = sb_of_bsc_combination(avals[:20])
+        assert 0.0 < val < 1.0
+        with pytest.raises(ValueError, match=f"2097152 terms.*{ENUM_CAP}"):
+            sb_of_bsc_combination(avals)
 
 
 class TestUbSbStep:
@@ -240,27 +259,8 @@ class TestPhiVariableSb:
         fam0 = variable_node_upper_family(0.3, 0.15)
         famin = variable_node_upper_family(0.3, 0.15)
         exact = phi_variable_sb(fam0, famin, 2)
-        rng = np.random.default_rng(42)
-        n = 1_000_000
-        llr = np.zeros(n)
-        for fam in (fam0, famin, famin):
-            w = np.array([x for x, _ in fam.atoms])
-            a = np.array([x for _, x in fam.atoms])
-            pick = rng.choice(a.size, size=n, p=w)
-            pm = [_bsc_llr(ai) if ai > 0 else (0.0, np.inf) for ai in a]
-            p = np.array([x for x, _ in pm])[pick]
-            mag = np.array([x for _, x in pm])[pick]
-            llr += np.where(rng.random(n) < p, -mag, mag)
-        vals = 2.0 / (1.0 + np.exp(np.clip(llr, -700, 700)))
-        mc, se = float(np.mean(vals)), float(np.std(vals)) / math.sqrt(n)
+        mc, se = _monte_carlo_phi(fam0, famin, 2, seed=42)
         assert abs(exact - mc) < 3 * se
-
-    def test_density_fallback_matches_product_path(self):
-        fam = variable_node_upper_family(0.5, 0.3)
-        for d_minus_1 in (3, 11):         # dv = 12 is exact as well
-            exact = phi_variable_sb(fam, fam, d_minus_1)
-            quantized = phi_variable_sb(fam, fam, d_minus_1, product_cap=1)
-            assert quantized == pytest.approx(exact, abs=5e-4)
 
     @pytest.mark.parametrize("d_minus_1", [1, 2, 3, 4])
     def test_matches_ordered_pick_reference(self, d_minus_1):
@@ -276,14 +276,21 @@ class TestPhiVariableSb:
             assert phi_variable_sb(ch0, chin, d_minus_1) == pytest.approx(
                 _ordered_pick_phi(ch0, chin, d_minus_1), rel=1e-12, abs=1e-300)
 
-    def test_degree_24_is_exact_and_matches_grid(self):
+    def test_degree_24_matches_monte_carlo_oracle(self):
         # 6 outcomes per draw: 6 * C(28, 5) = 589,680 terms, inside the budget
         fam = AtomicBscFamily(((0.3, 0.9), (0.3, 0.97), (0.4, 0.995)))
         exact = phi_variable_sb(fam, fam, 23)
-        quantized = phi_variable_sb(fam, fam, 23, product_cap=1)
-        assert exact != quantized
-        assert exact == pytest.approx(quantized, abs=5e-4)
         assert exact > 0.1
+        mc, se = _monte_carlo_phi(fam, fam, 23, seed=24)
+        assert abs(exact - mc) < 3 * se
+
+    def test_exact_up_to_the_budget_then_refused(self):
+        # three atoms, six outcomes per draw: 6 * C(d_minus_1 + 5, 5) terms,
+        # 1,019,466 at d_minus_1 = 26 and 1,208,256 at 27 against 2^20
+        fam = AtomicBscFamily(((0.3, 0.9), (0.3, 0.97), (0.4, 0.995)))
+        assert 0.0 < phi_variable_sb(fam, fam, 26) < 1.0
+        with pytest.raises(ValueError, match=f"1208256 terms.*{ENUM_CAP}"):
+            phi_variable_sb(fam, fam, 27)
 
 
 class TestTwoDimVarStep:
@@ -345,6 +352,22 @@ class TestIterateBound:
                              IterationLimits(max_iter=50))
         for (cb2, _), (cb1, _) in zip(joint.states, only.states):
             assert cb2 <= cb1 + 1e-12
+
+    def test_ub_cbsb_refuses_lambda_degree_28_before_any_step(self, monkeypatch):
+        import bpbounds.binary_bounds as bb
+
+        traj = iterate_bound("ub-cbsb", NoisePair(0.05, 0.02), regular_ensemble(27, 54))
+        assert traj.verdict == "decodable"
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(bb, "two_dim_check_step", no_step)
+        monkeypatch.setattr(bb, "two_dim_var_step", no_step)
+        p = 0.01                                  # BSC-consistent: single-atom families
+        pair = NoisePair(2 * math.sqrt(p * (1 - p)), 4 * p * (1 - p))
+        with pytest.raises(ValueError, match=f"lambda degree 28.*{ENUM_CAP}"):
+            iterate_bound("ub-cbsb", pair, regular_ensemble(28, 56))
 
     def test_unknown_kind(self, e36):
         with pytest.raises(ValueError):

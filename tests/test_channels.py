@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from bpbounds import (Bsc, Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc,
-                      BscMixture, MscChannel, CbVector, NoisePair,
-                      cb_of, sb_of, pe_of, reverse_form, msc_decompose,
+from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
+                      BiRayleigh, Bnsc, BscMixture, MscChannel, CbVector,
+                      NoisePair, cb_of, sb_of, pe_of, reverse_form, msc_decompose,
                       symmetrize, cb_vector_of, cutoff_rate, pairwise_pe,
                       x_erasure_decompose, x_erasure_vector,
                       parse_channel_spec)
@@ -60,6 +61,70 @@ class TestSbOf:
         expect = (rev.r0 * 4 * rev.r01 * (1 - rev.r01)
                   + rev.r1 * 4 * rev.r10 * (1 - rev.r10))
         assert sb_of(ch) == pytest.approx(expect, abs=1e-15)
+
+    def test_bilaplace_tiny_scale_does_not_overflow(self):
+        # e^-u / cosh u with u = 1/lam = 1e4 overflowed cosh
+        val = sb_of(BiLaplace(1e-4))
+        assert math.isfinite(val) and val >= 0.0
+
+
+def _soft_bit(f, points):
+    """SB = 2 E[p(X=1 | V) | X=0] as mp.quad of f(v) = p(v | X=0) 2 p(X=1 | v),
+    split at ``points``.  mp.quad stops on an absolute error estimate, so the
+    integrand is first scaled to order 1."""
+    k = 1 / max(f(mp.mpf(p)) for p in points)
+    return mp.quad(lambda v: k * f(v), [-mp.inf] + sorted(set(points)) + [mp.inf]) / k
+
+
+def _sb_awgn_definition(sigma):
+    # Y = 1 + N(0, sigma^2), p(X=1 | y) = 1 / (1 + e^(2y / sigma^2))
+    s = mp.mpf(sigma)
+    scales = [s * s * 4 ** k for k in range(5)] + [s, 4 * s, 16 * s]
+    return _soft_bit(lambda y: mp.npdf(y, 1, s) * 2 / (1 + mp.exp(2 * y / (s * s))),
+                     [0] + scales + [-x for x in scales])
+
+
+def _sb_laplace_definition(lam):
+    # Y = 1 + Laplace(lam), LLR (|y + 1| - |y - 1|) / lam
+    lam = mp.mpf(lam)
+    scales = [lam, 16 * lam]
+    return _soft_bit(lambda y: (mp.exp(-abs(y - 1) / lam) / (2 * lam)
+                                * 2 / (1 + mp.exp((abs(y + 1) - abs(y - 1)) / lam))),
+                     [-1, 0, 1] + scales + [-x for x in scales])
+
+
+def _sb_rayleigh_definition(sigma):
+    # amplitude a (density 2a e^(-a^2)) observed, Y = a + N(0, sigma^2): the
+    # LLR 2aY / sigma^2 given t = a^2 ~ Exp(1) is N(ct, 2ct) with c = 2 / sigma^2,
+    # and integrating t out gives the density e^(L/2 - r|L|) / (2cr),
+    # r = sqrt(1/c + 1/4)
+    c = 2 / mp.mpf(sigma) ** 2
+    r = mp.sqrt(1 / c + mp.mpf(1) / 4)
+    pts = [0, 4, 16, 64]
+    return _soft_bit(lambda l: (mp.exp(l / 2 - abs(l) * r) / (2 * c * r)
+                                * 2 / (1 + mp.exp(l))),
+                     pts + [-x for x in pts])
+
+
+def _range_points(family):
+    fam = CHANNEL_FAMILIES[family]
+    return [(family, x) for x in (fam.lo, 0.5 * (fam.lo + fam.hi), fam.hi)]
+
+
+class TestSbOfHighPrecision:
+    """sb_of against 30-digit quadrature of the SB definition, at both ends and
+    the middle of each quadrature family's range and of the Laplace family's."""
+
+    @pytest.mark.parametrize("family,x", _range_points("biawgn")
+                             + _range_points("rayleigh") + _range_points("bilc")
+                             + [("bilc", 1e-4)])
+    def test_matches_definition(self, family, x):
+        build, reference = {"biawgn": (BiAwgn, _sb_awgn_definition),
+                            "rayleigh": (BiRayleigh, _sb_rayleigh_definition),
+                            "bilc": (BiLaplace, _sb_laplace_definition)}[family]
+        with mp.workdps(30):
+            want = float(reference(x))
+        assert sb_of(build(x)) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 class TestPeOf:

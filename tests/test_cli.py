@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -41,6 +42,11 @@ class TestMeasures:
         assert data["kind"] == "msc"
         assert len(data["cb_vector"]) == 3
 
+    def test_tiny_laplace_scale(self, capsys):
+        code, out, _ = run_cli(capsys, "measures", "--channel", "bilc:1e-4")
+        assert code == 0
+        assert json.loads(out)["sb"] == 0.0
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "measures", "--channel", "bsc:zap")
         assert code == 2
@@ -69,6 +75,21 @@ class TestThreshold:
         data = json.loads(out)
         assert data["value"] == pytest.approx(0.0837, abs=0.006)
 
+    def test_de_uses_de_config_iteration_cap(self, capsys, monkeypatch):
+        import bpbounds.cli as cli_mod
+        from bpbounds import DeConfig, ThresholdResult
+
+        configs = []
+
+        def capture(kind, family, e, de_config=None):
+            configs.append(de_config)
+            return ThresholdResult("p", 0.08, 0.09, 0.085, "de", 13)
+
+        monkeypatch.setattr(cli_mod, "channel_threshold", capture)
+        assert run_cli(capsys, "de", "--family", "bsc")[0] == 0
+        assert run_cli(capsys, "de", "--family", "bsc", "--max-iter", "40")[0] == 0
+        assert [c.max_iter for c in configs] == [DeConfig().max_iter, 40]
+
     def test_non_monotone_exit_3(self, capsys, monkeypatch):
         from bpbounds import NonMonotoneError
         import bpbounds.cli as cli_mod
@@ -81,6 +102,16 @@ class TestThreshold:
                                "--family", "bec")
         assert code == 3
         assert "threshold search failed" in err
+
+    def test_ub_cbsb_past_the_exact_budget_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text('{"lambda": [[28, 1.0]], "rho": [[56, 1.0]]}')
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "threshold", "--bound", "ub-cbsb",
+                               "--family", "bsc", "--ensemble", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: ") and "lambda degree 28" in err
 
     def test_custom_ensemble_file(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

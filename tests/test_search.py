@@ -93,6 +93,17 @@ class TestChannelThreshold:
         res = channel_threshold("ub-cb", "bec", e, tol=1e-4)
         assert 0.3 < res.value < 0.5
 
+    def test_ub_cbsb_refused_past_the_exact_budget(self):
+        # the two-dimensional bound refuses lambda degree 28 on its first probe
+        e = regular_ensemble(28, 56)
+        with pytest.raises(ValueError, match="lambda degree 28"):
+            channel_threshold("ub-cbsb", "bsc", e)
+        with pytest.raises(ValueError, match="lambda degree 28"):
+            region_sweep(e, 2, 2, p_star=0.01)
+        # the one-dimensional bounds still run there
+        res = channel_threshold("ub-cb", "bec", e)
+        assert 0.0 < res.lo < res.hi < 1.0
+
 
 class TestStepsFor:
     @pytest.mark.parametrize("tol,steps", [
