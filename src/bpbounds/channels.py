@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 __all__ = [
     "Bsc", "Bec", "BiAwgn", "BiLaplace", "BiRayleigh", "Bnsc", "BscMixture",
@@ -297,6 +298,8 @@ def cb_of(ch: BinaryChannel) -> float:
         return 2.0 * math.sqrt(ch.p * (1.0 - ch.p))
     if isinstance(ch, Bec):
         return ch.eps
+    if isinstance(ch, (BiAwgn, BiRayleigh)) and ch.sigma ** 2 == 0.0:
+        return 0.0      # sigma^2 underflowed: the noise-free limit
     if isinstance(ch, BiAwgn):
         return math.exp(-1.0 / (2.0 * ch.sigma ** 2))
     if isinstance(ch, BiLaplace):
@@ -314,13 +317,19 @@ def cb_of(ch: BinaryChannel) -> float:
 def sb_of(ch: BinaryChannel) -> float:
     """Soft bit value under uniform input.
 
-    BiAWGN needs one adaptive quadrature, BiRayleigh a nested (double) one;
-    everything else is closed form.
+    BiAWGN needs one adaptive quadrature; everything else is closed form.
+    BiRayleigh's LLR given the fading power t ~ Exp(1) is N(ct, 2ct), c =
+    2/sigma^2, so its density is e^(L/2 - r|L|)/(2cr), r = sqrt(1/c + 1/4).
+    Against 2/(1 + e^L) it gives SB = sigma^2 beta(r + 1/2) / r, where
+    beta(y) = sum_k (-1)^k/(y + k) = [psi((y + 1)/2) - psi(y/2)] / 2
+    = 2F1(1, y; y + 1; -1) / y; the 2F1 form does not cancel at large sigma.
     """
     if isinstance(ch, Bsc):
         return 4.0 * ch.p * (1.0 - ch.p)
     if isinstance(ch, Bec):
         return ch.eps
+    if isinstance(ch, (BiAwgn, BiRayleigh)) and ch.sigma ** 2 == 0.0:
+        return 0.0      # sigma^2 underflowed: the noise-free limit
     if isinstance(ch, BiAwgn):
         s2 = ch.sigma ** 2
         f = lambda x: math.exp(-x * x / (2.0 * s2) - _lncosh(x / s2))
@@ -333,14 +342,8 @@ def sb_of(ch: BinaryChannel) -> float:
                 + 2.0 * math.exp(-u) * math.atan(math.tanh(u / 2.0)))
     if isinstance(ch, BiRayleigh):
         s2 = ch.sigma ** 2
-        lim = 30.0 * ch.sigma
-
-        def inner(a):
-            f = lambda x: math.exp(-(x * x + a * a) / (2.0 * s2) - _lncosh(x * a / s2))
-            return a * math.exp(-a * a) * _quad_checked(f, -lim, lim, "sb_of(BiRayleigh) inner")
-
-        val = _quad_checked(inner, 0.0, 8.0, "sb_of(BiRayleigh) outer")
-        return 2.0 / math.sqrt(2.0 * math.pi * s2) * val
+        r = math.sqrt(s2 / 2.0 + 0.25)
+        return float(hyp2f1(1.0, r + 0.5, r + 1.5, -1.0)) / (r + 0.5) * s2 / r
     if isinstance(ch, Bnsc):
         rev = reverse_form(ch)
         return (rev.r0 * 4.0 * rev.r01 * (1.0 - rev.r01)
@@ -418,16 +421,12 @@ def msc_pe(ch: MscChannel | MscMixture) -> float:
 
 def pairwise_pe(ch: MscChannel | MscMixture, x: int) -> float:
     """Pairwise MAP error for inputs restricted to {0, x}, x != 0."""
-    if x % _m_of(ch) == 0:
+    if x % ch.m == 0:
         raise ValueError("pairwise_pe needs x != 0")
     if isinstance(ch, MscMixture):
         return sum(w * pairwise_pe(atom, x) for w, atom in ch.atoms)
     p = ch.p
     return 0.5 * float(np.minimum(p, np.roll(p, -x)).sum())
-
-
-def _m_of(ch) -> int:
-    return ch.m
 
 
 def x_erasure_vector(m: int, x: int) -> MscChannel:

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
                       BiRayleigh, Bnsc, BscMixture, MscChannel, CbVector,
@@ -10,8 +11,8 @@ from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
                       symmetrize, cb_vector_of, cutoff_rate, pairwise_pe,
                       x_erasure_decompose, x_erasure_vector,
                       parse_channel_spec)
-from bpbounds.channels import (ChannelSpecError, NotSymmetricError,
-                               UnsupportedChannelError)
+from bpbounds.channels import (PROB_TOL, ChannelSpecError, NotSymmetricError,
+                               UnsupportedChannelError, noise_pair_of)
 
 
 class TestCbOf:
@@ -50,8 +51,8 @@ class TestSbOf:
         assert sb_of(BiLaplace(0.5610)) == pytest.approx(0.26319421, abs=1e-7)
 
     def test_birayleigh_double_integral_frozen(self):
-        # frozen from the nested quadrature; Monte Carlo (4e6 draws) agreed
-        # within one standard error
+        # frozen from a nested quadrature of the definition; Monte Carlo
+        # (4e6 draws) agreed within one standard error
         assert sb_of(BiRayleigh(0.5804)) == pytest.approx(0.306833, abs=2e-3)
         assert sb_of(BiRayleigh(0.5804)) == pytest.approx(0.3068330, abs=1e-5)
 
@@ -66,6 +67,25 @@ class TestSbOf:
         # e^-u / cosh u with u = 1/lam = 1e4 overflowed cosh
         val = sb_of(BiLaplace(1e-4))
         assert math.isfinite(val) and val >= 0.0
+
+    @pytest.mark.parametrize("build", [BiAwgn, BiRayleigh])
+    def test_sigma_squared_underflow_is_noise_free(self, build):
+        # sigma^2 = 0.0 in floating point divided by zero in both measures
+        ch = build(1e-170)
+        assert cb_of(ch) == 0.0
+        assert sb_of(ch) == 0.0
+
+    @pytest.mark.parametrize("sigma", [1e3, 1e6, 1e8, 1e12, 1e16])
+    def test_birayleigh_large_sigma(self, sigma):
+        # the closed form at 40 digits; in floating point its digamma
+        # difference cancels at these sigma
+        with mp.workdps(40):
+            r = mp.sqrt(mp.mpf(sigma) ** 2 / 2 + mp.mpf(1) / 4)
+            want = float((mp.digamma((r + 1.5) / 2) - mp.digamma((r + 0.5) / 2))
+                         * mp.mpf(sigma) ** 2 / (2 * r))
+        got = sb_of(BiRayleigh(sigma))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got <= cb_of(BiRayleigh(sigma)) + PROB_TOL
 
 
 def _soft_bit(f, points):
@@ -117,7 +137,7 @@ class TestSbOfHighPrecision:
 
     @pytest.mark.parametrize("family,x", _range_points("biawgn")
                              + _range_points("rayleigh") + _range_points("bilc")
-                             + [("bilc", 1e-4)])
+                             + [("bilc", 1e-4), ("rayleigh", 0.002), ("rayleigh", 0.001)])
     def test_matches_definition(self, family, x):
         build, reference = {"biawgn": (BiAwgn, _sb_awgn_definition),
                             "rayleigh": (BiRayleigh, _sb_rayleigh_definition),
@@ -125,6 +145,26 @@ class TestSbOfHighPrecision:
         with mp.workdps(30):
             want = float(reference(x))
         assert sb_of(build(x)) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+_log_param = st.floats(math.log(1e-6), math.log(1e2)).map(math.exp)
+
+
+class TestNoiseMeasureProperties:
+    """Over the parameter drawn log-uniform on [1e-6, 1e2]: both measures
+    exist, SB <= CB <= sqrt(SB), and SB does not fall as the noise grows
+    (all within PROB_TOL, the rounding slack NoisePair allows)."""
+
+    @pytest.mark.parametrize("family", ["biawgn", "bilc", "rayleigh"])
+    @settings(deadline=None, max_examples=60)
+    @given(x=_log_param, y=_log_param)
+    def test_ordered_and_monotone(self, family, x, y):
+        build = CHANNEL_FAMILIES[family].build
+        lo, hi = noise_pair_of(build(min(x, y))), noise_pair_of(build(max(x, y)))
+        for pair in (lo, hi):
+            assert pair.sb <= pair.cb + PROB_TOL
+            assert pair.cb <= math.sqrt(pair.sb) + PROB_TOL
+        assert lo.sb <= hi.sb + PROB_TOL
 
 
 class TestPeOf:

@@ -47,6 +47,21 @@ class TestMeasures:
         assert code == 0
         assert json.loads(out)["sb"] == 0.0
 
+    @pytest.mark.parametrize("spec", ["rayleigh:1e-170", "biawgn:1e-170"])
+    def test_sigma_squared_underflow(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "measures", "--channel", spec)
+        assert code == 0
+        data = json.loads(out)
+        assert data["cb"] == 0.0 and data["sb"] == 0.0
+
+    def test_small_rayleigh_sigma_is_consistent(self, capsys):
+        # SB ~ 1.386 sigma^2 must stay above CB^2 ~ 4 sigma^4
+        code, out, _ = run_cli(capsys, "measures", "--channel", "rayleigh:1e-3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["measures_consistent"] is True
+        assert data["sb"] == pytest.approx(1.3863e-6, rel=1e-4)
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "measures", "--channel", "bsc:zap")
         assert code == 2
