@@ -37,6 +37,11 @@ __all__ = [
 
 PROB_TOL = 1e-12          # probability vectors validated to this, then renormalized
 SYMMETRY_TOL = 1e-10      # circular-symmetry check of conditional matrices
+# largest sigma at which cb_of and sb_of both finish, with a margin: past
+# about 1.7e6 the BiAWGN SB quadrature misses its error bound, and past about
+# 1.3e154 sigma ** 2 overflows
+BIAWGN_SIGMA_MAX = 1e6
+BIRAYLEIGH_SIGMA_MAX = 1e150
 
 
 class ChannelSpecError(ValueError):
@@ -95,8 +100,9 @@ class BiAwgn:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"BiAWGN sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma <= BIAWGN_SIGMA_MAX:
+            raise ValueError(f"BiAWGN sigma must lie in (0, {BIAWGN_SIGMA_MAX:g}], "
+                             f"got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,9 @@ class BiRayleigh:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"BiRayleigh sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma <= BIRAYLEIGH_SIGMA_MAX:
+            raise ValueError(f"BiRayleigh sigma must lie in (0, {BIRAYLEIGH_SIGMA_MAX:g}], "
+                             f"got {self.sigma}")
 
 
 @dataclass(frozen=True)

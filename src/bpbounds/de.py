@@ -178,55 +178,54 @@ def new_population(sampler, cfg: DeConfig, seed: int | None = None) -> LlrPopula
     return LlrPopulation(samples=samples, seed=seed, rng=rng)
 
 
-def _degree_draws(pairs, rng, n):
-    degrees = np.array([k for k, _ in pairs])
-    if degrees.size == 1:
-        return np.full(n, degrees[0])
-    masses = np.array([w for _, w in pairs])
-    return degrees[rng.choice(degrees.size, size=n, p=masses)]
+def _degree_groups(pairs, rng, n):
+    """(k, sel, count) per degree k drawn for n edges, k ascending; a single
+    degree draws nothing and selects every edge with slice(None)."""
+    if len(pairs) == 1:
+        return [(pairs[0][0], slice(None), n)]
+    which = rng.choice(len(pairs), size=n, p=[w for _, w in pairs])
+    masks = [(k, which == i) for i, (k, _) in enumerate(pairs)]
+    return [(k, m, c) for k, m in masks if (c := np.count_nonzero(m))]
 
 
 def _check_stage(msgs: np.ndarray, e: DegreeEnsemble, rng) -> np.ndarray:
     n = msgs.size
     tanhs = np.tanh(msgs / 2.0)
     out = np.empty(n)
-    degs = _degree_draws(e.rho, rng, n)
-    for k in np.unique(degs):
-        mask = degs == k
-        cnt = int(mask.sum())
-        prod = np.ones(cnt)
-        for _ in range(int(k) - 1):
+    for k, sel, cnt in _degree_groups(e.rho, rng, n):
+        prod = tanhs[rng.integers(0, n, cnt)]
+        for _ in range(k - 2):
             prod *= tanhs[rng.integers(0, n, cnt)]
         with np.errstate(divide="ignore"):
-            vals = 2.0 * np.arctanh(prod)
-        out[mask] = np.clip(vals, -LLR_MAX, LLR_MAX)
+            np.arctanh(prod, out=prod)
+        prod *= 2.0
+        out[sel] = np.clip(prod, -LLR_MAX, LLR_MAX, out=prod)
     return out
 
 
 def de_step(pop: LlrPopulation, e: DegreeEnsemble, sampler) -> LlrPopulation:
     """One DE iteration: check stage (tanh rule over k-1 resampled messages,
     k ~ rho) then variable stage (fresh channel draw plus k-1 check outputs,
-    k ~ lambda).  Degrees are edge-perspective."""
+    k ~ lambda).  Degrees are edge-perspective.  Draws on pop.rng, in order:
+    the rho-degree choice, k-1 integer draws per check degree k ascending,
+    the channel draw, then the lambda-degree choice and its draws likewise."""
     rng = pop.rng
     n = pop.samples.size
     checks = _check_stage(pop.samples, e, rng)
     out = np.clip(sampler(rng, n), -LLR_MAX, LLR_MAX)
-    degs = _degree_draws(e.lam, rng, n)
-    for k in np.unique(degs):
-        mask = degs == k
-        cnt = int(mask.sum())
-        acc = out[mask]
-        for _ in range(int(k) - 1):
-            acc = acc + checks[rng.integers(0, n, cnt)]
-        out[mask] = acc
+    for k, sel, cnt in _degree_groups(e.lam, rng, n):
+        acc = out[sel]          # a view of out for slice(None), else a copy
+        for _ in range(k - 1):
+            acc += checks[rng.integers(0, n, cnt)]
+        out[sel] = acc
     np.clip(out, -LLR_MAX, LLR_MAX, out=out)
     return LlrPopulation(samples=out, seed=pop.seed, rng=rng)
 
 
 def population_pe(pop: LlrPopulation) -> float:
     """Error fraction Pr(m < 0) + Pr(m = 0)/2 (ties guessed by a coin)."""
-    m = pop.samples
-    return float(np.mean(m < 0.0) + 0.5 * np.mean(m == 0.0))
+    m, n = pop.samples, pop.samples.size
+    return float(np.count_nonzero(m < 0.0) / n + 0.5 * np.count_nonzero(m == 0.0) / n)
 
 
 def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig,

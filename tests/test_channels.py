@@ -11,7 +11,8 @@ from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
                       symmetrize, cb_vector_of, cutoff_rate, pairwise_pe,
                       x_erasure_decompose, x_erasure_vector,
                       parse_channel_spec)
-from bpbounds.channels import (PROB_TOL, ChannelSpecError, NotSymmetricError,
+from bpbounds.channels import (BIAWGN_SIGMA_MAX, BIRAYLEIGH_SIGMA_MAX, PROB_TOL,
+                               ChannelSpecError, NotSymmetricError,
                                UnsupportedChannelError, noise_pair_of)
 
 
@@ -74,6 +75,17 @@ class TestSbOf:
         ch = build(1e-170)
         assert cb_of(ch) == 0.0
         assert sb_of(ch) == 0.0
+
+    @pytest.mark.parametrize("build, top", [(BiAwgn, BIAWGN_SIGMA_MAX),
+                                            (BiRayleigh, BIRAYLEIGH_SIGMA_MAX)])
+    def test_sigma_range_ends_where_the_measures_finish(self, build, top):
+        # past the range the BiAWGN quadrature misses its error bound and
+        # BiRayleigh's sigma ** 2 overflows; every accepted sigma finishes
+        for sigma in np.logspace(-170.0, math.log10(top), 400):
+            ch = build(float(sigma))
+            assert 0.0 <= sb_of(ch) <= cb_of(ch) + PROB_TOL
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            build(math.nextafter(top, math.inf))
 
     @pytest.mark.parametrize("sigma", [1e3, 1e6, 1e8, 1e12, 1e16])
     def test_birayleigh_large_sigma(self, sigma):

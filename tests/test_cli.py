@@ -54,6 +54,14 @@ class TestMeasures:
         data = json.loads(out)
         assert data["cb"] == 0.0 and data["sb"] == 0.0
 
+    @pytest.mark.parametrize("spec", ["biawgn:1e7", "rayleigh:1e155", "biawgn:1e155"])
+    def test_sigma_past_supported_range_is_refused(self, capsys, spec):
+        # the BiAWGN SB quadrature fails from about 1.7e6 and sigma ** 2
+        # overflows from about 1.3e154; both printed a traceback
+        code, out, err = run_cli(capsys, "measures", "--channel", spec)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "sigma must lie in (0, 1e+" in err
+
     def test_small_rayleigh_sigma_is_consistent(self, capsys):
         # SB ~ 1.386 sigma^2 must stay above CB^2 ~ 4 sigma^4
         code, out, _ = run_cli(capsys, "measures", "--channel", "rayleigh:1e-3")

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import bpbounds.de as de_mod
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
-                      BscMixture, CHANNEL_FAMILIES, DeConfig, bec_threshold,
-                      cb_of, de_decodable, de_step, de_threshold,
-                      initial_llr_sampler, measure_threshold, new_population,
-                      population_pe, regular_ensemble, sb_of)
+                      BscMixture, CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
+                      LlrPopulation, bec_threshold, cb_of, de_decodable,
+                      de_step, de_threshold, initial_llr_sampler,
+                      measure_threshold, new_population, population_pe,
+                      rayleigh_amplitude_marginal_sampler, regular_ensemble,
+                      sb_of)
 from bpbounds.channels import UnsupportedChannelError
+from bpbounds.de import LLR_MAX
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,103 @@ class TestDeThreshold:
         p_de, _, _ = de_threshold(CHANNEL_FAMILIES["bsc"], e36, cfg,
                                   lo=0.04, hi=0.14)
         assert 2 * math.sqrt(p_de * (1 - p_de)) <= lb_star + 0.01
+
+
+# ---------------------------------------------------------------------------
+# Test-only reference: the DE kernel before degree groups were taken from the
+# ensemble (one np.unique per stage, a mask and a copy per degree even for a
+# single degree).  The kernel must reproduce its populations bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_degree_draws(pairs, rng, n):
+    degrees = np.array([k for k, _ in pairs])
+    if degrees.size == 1:
+        return np.full(n, degrees[0])
+    masses = np.array([w for _, w in pairs])
+    return degrees[rng.choice(degrees.size, size=n, p=masses)]
+
+
+def _ref_check_stage(msgs, e, rng):
+    n = msgs.size
+    tanhs = np.tanh(msgs / 2.0)
+    out = np.empty(n)
+    degs = _ref_degree_draws(e.rho, rng, n)
+    for k in np.unique(degs):
+        mask = degs == k
+        cnt = int(mask.sum())
+        prod = np.ones(cnt)
+        for _ in range(int(k) - 1):
+            prod *= tanhs[rng.integers(0, n, cnt)]
+        with np.errstate(divide="ignore"):
+            vals = 2.0 * np.arctanh(prod)
+        out[mask] = np.clip(vals, -LLR_MAX, LLR_MAX)
+    return out
+
+
+def _ref_de_step(pop, e, sampler):
+    rng = pop.rng
+    n = pop.samples.size
+    checks = _ref_check_stage(pop.samples, e, rng)
+    out = np.clip(sampler(rng, n), -LLR_MAX, LLR_MAX)
+    degs = _ref_degree_draws(e.lam, rng, n)
+    for k in np.unique(degs):
+        mask = degs == k
+        cnt = int(mask.sum())
+        acc = out[mask]
+        for _ in range(int(k) - 1):
+            acc = acc + checks[rng.integers(0, n, cnt)]
+        out[mask] = acc
+    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
+    return LlrPopulation(samples=out, seed=pop.seed, rng=rng)
+
+
+def _ref_population_pe(pop):
+    m = pop.samples
+    return float(np.mean(m < 0.0) + 0.5 * np.mean(m == 0.0))
+
+
+REFERENCE_ENSEMBLES = {
+    "regular-36": regular_ensemble(3, 6),
+    "irregular-lambda": DegreeEnsemble(((2, 0.3), (3, 0.7)), ((6, 1.0),)),
+    "irregular-both": DegreeEnsemble(((2, 0.25), (3, 0.35), (7, 0.4)),
+                                     ((5, 0.5), (8, 0.5))),
+    # a zero-mass degree is never drawn, so its group is skipped
+    "zero-mass-degree": DegreeEnsemble(((2, 0.0), (3, 0.6), (4, 0.4)),
+                                       ((5, 0.7), (6, 0.3), (9, 0.0))),
+}
+
+REFERENCE_SAMPLERS = {
+    "bsc": lambda: initial_llr_sampler(Bsc(0.08)),
+    "bec": lambda: initial_llr_sampler(Bec(0.4)),
+    "biawgn": lambda: initial_llr_sampler(BiAwgn(0.85)),
+    "bilc": lambda: initial_llr_sampler(BiLaplace(0.6)),
+    "rayleigh": lambda: initial_llr_sampler(BiRayleigh(0.7)),
+    "bsc-mixture": lambda: initial_llr_sampler(BscMixture(((0.5, 0.03), (0.5, 0.12)))),
+    "rayleigh-unobserved": lambda: rayleigh_amplitude_marginal_sampler(0.8, grid_pts=301),
+}
+
+
+class TestAgainstReferenceKernel:
+    @pytest.mark.parametrize("family", sorted(REFERENCE_SAMPLERS))
+    @pytest.mark.parametrize("ens", sorted(REFERENCE_ENSEMBLES))
+    def test_populations_bit_identical(self, ens, family):
+        e = REFERENCE_ENSEMBLES[ens]
+        sampler = REFERENCE_SAMPLERS[family]()
+        for n in (5001, 12500):
+            cfg = DeConfig(population_size=n, seed=n)
+            pop, ref = new_population(sampler, cfg), new_population(sampler, cfg)
+            for _ in range(25):
+                pop, ref = de_step(pop, e, sampler), _ref_de_step(ref, e, sampler)
+                assert pop.samples.tobytes() == ref.samples.tobytes()
+                pe = population_pe(pop)
+                assert type(pe) is float and pe == _ref_population_pe(ref)
+
+    @pytest.mark.parametrize("ens", ["regular-36", "irregular-both"])
+    @pytest.mark.parametrize("ch", [Bsc(0.07), Bsc(0.12), BiAwgn(0.8), BiAwgn(0.95)])
+    def test_de_decodable_unchanged(self, monkeypatch, ens, ch):
+        e = REFERENCE_ENSEMBLES[ens]
+        cfg = DeConfig(population_size=5001, max_iter=150, seed=5)
+        got = de_decodable(ch, e, cfg)
+        monkeypatch.setattr(de_mod, "de_step", _ref_de_step)
+        monkeypatch.setattr(de_mod, "population_pe", _ref_population_pe)
+        assert got == de_decodable(ch, e, cfg)

@@ -3,10 +3,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bpbounds import (IterationLimits, NoisePair, NonMonotoneError,
-                      channel_threshold, iterate_bound,
+from bpbounds import (CHANNEL_FAMILIES, IterationLimits, NoisePair,
+                      NonMonotoneError, channel_threshold, iterate_bound,
                       measure_threshold, regular_ensemble, region_sweep)
+from bpbounds.search import _channel_verdict
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +189,27 @@ class TestThresholdResultJson:
         d = res.to_dict()
         assert d["schema"] == "bpbounds.threshold/1"
         assert set(d) >= {"parameter", "lo", "hi", "value", "source", "iterations"}
+
+
+# (3,6) channel thresholds of each bound, to 3 digits: probes are drawn
+# within +-10% (log scale) of them, where a non-monotone verdict would bite
+NEAR_THRESHOLD = {
+    ("ub-cb", "bsc"): 0.0485, ("lb-cb", "bsc"): 0.122,
+    ("ub-sb", "bsc"): 0.0709, ("ub-cbsb", "bsc"): 0.0710,
+    ("ub-cb", "biawgn"): 0.769, ("lb-cb", "biawgn"): 1.09,
+    ("ub-sb", "biawgn"): 0.746, ("ub-cbsb", "biawgn"): 0.783,
+}
+
+
+class TestVerdictMonotonicity:
+    # bisection assumes the verdict is monotone in the channel parameter but
+    # checks it only at the bracket ends
+    @pytest.mark.parametrize("kind, family", sorted(NEAR_THRESHOLD))
+    @settings(max_examples=30, deadline=None)
+    @given(u1=st.floats(-0.1, 0.1), u2=st.floats(-0.1, 0.1))
+    def test_worse_channel_never_decodes_alone(self, e36, kind, family, u1, u2):
+        centre = NEAR_THRESHOLD[kind, family]
+        t1, t2 = sorted((centre * math.exp(u1), centre * math.exp(u2)))
+        fam = CHANNEL_FAMILIES[family]
+        if _channel_verdict(kind, fam, t2, e36, None, None):
+            assert _channel_verdict(kind, fam, t1, e36, None, None)
