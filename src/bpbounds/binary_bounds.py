@@ -147,24 +147,22 @@ def _compositions(n: int, m: int):
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + m - 1))
     counts = np.diff(edges, axis=1) - 1
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    return counts, log_fact[n] - log_fact[counts].sum(axis=1)
+    return counts.astype(float), log_fact[n] - log_fact[counts].sum(axis=1)
 
 
-def _sb_of_draws(groups) -> float:
-    """Exact SB of a sum of independent LLR draws, ``groups`` = [(outcomes, n)]
-    with n >= 1 i.i.d. draws over (probability, LLR) outcomes.  Sums over the
-    count vectors K of each group, weight n!/prod(K_i!) prod(q_i^K_i) and LLR
-    K.l, outer-combined across groups: SB = sum w * 2 / (1 + e^L)."""
-    logw, llr = np.zeros(1), np.zeros(1)
-    for outs, n in groups:
-        if not outs:
-            return 0.0            # every draw perfect
-        counts, log_coef = _compositions(n, len(outs))
-        q, l = np.array(outs).T
-        logw = np.add.outer(logw, log_coef + counts @ np.log(q)).ravel()
-        llr = np.add.outer(llr, counts @ l).ravel()
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.exp(logw) * 2.0 / (1.0 + np.exp(llr))))
+def _draw_terms(outs, n):
+    """Log-weight log(n!/prod(K_i!) prod(q_i^K_i)) and LLR K.l of every count
+    vector K of n i.i.d. draws over the (probability, LLR) outcomes ``outs``."""
+    counts, log_coef = _compositions(n, len(outs))
+    q, l = np.array(outs).T
+    return log_coef + counts @ np.log(q), counts @ l
+
+
+@functools.lru_cache(maxsize=256)
+def _channel_terms(atoms):
+    """``_draw_terms`` of one draw from ``atoms``, once per channel family."""
+    outs = [o for w, a in atoms for o in _bsc_outcomes(w, a)]
+    return _draw_terms(outs, 1) if outs else (np.empty(0), np.empty(0))
 
 
 def _term_count(sizes) -> int:
@@ -172,16 +170,25 @@ def _term_count(sizes) -> int:
     return math.prod(math.comb(n + m - 1, n) for m, n in sizes)
 
 
-def _sb_of_atom_draws(draws) -> float:
-    """Exact SB of n independent draws from each atom list of ``draws`` =
-    [(atoms, n)]; a ValueError past ``ENUM_CAP`` terms."""
+def _sb_of_draws(draws, first=(np.zeros(1), np.zeros(1))) -> float:
+    """Exact SB = sum w * 2 / (1 + e^L) of a sum of independent LLR draws: the
+    (log-weight, LLR) terms ``first`` outer-combined with the ``_draw_terms`` of
+    n i.i.d. draws per [(atoms, n)] of ``draws``; ValueError past ``ENUM_CAP``."""
     groups = [([o for w, a in atoms for o in _bsc_outcomes(w, a)], n)
               for atoms, n in draws if n > 0]
-    terms = _term_count((len(outs), n) for outs, n in groups)
+    terms = len(first[0]) * _term_count((len(outs), n) for outs, n in groups)
     if terms > ENUM_CAP:
         raise ValueError(f"exact SB needs {terms} terms, past the enumeration "
                          f"budget ENUM_CAP = {ENUM_CAP}")
-    return _sb_of_draws(groups)
+    logw, llr = first
+    for outs, n in groups:
+        if not outs:
+            return 0.0            # every draw perfect
+        lw, ll = _draw_terms(outs, n)
+        logw = (logw[:, None] + lw).ravel()
+        llr = (llr[:, None] + ll).ravel()
+    with np.errstate(over="ignore"):
+        return float((np.exp(logw) * 2.0 / (1.0 + np.exp(llr))).sum())
 
 
 def sb_of_bsc_combination(avals) -> float:
@@ -195,7 +202,7 @@ def sb_of_bsc_combination(avals) -> float:
     input (a = 0) forces SB = 0; a useless input (a = 1) contributes LLR 0.
     """
     counts = Counter(min(float(a), 1.0) for a in avals)
-    return _sb_of_atom_draws([(((1.0, a),), n) for a, n in counts.items()])
+    return _sb_of_draws([(((1.0, a),), n) for a, n in counts.items()])
 
 
 def ub_sb_step(sb: float, e: DegreeEnsemble, sb0: float) -> float:
@@ -239,6 +246,11 @@ def _project_feasible(cb: float, sb: float):
     return cb, sb
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int):                   # (i, C(n, i)) for i = 1..n, C a float
+    return tuple((i, float(math.comb(n, i))) for i in range(1, n + 1))
+
+
 def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
     """Joint check-node step: SB via BEC replacement, CB via the two-atom
     moment-matched maximizer (a binomial average of BSC check combinations)."""
@@ -252,15 +264,13 @@ def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
         # BSC-consistent input: the mixture collapses to the single BSC
         cbp = _bsc_check_cb(cb, e)
     else:
-        t2 = min(1.0, (sb / cb) ** 2)
+        u = 1.0 - min(1.0, (sb / cb) ** 2)     # in [0, 1]
         q = min(1.0, cb * cb / sb)       # probability an input atom is active
         cbp = 0.0
         for k, w in e.rho:
             acc = 0.0
-            for i in range(1, k):
-                acc += (math.comb(k - 1, i)
-                        * math.sqrt(max(0.0, 1.0 - (1.0 - t2) ** i))
-                        * (1.0 - q) ** (k - 1 - i) * q ** i)
+            for i, c in _binomials(k - 1):
+                acc += c * math.sqrt(1.0 - u ** i) * (1.0 - q) ** (k - 1 - i) * q ** i
             cbp += w * acc
     cbp, sbp = _project_feasible(cbp, sbp)
     return NoisePair(cbp, sbp)
@@ -273,12 +283,14 @@ def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,
     The chin draws are i.i.d., so only how many of them land on each
     (atom, sign) outcome matters: the exact sum runs over those count
     vectors, C(d_minus_1 + m - 1, m - 1) of them for m outcomes, times the
-    ch0 outcomes.  Past ``ENUM_CAP`` terms it raises ValueError; for
-    three-atom families (six outcomes) that is d_minus_1 >= 27.
+    ch0 outcomes, whose (log-weight, LLR) terms are built once per family and
+    cached (the last 256 families, at most six terms each).  Past ``ENUM_CAP``
+    terms it raises ValueError; for three-atom families (six outcomes) that is
+    d_minus_1 >= 27.
     """
     if d_minus_1 < 0:
         raise ValueError("d_minus_1 must be >= 0")
-    return _sb_of_atom_draws([(ch0.atoms, 1), (chin.atoms, d_minus_1)])
+    return _sb_of_draws([(chin.atoms, d_minus_1)], _channel_terms(ch0.atoms))
 
 
 def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
@@ -288,7 +300,7 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
     CB multiplies (BSC replacement is exact there); SB is bounded through the
     three-atom upper families for both the channel and the incoming messages.
     The degree average uses lambda_k, since variable-node degrees follow
-    lambda.
+    lambda.  ``fam0`` is fixed over a recursion: its terms come from a cache.
     """
     cb0, sb0 = pair0.cb, pair0.sb
     cb, sb = pair.cb, pair.sb

@@ -350,7 +350,8 @@ def sb_of(ch: BinaryChannel) -> float:
     if isinstance(ch, BiRayleigh):
         s2 = ch.sigma ** 2
         r = math.sqrt(s2 / 2.0 + 0.25)
-        return float(hyp2f1(1.0, r + 0.5, r + 1.5, -1.0)) / (r + 0.5) * s2 / r
+        sb = float(hyp2f1(1.0, r + 0.5, r + 1.5, -1.0)) / (r + 0.5) * s2 / r
+        return min(sb, cb_of(ch))       # rounding lifts sb past cb from sigma ~ 9e8
     if isinstance(ch, Bnsc):
         rev = reverse_form(ch)
         return (rev.r0 * 4.0 * rev.r01 * (1.0 - rev.r01)

@@ -1,17 +1,20 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bpbounds import (AtomicBscFamily, BscMixture, IterationLimits, NoisePair,
+from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
+                      IterationLimits, NoisePair,
                       SequenceMapperChannel, cb_check_bec, cb_check_bsc,
                       cb_var, iterate_bound, lb_cb_step, phi_variable_sb,
                       regular_ensemble, sb_matched_bsc_replacement,
                       sb_of_bsc_combination, sequence_mapper_cb,
                       two_dim_check_step, two_dim_var_step, ub_cb_step,
                       ub_sb_star, ub_sb_step, variable_node_upper_family)
-from bpbounds.binary_bounds import ENUM_CAP, _bsc_llr
+from bpbounds.binary_bounds import (ENUM_CAP, _bsc_check_cb, _bsc_llr,
+                                    _bsc_outcomes, _project_feasible)
 from bpbounds.ensembles import rho_eval
 
 
@@ -464,3 +467,169 @@ class TestSbMatchedReplacement:
             ch = SequenceMapperChannel(0.5, words0, words1, tuple(coords))
             cb_values.append(sequence_mapper_cb(ch))
         assert all(b >= a - 1e-12 for a, b in zip(cb_values, cb_values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: the ub-cbsb step kernels before the channel draw's
+# terms were built once per family (two np.add.outer per group from a zeros
+# seed, integer count vectors, np.sum), the check step before its binomials
+# were cached, and the upper family with its constructor's normalisation.
+# The kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_compositions(n, m):
+    bars = np.array(list(itertools.combinations(range(n + m - 1), m - 1)),
+                    dtype=np.int64).reshape(math.comb(n + m - 1, n), m - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + m - 1))
+    counts = np.diff(edges, axis=1) - 1
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    return counts, log_fact[n] - log_fact[counts].sum(axis=1)
+
+
+def _ref_phi_variable_sb(ch0, chin, d_minus_1):
+    groups = [([o for w, a in atoms for o in _bsc_outcomes(w, a)], n)
+              for atoms, n in [(ch0.atoms, 1), (chin.atoms, d_minus_1)] if n > 0]
+    logw, llr = np.zeros(1), np.zeros(1)
+    for outs, n in groups:
+        if not outs:
+            return 0.0
+        counts, log_coef = _ref_compositions(n, len(outs))
+        q, l = np.array(outs).T
+        logw = np.add.outer(logw, log_coef + counts @ np.log(q)).ravel()
+        llr = np.add.outer(llr, counts @ l).ravel()
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(logw) * 2.0 / (1.0 + np.exp(llr))))
+
+
+def _ref_two_dim_check_step(pair, e):
+    cb, sb = pair.cb, pair.sb
+    if cb <= 0.0 or sb <= 0.0:
+        return NoisePair(0.0, 0.0)
+    sbp = 1.0 - rho_eval(e, 1.0 - sb)
+    if sb <= cb * cb * (1.0 + 1e-13):
+        cbp = _bsc_check_cb(cb, e)
+    else:
+        t2 = min(1.0, (sb / cb) ** 2)
+        q = min(1.0, cb * cb / sb)
+        cbp = 0.0
+        for k, w in e.rho:
+            acc = 0.0
+            for i in range(1, k):
+                acc += (math.comb(k - 1, i)
+                        * math.sqrt(max(0.0, 1.0 - (1.0 - t2) ** i))
+                        * (1.0 - q) ** (k - 1 - i) * q ** i)
+            cbp += w * acc
+    return NoisePair(*_project_feasible(cbp, sbp))
+
+
+def _ref_family(atoms):
+    """The family constructor's normalisation, in an object with ``atoms``."""
+    atoms = tuple((float(w), float(a)) for w, a in atoms)
+    total = sum(w for w, _ in atoms)
+    return SimpleNamespace(atoms=tuple((w / total, min(max(a, 0.0), 1.0))
+                                       for w, a in atoms if w > 0.0))
+
+
+def _ref_variable_node_upper_family(cb_in, sb_in):
+    c = cb_in
+    if c <= 1e-14:
+        return _ref_family(((1.0, 0.0),))
+    t = sb_in / c
+    if t - c <= 1e-14:
+        return _ref_family(((1.0, c),))
+    gate = 2.0 * math.sqrt(t * c) - t + math.sqrt(c * (2.0 * t - c))
+    if gate >= 0.0:
+        f = 0.0
+    else:
+        def eta(w):
+            return w ** 3 - 2.0 * t * w ** 2 + (t - c) ** 2 * w
+
+        w0 = 2.0 * math.sqrt(t * c)
+        eta_slope = 3.0 * w0 * w0 - 4.0 * t * w0 + (t - c) ** 2
+        if eta_slope <= 0.0:
+            ws = w0
+        else:
+            ws = (2.0 * t - math.sqrt(4.0 * t * t - 3.0 * (t - c) ** 2)) / 3.0
+        f = eta(ws) / (2.0 * t * (t - c) ** 2)
+    return _ref_family((((1.0 - f) * t / (t + c), c), (f, math.sqrt(sb_in)),
+                        ((1.0 - f) * c / (t + c), t)))
+
+
+def _random_atoms(rng):
+    """Raw (weight, a) atoms: upper families, single atoms, and mixtures
+    with perfect (a = 0) and useless (a = 1) atoms."""
+    kind = rng.integers(4)
+    if kind == 0:
+        cb = rng.uniform(1e-3, 1.0)
+        return _ref_variable_node_upper_family(cb, rng.uniform(cb * cb, cb)).atoms
+    if kind == 1:
+        return ((1.0, float(rng.choice([0.0, 1.0, rng.uniform()]))),)
+    k = int(rng.integers(2, 4))
+    a = rng.uniform(size=k)
+    a[rng.random(k) < 0.3] = 0.0
+    a[rng.random(k) < 0.3] = 1.0
+    return tuple(zip(rng.dirichlet(np.ones(k)).tolist(), a.tolist()))
+
+
+# lambda-degree mix, ub-cbsb BSC threshold p* of each ensemble (tol 1e-4)
+CBSB_ENSEMBLES = {
+    "(3,6)": (regular_ensemble(3, 6), 0.0710),
+    "(4,8)": (regular_ensemble(4, 8), 0.0696),
+    "(6,12)": (regular_ensemble(6, 12), 0.0578),
+    "0.3x+0.7x^2,x^5": (DegreeEnsemble(((2, 0.3), (3, 0.7)), ((6, 1.0),)), 0.0470),
+}
+
+
+class TestAgainstReferenceKernels:
+    def test_family_constructor_bit_identical(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            atoms = _random_atoms(rng)
+            assert AtomicBscFamily(atoms).atoms == _ref_family(atoms).atoms
+        for _ in range(2000):
+            cb = rng.uniform(0.0, 1.0)
+            sb = rng.uniform(cb * cb, cb)
+            assert (variable_node_upper_family(cb, sb).atoms
+                    == _ref_variable_node_upper_family(cb, sb).atoms)
+
+    def test_phi_variable_sb_bit_identical(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            a0, a1 = _random_atoms(rng), _random_atoms(rng)
+            d_minus_1 = int(rng.integers(0, 9))
+            got = phi_variable_sb(AtomicBscFamily(a0), AtomicBscFamily(a1), d_minus_1)
+            assert got == _ref_phi_variable_sb(_ref_family(a0), _ref_family(a1),
+                                               d_minus_1)
+
+    @pytest.mark.parametrize("name", sorted(CBSB_ENSEMBLES))
+    def test_two_dim_check_step_bit_identical(self, name):
+        e, _ = CBSB_ENSEMBLES[name]
+        rng = np.random.default_rng(13)
+        for _ in range(1000):
+            cb = rng.uniform(0.0, 1.0)
+            sb = cb * cb if rng.random() < 0.2 else rng.uniform(cb * cb, cb)
+            got, want = (two_dim_check_step(NoisePair(cb, sb), e),
+                         _ref_two_dim_check_step(NoisePair(cb, sb), e))
+            assert (got.cb, got.sb) == (want.cb, want.sb)
+
+    @pytest.mark.parametrize("name", sorted(CBSB_ENSEMBLES))
+    def test_ub_cbsb_trajectories_bit_identical(self, monkeypatch, name):
+        import bpbounds.binary_bounds as bb
+
+        e, p_star = CBSB_ENSEMBLES[name]
+        rng = np.random.default_rng(14)
+        starts = []
+        for i in range(10):
+            # near the threshold, on the BSC curve or towards the BEC side
+            p = p_star * math.exp(rng.uniform(-0.05, 0.05))
+            cb = 2 * math.sqrt(p * (1 - p))
+            sb = cb * cb * (1.0 + (i % 2) * rng.uniform(0.0, 0.05))
+            starts.append(NoisePair(cb, min(sb, cb)))
+        got = [iterate_bound("ub-cbsb", s, e) for s in starts]
+        monkeypatch.setattr(bb, "two_dim_check_step", _ref_two_dim_check_step)
+        monkeypatch.setattr(bb, "phi_variable_sb", _ref_phi_variable_sb)
+        monkeypatch.setattr(bb, "variable_node_upper_family", _ref_variable_node_upper_family)
+        for start, traj in zip(starts, got):
+            ref = iterate_bound("ub-cbsb", start, e)
+            assert (traj.states, traj.verdict, traj.iterations) == (
+                ref.states, ref.verdict, ref.iterations)

@@ -99,6 +99,17 @@ class TestSbOf:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert got <= cb_of(BiRayleigh(sigma)) + PROB_TOL
 
+    def test_birayleigh_sb_at_most_cb_exactly(self):
+        # rounding lifts the closed form past cb and 1 from sigma of about
+        # 9e8; sb is clamped to cb there, and untouched (strictly below cb)
+        # over the searched range
+        for sigma in np.logspace(0.0, 150.0, 3000):
+            ch = BiRayleigh(float(sigma))
+            assert sb_of(ch) <= cb_of(ch) <= 1.0
+        for sigma in np.linspace(1e-3, 3.0, 300):
+            ch = BiRayleigh(float(sigma))
+            assert sb_of(ch) < cb_of(ch)
+
 
 def _soft_bit(f, points):
     """SB = 2 E[p(X=1 | V) | X=0] as mp.quad of f(v) = p(v | X=0) 2 p(X=1 | v),

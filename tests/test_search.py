@@ -191,25 +191,47 @@ class TestThresholdResultJson:
         assert set(d) >= {"parameter", "lo", "hi", "value", "source", "iterations"}
 
 
-# (3,6) channel thresholds of each bound, to 3 digits: probes are drawn
-# within +-10% (log scale) of them, where a non-monotone verdict would bite
+# channel thresholds of each bound, to 3 digits: probes are drawn within
+# +-10% (log scale) of them, where a non-monotone verdict would bite
 NEAR_THRESHOLD = {
-    ("ub-cb", "bsc"): 0.0485, ("lb-cb", "bsc"): 0.122,
-    ("ub-sb", "bsc"): 0.0709, ("ub-cbsb", "bsc"): 0.0710,
-    ("ub-cb", "biawgn"): 0.769, ("lb-cb", "biawgn"): 1.09,
-    ("ub-sb", "biawgn"): 0.746, ("ub-cbsb", "biawgn"): 0.783,
+    (3, 6): {
+        ("ub-cb", "bsc"): 0.0485, ("lb-cb", "bsc"): 0.122,
+        ("ub-sb", "bsc"): 0.0709, ("ub-cbsb", "bsc"): 0.0710,
+        ("ub-cb", "biawgn"): 0.769, ("lb-cb", "biawgn"): 1.09,
+        ("ub-sb", "biawgn"): 0.746, ("ub-cbsb", "biawgn"): 0.783,
+        ("ub-sb", "bec"): 0.263, ("ub-cbsb", "bec"): 0.429,
+        ("ub-sb", "bilc"): 0.561, ("ub-cbsb", "bilc"): 0.567,
+        ("ub-sb", "rayleigh"): 0.520, ("ub-cbsb", "rayleigh"): 0.615,
+    },
+    (4, 8): {
+        ("ub-cb", "bsc"): 0.0382, ("lb-cb", "bsc"): 0.107,
+        ("ub-sb", "bsc"): 0.0696, ("ub-cbsb", "bsc"): 0.0696,
+        ("ub-cb", "biawgn"): 0.722, ("lb-cb", "biawgn"): 1.02,
+        ("ub-sb", "biawgn"): 0.741, ("ub-cbsb", "biawgn"): 0.755,
+        ("ub-cb", "bec"): 0.383, ("lb-cb", "bec"): 0.619,
+        ("ub-sb", "bec"): 0.259, ("ub-cbsb", "bec"): 0.383,
+        ("ub-cb", "bilc"): 0.480, ("lb-cb", "bilc"): 0.757,
+        ("ub-sb", "bilc"): 0.556, ("ub-cbsb", "bilc"): 0.558,
+        ("ub-cb", "rayleigh"): 0.558, ("lb-cb", "rayleigh"): 0.902,
+        ("ub-sb", "rayleigh"): 0.513, ("ub-cbsb", "rayleigh"): 0.566,
+    },
 }
+MONOTONICITY_CASES = [
+    pytest.param(ens, kind, family, centre,
+                 id=f"{kind}-{family}" + ("" if ens == (3, 6) else f"-{ens[0]}-{ens[1]}"))
+    for ens, table in NEAR_THRESHOLD.items()
+    for (kind, family), centre in sorted(table.items())]
 
 
 class TestVerdictMonotonicity:
     # bisection assumes the verdict is monotone in the channel parameter but
     # checks it only at the bracket ends
-    @pytest.mark.parametrize("kind, family", sorted(NEAR_THRESHOLD))
+    @pytest.mark.parametrize("ens, kind, family, centre", MONOTONICITY_CASES)
     @settings(max_examples=30, deadline=None)
     @given(u1=st.floats(-0.1, 0.1), u2=st.floats(-0.1, 0.1))
-    def test_worse_channel_never_decodes_alone(self, e36, kind, family, u1, u2):
-        centre = NEAR_THRESHOLD[kind, family]
+    def test_worse_channel_never_decodes_alone(self, ens, kind, family, centre, u1, u2):
+        e = regular_ensemble(*ens)
         t1, t2 = sorted((centre * math.exp(u1), centre * math.exp(u2)))
         fam = CHANNEL_FAMILIES[family]
-        if _channel_verdict(kind, fam, t2, e36, None, None):
-            assert _channel_verdict(kind, fam, t1, e36, None, None)
+        if _channel_verdict(kind, fam, t2, e, None, None):
+            assert _channel_verdict(kind, fam, t1, e, None, None)
