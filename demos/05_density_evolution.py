@@ -6,15 +6,16 @@ population here is kept small so the demo runs in seconds -- thresholds then
 carry a little extra Monte Carlo noise compared to the acceptance settings.
 """
 
-from bpbounds import (Bsc, CHANNEL_FAMILIES, DeConfig, bec_threshold,
-                      de_decodable, de_threshold, initial_llr_sampler,
+from bpbounds import (Bsc, CHANNEL_FAMILIES, DeConfig, de_decodable,
+                      de_threshold, initial_llr_sampler, measure_threshold,
                       new_population, de_step, population_pe,
                       regular_ensemble, ub_sb_star)
 
 e = regular_ensemble(3, 6)
 cfg = DeConfig(population_size=30_000, max_iter=300, seed=1)
 
-print("exact BEC threshold:", round(bec_threshold(e), 5), "\n")
+# the ub-cb recursion is exact on the BEC, so its CB* is the BEC threshold
+print("exact BEC threshold:", round(measure_threshold("ub-cb", e), 5), "\n")
 
 for p in (0.07, 0.09):
     sampler = initial_llr_sampler(Bsc(p))

@@ -106,9 +106,10 @@ def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
 
 
 def _bsc_check_cb(cb: float, e: DegreeEnsemble) -> float:
-    """Check-node CB with every input a BSC of index cb, averaged over rho."""
-    return sum(w * math.sqrt(max(0.0, 1.0 - (1.0 - cb * cb) ** (k - 1)))
-               for k, w in e.rho)
+    """Check-node CB with every input a BSC of index cb, averaged over rho, by
+    expm1/log1p: 1 - (1 - cb^2)^(k-1) cancels and stalls lb-cb near cb = 1e-8."""
+    t = math.log1p(-cb * cb) if cb < 1.0 else -math.inf
+    return sum(w * math.sqrt(-math.expm1((k - 1) * t)) for k, w in e.rho)
 
 
 def lb_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:

@@ -1,6 +1,5 @@
 """Density evolution oracle: ground-truth decodable thresholds for BI-SO
-channels via the exact BEC recursion and sampled (population) density
-evolution over LLR messages.
+channels via sampled (population) density evolution over LLR messages.
 
 Populations track the LLR distribution conditioned on the zero input.
 Check nodes use the tanh rule with saturation at |m| = 40 (tanh(20) already
@@ -18,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_bounds import IterationLimits, bisect, iterate_bound
+from .binary_bounds import bisect
 from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
-                       ChannelFamily, NoisePair, UnsupportedChannelError)
+                       ChannelFamily, UnsupportedChannelError)
 from .ensembles import DegreeEnsemble
 
 __all__ = [
-    "LLR_MAX", "DeConfig", "LlrPopulation", "bec_threshold",
+    "LLR_MAX", "DeConfig", "LlrPopulation",
     "initial_llr_sampler", "rayleigh_amplitude_marginal_sampler",
     "new_population", "de_step", "population_pe", "de_decodable",
     "de_threshold",
@@ -52,20 +51,6 @@ class LlrPopulation:
     samples: np.ndarray
     seed: int
     rng: np.random.Generator = field(repr=False)
-
-
-def bec_threshold(e: DegreeEnsemble, tol: float = 1e-6) -> float:
-    """Largest erasure probability with x -> eps lambda(1 - rho(1 - x)) -> 0.
-
-    The CB recursion (ub-cb) is exact for the BEC, so bisection on it is the
-    exact BEC threshold.
-    """
-    limits = IterationLimits(max_iter=100_000, decode_eps=1e-12, stall_eps=1e-15)
-    lo, hi = bisect(
-        lambda eps: iterate_bound("ub-cb", NoisePair(cb=eps), e,
-                                  limits).verdict == "decodable",
-        0.0, 1.0, math.ceil(-math.log2(tol)))
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

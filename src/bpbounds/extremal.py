@@ -45,8 +45,9 @@ class AtomicBscFamily:
         if not atoms:
             raise ValueError("family needs at least one atom")
         total = sum(w for w, _ in atoms)
-        if any(w < -WEIGHT_TOL for w, _ in atoms) or abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        # negated comparisons, so that a NaN weight fails them too
+        if not (all(w >= -WEIGHT_TOL for w, _ in atoms) and abs(total - 1.0) <= WEIGHT_TOL):
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         if any(not -WEIGHT_TOL <= a <= 1.0 + WEIGHT_TOL for _, a in atoms):
             raise ValueError("BSC indices must lie in [0, 1]")
         object.__setattr__(

@@ -9,14 +9,19 @@ assumption is checked at the initial bracket and a violation raises
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import de as de_mod
-from .binary_bounds import IterationLimits, bisect, iterate_bound, ub_sb_star
+from .binary_bounds import (IterationLimits, bisect, iterate_bound, lb_cb_step,
+                            ub_cb_step, ub_sb_star)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
-from .ensembles import DegreeEnsemble
+from .ensembles import DegreeEnsemble, lambda2, rho_prime1
 
 __all__ = [
     "SEARCH_BOUNDS", "ThresholdResult", "RegionGrid", "NonMonotoneError",
@@ -58,15 +63,7 @@ class ThresholdResult:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "bpbounds.threshold/1",
-            "parameter": self.parameter,
-            "lo": self.lo,
-            "hi": self.hi,
-            "value": self.value,
-            "source": self.source,
-            "iterations": self.iterations,
-        }
+        return {"schema": "bpbounds.threshold/1", **asdict(self)}
 
 
 @dataclass
@@ -107,12 +104,25 @@ def _bsc_de_threshold(e: DegreeEnsemble, de_config: DeConfig | None) -> float:
     return de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e, de_config or DeConfig())[0]
 
 
-def _bound_decodable(kind: str, start: NoisePair, e: DegreeEnsemble,
-                     limits: IterationLimits | None) -> bool:
-    verdict = iterate_bound(kind, start, e, limits).verdict
-    # an inconclusive run certifies nothing for the inner bounds, and the
-    # outer bound lb-cb rules a channel out only when its recursion stalls
-    return verdict != "not-decodable" if kind == "lb-cb" else verdict == "decodable"
+def _cb_star(kind: str, e: DegreeEnsemble) -> float:
+    """CB* = inf over x in (0, 1] of x / g(x), g the ub-cb or lb-cb step at
+    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  Brent's method
+    refines the best cell of a log grid on [1e-5, 1], above the rounding of
+    1 - rho(1 - x) (an underflowed g counts as +inf); the x -> 0 limit is
+    1 / (lambda_2 rho'(1)) for ub-cb, 1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb."""
+    step = ub_cb_step if kind == "ub-cb" else lb_cb_step
+
+    def ratio(x):
+        g = step(float(x), e, 1.0)
+        return float(x) / g if g > 0.0 else math.inf
+
+    xs = np.geomspace(1e-5, 1.0, 201)
+    i = int(np.argmin([ratio(x) for x in xs]))
+    cell = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    best = minimize_scalar(ratio, bounds=cell, method="bounded", options={"xatol": 1e-12})
+    slope = lambda2(e) * (rho_prime1(e) if kind == "ub-cb" else
+                          sum(w * math.sqrt(k - 1) for k, w in e.rho))
+    return float(min(ratio(xs[i]), best.fun, 1.0 / slope if slope > 0.0 else math.inf))
 
 
 def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
@@ -120,28 +130,31 @@ def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
                       de_config: DeConfig | None = None) -> float:
     """Supremum of the scalar channel measure the bound still decodes.
 
-    CB for ub-cb/lb-cb, SB for ub-sb; ub-sb-star returns 4 p*(1-p*) with p*
+    ub-cb and lb-cb return CB* in closed form, with no recursion (for ub-cb,
+    the exact BEC threshold); ub-sb bisects SB on its recursion, and ``tol``
+    and ``limits`` apply to it only; ub-sb-star returns 4 p*(1-p*) with p*
     the DE threshold of the BSC family.
     """
     if kind == "ub-sb-star":
         return ub_sb_star(_bsc_de_threshold(e, de_config))
-    if kind not in ("ub-cb", "lb-cb", "ub-sb"):
+    if kind in ("ub-cb", "lb-cb"):
+        return _cb_star(kind, e)
+    if kind != "ub-sb":
         raise ValueError(f"measure_threshold does not support kind {kind!r}")
-    coord = "sb" if kind == "ub-sb" else "cb"
     lo, hi = bisect(
-        lambda x: _bound_decodable(kind, NoisePair(**{coord: x}), e, limits),
+        lambda x: iterate_bound(kind, NoisePair(sb=x), e, limits).verdict == "decodable",
         0.0, 1.0, _steps_for(0.0, 1.0, tol))
     return 0.5 * (lo + hi)
 
 
 def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
-                     limits: IterationLimits | None, sb_star: float | None) -> bool:
+                     limits: IterationLimits | None, star: float | None) -> bool:
     ch = family.build(theta)
-    if kind == "ub-sb-star":
-        return sb_of(ch) <= sb_star
-    start = NoisePair(cb=None if kind == "ub-sb" else cb_of(ch),
-                      sb=sb_of(ch) if kind in ("ub-sb", "ub-cbsb") else None)
-    return _bound_decodable(kind, start, e, limits)
+    if kind in ("ub-cb", "lb-cb", "ub-sb-star"):
+        # the channel's closed-form measure against the measure threshold
+        return sb_of(ch) <= star if kind == "ub-sb-star" else cb_of(ch) < star
+    start = NoisePair(cb=cb_of(ch) if kind == "ub-cbsb" else None, sb=sb_of(ch))
+    return iterate_bound(kind, start, e, limits).verdict == "decodable"
 
 
 def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
@@ -149,14 +162,13 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
                       limits: IterationLimits | None = None,
                       de_config: DeConfig | None = None,
                       p_star: float | None = None) -> ThresholdResult:
-    """Bisect the channel-family parameter against a bound's verdict.
+    """Bisect the channel-family parameter to width ``tol`` against a verdict.
 
-    Per probe the channel's noise measures are evaluated and the selected
-    recursion run.  ``kind`` "de" delegates to the sampled-DE oracle;
-    "ub-sb-star" compares the channel SB against 4 p*(1-p*), computing p*
-    by DE when not supplied.  Note that "lb-cb" yields an *outer* bound:
-    parameters above its threshold are certainly undecodable, but nothing
-    below it is certified.
+    ub-cb and lb-cb compare the channel's CB with the closed-form CB*, and
+    "ub-sb-star" its SB with 4 p*(1-p*), p* by DE unless given.  Only ub-sb
+    and ub-cbsb run a recursion per probe, under ``limits``; "de" delegates
+    to the sampled-DE oracle.  "lb-cb" yields an *outer* bound: parameters
+    above its threshold are certainly undecodable, nothing below certified.
     """
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
@@ -168,18 +180,18 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
         return ThresholdResult(family.param, blo, bhi, value, "de",
                                de_mod.DE_BISECT_STEPS)
 
-    sb_star = None
-    if kind == "ub-sb-star":
-        sb_star = ub_sb_star(_bsc_de_threshold(e, de_config) if p_star is None
-                             else p_star)
+    star = None
+    if kind in ("ub-cb", "lb-cb", "ub-sb-star"):
+        star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
+                else measure_threshold(kind, e, de_config=de_config))
 
-    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, sb_star)
-    hi_ok = _channel_verdict(kind, family, hi, e, limits, sb_star)
+    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, star)
+    hi_ok = _channel_verdict(kind, family, hi, e, limits, star)
     if not lo_ok or hi_ok:
         raise NonMonotoneError(family_name, lo, hi, lo_ok, hi_ok)
 
     steps = _steps_for(lo, hi, tol)
-    lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, sb_star),
+    lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, star),
                     lo, hi, steps)
     return ThresholdResult(family.param, lo, hi, 0.5 * (lo + hi), kind, steps)
 
@@ -222,7 +234,7 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
     if p_star is None:
         p_star = _bsc_de_threshold(e, de_config)
     overlays = {
-        "ub_cb": measure_threshold("ub-cb", e, limits=limits),
+        "ub_cb": measure_threshold("ub-cb", e),
         "ub_sb": measure_threshold("ub-sb", e, limits=limits),
         "ub_sb_star": ub_sb_star(p_star),
     }

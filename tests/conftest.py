@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from bpbounds import (DeConfig, bec_threshold, channel_threshold,
-                      de_threshold, regular_ensemble, CHANNEL_FAMILIES,
-                      rayleigh_amplitude_marginal_sampler)
+from bpbounds import (DeConfig, channel_threshold,
+                      de_threshold, measure_threshold, regular_ensemble,
+                      CHANNEL_FAMILIES, rayleigh_amplitude_marginal_sampler)
 from bpbounds.channels import ChannelFamily
 
 ACCEPTANCE_LINES = []
@@ -82,7 +82,7 @@ def de_thresholds(ens36, de_config):
         value, _, _ = de_threshold(CHANNEL_FAMILIES[fam], ens36, de_config,
                                    lo=lo, hi=hi)
         values[fam] = value
-    values["bec_exact"] = bec_threshold(ens36)
+    values["bec_exact"] = measure_threshold("ub-cb", ens36)
     return {"values": values, "seconds": time.monotonic() - t0}
 
 

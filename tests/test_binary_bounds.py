@@ -106,6 +106,17 @@ class TestCbSteps:
     def test_lb_edges(self, e36):
         assert lb_cb_step(1.0, e36, 0.37) == pytest.approx(0.37)
 
+    def test_lb_check_stage_does_not_cancel_at_tiny_cb(self):
+        # 1 - (1 - cb^2)^(k-1) computed directly rounds near cb = 1e-8, and
+        # on (2, 4), where lambda_2 = 1, lb-cb then stalled at a false fixed
+        # point there for every cb0 in 0.41-0.55, below 1/sqrt(3)
+        e = regular_ensemble(2, 4)
+        for cb in (1e-6, 1e-8, 3e-9, 1e-12):
+            assert _bsc_check_cb(cb, e) == pytest.approx(math.sqrt(3.0) * cb, rel=1e-9)
+        for cb0 in (0.41, 0.45, 0.5, 0.55, 0.57):
+            assert iterate_bound("lb-cb", NoisePair(cb=cb0), e).verdict == "decodable"
+        assert iterate_bound("lb-cb", NoisePair(cb=0.58), e).verdict != "decodable"
+
     def test_lb_below_ub_pointwise(self, e36):
         rng = np.random.default_rng(0)
         for _ in range(300):

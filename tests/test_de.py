@@ -6,7 +6,7 @@ import pytest
 import bpbounds.de as de_mod
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
                       BscMixture, CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
-                      LlrPopulation, bec_threshold, cb_of, de_decodable,
+                      LlrPopulation, cb_of, de_decodable,
                       de_step, de_threshold, initial_llr_sampler,
                       measure_threshold, new_population, population_pe,
                       rayleigh_amplitude_marginal_sampler, regular_ensemble,
@@ -22,20 +22,20 @@ def e36():
 
 class TestBecThreshold:
     def test_regular_36(self, e36):
-        assert bec_threshold(e36) == pytest.approx(0.42944, abs=1e-4)
+        assert measure_threshold("ub-cb", e36) == pytest.approx(0.42944, abs=1e-4)
 
     def test_linear_recursion(self):
         from bpbounds import DegreeEnsemble
         e = DegreeEnsemble(((2, 1.0),), ((2, 1.0),))
         # x' = eps * x decays for every eps < 1, so the threshold is 1; the
-        # finite iteration budget cannot resolve the last ~1e-3 of geometric
-        # slowdown at the boundary
-        assert bec_threshold(e) == pytest.approx(1.0, abs=2e-3)
+        # closed form takes the x -> 0 limit 1 / (lambda_2 rho'(1)) = 1, and
+        # only the rounding of 1 - (1 - x) on its grid keeps it off 1 exactly
+        assert measure_threshold("ub-cb", e) == pytest.approx(1.0, abs=1e-9)
 
     def test_stability_consistency(self, e36):
         # at the BEC threshold the stability product must not exceed 1
         from bpbounds import lambda2, rho_prime1
-        eps = bec_threshold(e36)
+        eps = measure_threshold("ub-cb", e36)
         assert lambda2(e36) * rho_prime1(e36) * eps <= 1.0 + 1e-9
 
 
@@ -131,13 +131,13 @@ class TestDeThreshold:
         cfg = DeConfig(population_size=60_000, max_iter=300, seed=4)
         value, lo, hi = de_threshold(CHANNEL_FAMILIES["bec"], e36, cfg,
                                      lo=0.3, hi=0.6)
-        assert value == pytest.approx(bec_threshold(e36), abs=0.005)
+        assert value == pytest.approx(measure_threshold("ub-cb", e36), abs=0.005)
 
     def test_irregular_ensemble_bec_agreement(self):
         # exercises per-message degree sampling on both node sides
         from bpbounds import DegreeEnsemble
         e = DegreeEnsemble(((2, 0.4), (3, 0.6)), ((5, 0.5), (6, 0.5)))
-        exact = bec_threshold(e)
+        exact = measure_threshold("ub-cb", e)
         cfg = DeConfig(population_size=60_000, max_iter=300, seed=12)
         value, _, _ = de_threshold(CHANNEL_FAMILIES["bec"], e, cfg,
                                    lo=exact - 0.1, hi=exact + 0.1)

@@ -182,3 +182,16 @@ def test_family_validation():
         AtomicBscFamily(((0.5, 0.3), (0.4, 0.2)))   # weights sum to 0.9
     with pytest.raises(ValueError):
         AtomicBscFamily(((1.0, 1.5),))              # index out of range
+
+
+@pytest.mark.parametrize("atoms", [
+    ((math.nan, 0.5),),
+    ((0.5, 0.1), (0.5, 0.2), (math.nan, 0.3)),
+    ((math.inf, 0.5),),
+    ((math.inf, 0.5), (-math.inf, 0.2)),
+])
+def test_family_refuses_non_finite_weights(atoms):
+    # a NaN weight used to pass both weight checks and leave an empty family,
+    # which phi_variable_sb reads as noise-free (SB 0)
+    with pytest.raises(ValueError, match="finite"):
+        AtomicBscFamily(atoms)

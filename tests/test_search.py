@@ -5,9 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpbounds import (CHANNEL_FAMILIES, IterationLimits, NoisePair,
-                      NonMonotoneError, channel_threshold, iterate_bound,
-                      measure_threshold, regular_ensemble, region_sweep)
+import bpbounds.binary_bounds as bb_mod
+import bpbounds.search as search_mod
+from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, IterationLimits,
+                      NoisePair, NonMonotoneError, cb_of, channel_threshold,
+                      iterate_bound, measure_threshold, regular_ensemble,
+                      region_sweep)
 from bpbounds.search import _channel_verdict
 
 
@@ -124,7 +127,7 @@ class TestStepsFor:
 
 class TestLbCbInconclusive:
     # lb-cb is an outer bound: a run cut short by max_iter proves nothing,
-    # so it must not pull the threshold inward
+    # so it must not pull the threshold inward (its closed form runs none)
     SHORT = IterationLimits(max_iter=20)
 
     def test_measure_threshold(self, e36):
@@ -191,6 +194,90 @@ class TestThresholdResultJson:
         assert set(d) >= {"parameter", "lo", "hi", "value", "source", "iterations"}
 
 
+IRREGULAR_A = DegreeEnsemble(((2, 0.4), (3, 0.6)), ((5, 0.5), (6, 0.5)))
+IRREGULAR_B = DegreeEnsemble(((2, 0.3), (3, 0.7)), ((5, 0.4), (6, 0.6)))
+# lambda = 0.5x + 0.5x^9, rho = x^5: ub-cb's x / g(x) is least as x -> 0
+LAMBDA_2_10 = DegreeEnsemble(((2, 0.5), (10, 0.5)), ((6, 1.0),))
+# midpoints of the 16-step bisection of each CB recursion on [0, 1] (the
+# default tol 2e-5), as the bisection computed them before the closed form
+BISECTED_CB_STAR = [
+    ("3-6", regular_ensemble(3, 6), 0.42943572998046875, 0.6553115844726562),
+    ("4-8", regular_ensemble(4, 8), 0.38344573974609375, 0.6192245483398438),
+    ("6-12", regular_ensemble(6, 12), 0.30745697021484375, 0.5544967651367188),
+    ("irregular-a", IRREGULAR_A, 0.40605926513671875, 0.6424636840820312),
+    ("irregular-b", IRREGULAR_B, 0.41799163818359375, 0.6498794555664062),
+]
+
+
+@pytest.fixture
+def no_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterate_bound was called")
+    monkeypatch.setattr(search_mod, "iterate_bound", refuse)
+    monkeypatch.setattr(bb_mod, "iterate_bound", refuse)
+
+
+class TestClosedFormCbStar:
+    @pytest.mark.parametrize("name, e, ub, lb", BISECTED_CB_STAR,
+                             ids=[c[0] for c in BISECTED_CB_STAR])
+    def test_inside_the_bisection_bracket(self, no_recursion, name, e, ub, lb):
+        half = 2.0 ** -17
+        assert abs(measure_threshold("ub-cb", e) - ub) <= half
+        assert abs(measure_threshold("lb-cb", e) - lb) <= half
+
+    def test_stability_limited_ensembles_hit_the_limit(self, no_recursion):
+        # x / g(x) is least as x -> 0: 1 / (lambda_2 rho'(1)) for ub-cb and
+        # 1 / (lambda_2 sum rho_k sqrt(k - 1)) for lb-cb
+        e24 = regular_ensemble(2, 4)
+        assert measure_threshold("ub-cb", e24) == pytest.approx(1 / 3, rel=1e-12)
+        assert measure_threshold("lb-cb", e24) == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+        e22 = regular_ensemble(2, 2)
+        assert measure_threshold("ub-cb", e22) == pytest.approx(1.0, abs=1e-9)
+        assert measure_threshold("lb-cb", e22) == pytest.approx(1.0, abs=1e-9)
+        assert measure_threshold("ub-cb", LAMBDA_2_10) == pytest.approx(0.4, rel=1e-12)
+
+    def test_lb_cb_channel_threshold_on_2_4(self, no_recursion):
+        # the recursion stalled at a rounding artefact and gave 0.408 here
+        res = channel_threshold("lb-cb", "bec", regular_ensemble(2, 4), tol=1e-4)
+        assert res.value == pytest.approx(1 / math.sqrt(3), abs=1e-4)
+
+    @pytest.mark.parametrize("e", [
+        regular_ensemble(40, 80),
+        DegreeEnsemble(((3, 0.5), (10_000, 0.5)), ((6, 0.5), (10_000, 0.5))),
+        regular_ensemble(10_000, 10_000),
+    ], ids=["40-80", "degree-10000", "regular-10000"])
+    def test_high_degree_ensembles(self, no_recursion, e):
+        for kind in ("ub-cb", "lb-cb"):
+            star = measure_threshold(kind, e)
+            assert 0.0 < star < 1.0
+        assert measure_threshold("ub-cb", e) < measure_threshold("lb-cb", e)
+        res = channel_threshold("ub-cb", "bec", e, tol=1e-4)
+        assert res.lo <= measure_threshold("ub-cb", e) <= res.hi
+
+    @pytest.mark.parametrize("family", ["bec", "bsc", "biawgn", "bilc", "rayleigh", "zchan"])
+    @pytest.mark.parametrize("kind", ["ub-cb", "lb-cb"])
+    def test_channel_threshold_inverts_cb_of(self, no_recursion, e36, kind, family):
+        res = channel_threshold(kind, family, e36, tol=1e-4)
+        fam = CHANNEL_FAMILIES[family]
+        star = measure_threshold(kind, e36)
+        assert cb_of(fam.build(res.lo)) < star <= cb_of(fam.build(res.hi))
+
+    @pytest.mark.parametrize("kind, e", [
+        pytest.param(kind, e, id=f"{kind}-{name}")
+        for name, e in [(c[0], c[1]) for c in BISECTED_CB_STAR] + [
+            ("lambda-2-10", LAMBDA_2_10), ("40-80", regular_ensemble(40, 80)),
+            ("3-10000", regular_ensemble(3, 10_000))]
+        for kind in ("ub-cb", "lb-cb")
+        # at an x -> 0 minimum the recursion slows without bound near CB*
+        if (kind, name) != ("ub-cb", "lambda-2-10")])
+    def test_recursion_straddles_an_interior_minimum(self, kind, e):
+        star = measure_threshold(kind, e)
+        below = iterate_bound(kind, NoisePair(cb=0.999 * star), e)
+        above = iterate_bound(kind, NoisePair(cb=1.001 * star), e)
+        assert below.verdict == "decodable"
+        assert above.verdict == "not-decodable"
+
+
 # channel thresholds of each bound, to 3 digits: probes are drawn within
 # +-10% (log scale) of them, where a non-monotone verdict would bite
 NEAR_THRESHOLD = {
@@ -233,5 +320,6 @@ class TestVerdictMonotonicity:
         e = regular_ensemble(*ens)
         t1, t2 = sorted((centre * math.exp(u1), centre * math.exp(u2)))
         fam = CHANNEL_FAMILIES[family]
-        if _channel_verdict(kind, fam, t2, e, None, None):
-            assert _channel_verdict(kind, fam, t1, e, None, None)
+        star = measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb") else None
+        if _channel_verdict(kind, fam, t2, e, None, star):
+            assert _channel_verdict(kind, fam, t1, e, None, star)
