@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
@@ -85,11 +86,14 @@ def cb_check_bec(cbs) -> float:
 
 
 def cb_check_bsc(cbs) -> float:
-    """Check-node CB when every input is a BSC: sqrt(1 - prod(1 - cb_i^2))."""
-    out = 1.0
+    """Check-node CB when every input is a BSC: sqrt(1 - prod(1 - cb_i^2)),
+    by log1p/expm1 as in ``_bsc_check_cb``, so that tiny cb_i do not cancel."""
+    t = 0.0
     for c in cbs:
-        out *= 1.0 - c * c
-    return math.sqrt(max(0.0, 1.0 - out))
+        if c >= 1.0:
+            return 1.0
+        t += math.log1p(-c * c)
+    return math.sqrt(max(0.0, -math.expm1(t)))
 
 
 def cb_var(cbs) -> float:
@@ -206,32 +210,60 @@ def sb_of_bsc_combination(avals) -> float:
     return _sb_of_draws([(((1.0, a),), n) for a, n in counts.items()])
 
 
-def ub_sb_step(sb: float, e: DegreeEnsemble, sb0: float) -> float:
-    """One iteration of the SB upper bound.
+def _bsc_arrays(x):
+    """(P(flipped), |LLR|) of the BSC whose SB is x in [0, 1], elementwise,
+    stacked on a new first axis: p = x / (2 (1 + sqrt(1 - x))), which is
+    (1 - sqrt(1 - x)) / 2 without its cancellation at small x, and
+    |LLR| = log((1 - p) / p), 0 at x = 1 and log 4 (not +inf) at x = 0."""
+    r = 1.0 + np.sqrt(1.0 - x)
+    return np.stack((x / (2.0 * r), 2.0 * np.log(r / np.sqrt(np.where(x > 0.0, x, 1.0)))))
 
-    Check stage: inputs replaced by BECs of equal SB, giving u = 1 - rho(1-sb).
-    Variable stage: channel and check outputs replaced by BSCs of equal SB,
-    combined exactly in plain Python: a degree-k node sums over the channel
-    sign and the number j of flipped inputs among k - 1, 2k terms with no
-    term cap.  The binomial weights come from lgamma, so they neither
-    overflow nor underflow to all-zero up to ``MAX_DEGREE``.
-    """
-    u = 1.0 - rho_eval(e, 1.0 - sb)
-    ch = _bsc_outcomes(1.0, math.sqrt(max(0.0, sb0)))
-    inp = _bsc_outcomes(1.0, math.sqrt(max(0.0, u)))
-    out = 0.0
+
+def ub_sb_step_at(sb, e: DegreeEnsemble):
+    """``ub_sb_step(sb, e, .)`` as a function of sb0, its check stage and
+    check-output draws built once for every channel it is then given."""
+    sb = np.asarray(sb, dtype=float)
+    x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
+    with np.errstate(divide="ignore"):
+        t = np.log1p(-x)                                # -inf at sb = 1
+    u = np.minimum(1.0, -sum(w * np.expm1((k - 1) * t) for k, w in e.rho))
+    p, l = _bsc_arrays(u)[..., None]
+    live = p > 0.0                        # else a perfect check output
+    q = np.where(live, p, 0.5)            # keeps the weights of dead rows finite
+    lq0, lq1 = np.log1p(-q), np.log(q)
+    terms = []
     for k, w in e.lam:
-        n = k - 1                 # >= 1, degrees are >= 2
-        terms = [(1.0, n * l) for _, l in inp]   # perfect, useless or never-flipped
-        if len(inp) == 2:
-            (q0, l0), (q1, l1) = inp
-            lgn, lq0, lq1 = math.lgamma(n + 1.0), math.log(q0), math.log(q1)
-            terms = [(math.exp(lgn - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
-                               + (n - j) * lq0 + j * lq1), (n - j) * l0 + j * l1)
-                     for j in range(n + 1)]
-        out += w * sum(qc * q * 2.0 / (1.0 + math.exp(lc + l))
-                       for qc, lc in ch for q, l in terms if lc + l < 700.0)
-    return min(1.0, out)
+        counts, log_coef = _compositions(k - 1, 2)     # row j: (j, k - 1 - j)
+        flips, keeps = counts.T
+        terms.append((w, np.exp(log_coef + keeps * lq0 + flips * lq1), (keeps - flips) * l))
+
+    def step(sb0):
+        sb0 = np.asarray(sb0, dtype=float)
+        p0, lc = _bsc_arrays(np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0))[..., None]
+        out = 0.0
+        for w, weight, llr in terms:
+            out = out + w * (weight * ((1.0 - p0) * expit(-lc - llr)
+                                       + p0 * expit(lc - llr))).sum(axis=-1)
+        # a perfect channel or check output makes the node's SB 0
+        out = np.minimum(1.0, 2.0 * out) * (live & (p0 > 0.0))[..., 0]
+        return float(out[0]) if sb.ndim == sb0.ndim == 0 else out
+    return step
+
+
+def ub_sb_step(sb, e: DegreeEnsemble, sb0):
+    """One iteration of the SB upper bound, broadcast over arrays of sb and sb0.
+
+    Check stage: inputs replaced by BECs of equal SB, giving
+    u = 1 - rho(1 - sb), summed as -expm1((k - 1) log1p(-sb)) so that it does
+    not cancel at small sb.  Variable stage: channel and check outputs
+    replaced by BSCs of equal SB, combined exactly: a degree-k node sums
+    2 / (1 + e^L) = 2 expit(-L) over the channel sign and the number of
+    flipped inputs among k - 1, 2k terms with no term cap.  The binomial
+    weights come from lgamma, so they neither overflow nor underflow to
+    all-zero up to ``MAX_DEGREE``.  Scalar arguments return a float, equal to
+    the matching element of an array call.
+    """
+    return ub_sb_step_at(sb, e)(sb0)
 
 
 # ---------------------------------------------------------------------------

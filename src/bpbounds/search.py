@@ -14,11 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from . import de as de_mod
 from .binary_bounds import (IterationLimits, bisect, iterate_bound, lb_cb_step,
-                            ub_cb_step, ub_sb_star)
+                            ub_cb_step, ub_sb_star, ub_sb_step_at)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
@@ -30,6 +30,7 @@ __all__ = [
 
 SEARCH_BOUNDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb", "ub-sb-star", "de")
 DEFAULT_BISECT_STEPS = 24
+SIGMA_BISECT_STEPS = 32      # grid sigma to 2^-32; Brent refines the minima
 
 
 class NonMonotoneError(RuntimeError):
@@ -104,25 +105,72 @@ def _bsc_de_threshold(e: DegreeEnsemble, de_config: DeConfig | None) -> float:
     return de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e, de_config or DeConfig())[0]
 
 
+def _grid_min(values, f, limit: float, lo: float = 1e-5) -> float:
+    """Least of f on (0, 1], f >= 0: ``values`` gives f on a log grid on
+    [lo, 1], Brent's method refines the cells around every grid local
+    minimum, and ``limit`` is the x -> 0 limit.  At most 1."""
+    xs = np.geomspace(lo, 1.0, 201)
+    v = values(xs)
+    left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
+    best = min(float(v.min()), limit, 1.0)
+    for i in np.flatnonzero(np.isfinite(v) & (v < left) & (v <= right)):
+        cell = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        fit = minimize_scalar(f, bounds=cell, method="bounded", options={"xatol": 1e-12})
+        best = min(best, float(fit.fun))
+    return best
+
+
 def _cb_star(kind: str, e: DegreeEnsemble) -> float:
     """CB* = inf over x in (0, 1] of x / g(x), g the ub-cb or lb-cb step at
-    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  Brent's method
-    refines the best cell of a log grid on [1e-5, 1], above the rounding of
-    1 - rho(1 - x) (an underflowed g counts as +inf); the x -> 0 limit is
-    1 / (lambda_2 rho'(1)) for ub-cb, 1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb."""
+    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  The grid
+    starts above the rounding of 1 - rho(1 - x) (an underflowed g counts as
+    +inf); the x -> 0 limit is 1 / (lambda_2 rho'(1)) for ub-cb,
+    1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb."""
     step = ub_cb_step if kind == "ub-cb" else lb_cb_step
 
     def ratio(x):
         g = step(float(x), e, 1.0)
         return float(x) / g if g > 0.0 else math.inf
 
-    xs = np.geomspace(1e-5, 1.0, 201)
-    i = int(np.argmin([ratio(x) for x in xs]))
-    cell = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-    best = minimize_scalar(ratio, bounds=cell, method="bounded", options={"xatol": 1e-12})
     slope = lambda2(e) * (rho_prime1(e) if kind == "ub-cb" else
                           sum(w * math.sqrt(k - 1) for k, w in e.rho))
-    return float(min(ratio(xs[i]), best.fun, 1.0 / slope if slope > 0.0 else math.inf))
+    return _grid_min(lambda xs: np.array([ratio(x) for x in xs]), ratio,
+                     1.0 / slope if slope > 0.0 else math.inf)
+
+
+def _sb_star(e: DegreeEnsemble) -> float:
+    """SB* = min over x in (0, 1] of sigma(x), the least sb0 with
+    F(x; sb0) >= x for F = ``ub_sb_step`` (+inf if none): F increases in x
+    and sb0 and F(x; sb0) <= sb0, so the recursion from sb0 decodes iff
+    sb0 < SB*.  The grid bisects sb0 for all x at once; Brent's method
+    solves sigma(x) alone.  F's slope at x = 0 is rho'(1) (lambda_2 +
+    lambda_3 sb0 / 2), so SB* = 0 if lambda_2 rho'(1) >= 1, and sigma tends
+    to 2 (1 - lambda_2 rho'(1)) / (lambda_3 rho'(1)) as x -> 0.  sigma(x)
+    can stay near x down to x ~ 4 / rho'(1)^2, where a degree-3 node's
+    channel stops outweighing its inputs: the grid starts 400 times lower."""
+    slope = lambda2(e) * rho_prime1(e)
+    if slope >= 1.0:
+        return 0.0
+    lam3 = sum(w for k, w in e.lam if k == 3)
+    limit = 2.0 * (1.0 - slope) / (lam3 * rho_prime1(e)) if lam3 > 0.0 else math.inf
+
+    def sigmas(xs):
+        step = ub_sb_step_at(xs, e)
+        lo, hi = np.zeros_like(xs), np.ones_like(xs)
+        for _ in range(SIGMA_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            up = step(mid) >= xs
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        return np.where(step(1.0) >= xs, hi, math.inf)
+
+    def sigma(x):
+        step = ub_sb_step_at(x, e)
+        try:
+            return brentq(lambda s: step(s) - x, 0.0, 1.0, xtol=1e-15)
+        except ValueError:          # F(x; 1) < x: no sb0 reaches x
+            return math.inf
+
+    return _grid_min(sigmas, sigma, limit, min(1e-5, 0.01 / rho_prime1(e) ** 2))
 
 
 def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
@@ -130,30 +178,31 @@ def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
                       de_config: DeConfig | None = None) -> float:
     """Supremum of the scalar channel measure the bound still decodes.
 
-    ub-cb and lb-cb return CB* in closed form, with no recursion (for ub-cb,
-    the exact BEC threshold); ub-sb bisects SB on its recursion, and ``tol``
-    and ``limits`` apply to it only; ub-sb-star returns 4 p*(1-p*) with p*
-    the DE threshold of the BSC family.
+    Every kind is computed directly, with no recursion: ub-cb and lb-cb
+    return CB* (for ub-cb, the exact BEC threshold), ub-sb returns SB*, and
+    ub-sb-star returns 4 p*(1-p*) with p* the DE threshold of the BSC
+    family.  ``tol`` and ``limits`` affect no kind.
     """
     if kind == "ub-sb-star":
         return ub_sb_star(_bsc_de_threshold(e, de_config))
     if kind in ("ub-cb", "lb-cb"):
         return _cb_star(kind, e)
-    if kind != "ub-sb":
-        raise ValueError(f"measure_threshold does not support kind {kind!r}")
-    lo, hi = bisect(
-        lambda x: iterate_bound(kind, NoisePair(sb=x), e, limits).verdict == "decodable",
-        0.0, 1.0, _steps_for(0.0, 1.0, tol))
-    return 0.5 * (lo + hi)
+    if kind == "ub-sb":
+        return _sb_star(e)
+    raise ValueError(f"measure_threshold does not support kind {kind!r}")
 
 
 def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
                      limits: IterationLimits | None, star: float | None) -> bool:
     ch = family.build(theta)
-    if kind in ("ub-cb", "lb-cb", "ub-sb-star"):
-        # the channel's closed-form measure against the measure threshold
-        return sb_of(ch) <= star if kind == "ub-sb-star" else cb_of(ch) < star
-    start = NoisePair(cb=cb_of(ch) if kind == "ub-cbsb" else None, sb=sb_of(ch))
+    # the channel's closed-form measure against the measure threshold
+    if kind in ("ub-cb", "lb-cb"):
+        return cb_of(ch) < star
+    if kind == "ub-sb":
+        return sb_of(ch) < star
+    if kind == "ub-sb-star":
+        return sb_of(ch) <= star
+    start = NoisePair(cb=cb_of(ch), sb=sb_of(ch))
     return iterate_bound(kind, start, e, limits).verdict == "decodable"
 
 
@@ -164,11 +213,12 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
                       p_star: float | None = None) -> ThresholdResult:
     """Bisect the channel-family parameter to width ``tol`` against a verdict.
 
-    ub-cb and lb-cb compare the channel's CB with the closed-form CB*, and
-    "ub-sb-star" its SB with 4 p*(1-p*), p* by DE unless given.  Only ub-sb
-    and ub-cbsb run a recursion per probe, under ``limits``; "de" delegates
-    to the sampled-DE oracle.  "lb-cb" yields an *outer* bound: parameters
-    above its threshold are certainly undecodable, nothing below certified.
+    ub-cb and lb-cb compare the channel's CB with the closed-form CB*, ub-sb
+    its SB with SB*, and "ub-sb-star" its SB with 4 p*(1-p*), p* by DE
+    unless given.  Only ub-cbsb runs a recursion per probe, under
+    ``limits``; "de" delegates to the sampled-DE oracle.  "lb-cb" yields an
+    *outer* bound: parameters above its threshold are certainly undecodable,
+    nothing below certified.
     """
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
@@ -181,7 +231,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
                                de_mod.DE_BISECT_STEPS)
 
     star = None
-    if kind in ("ub-cb", "lb-cb", "ub-sb-star"):
+    if kind != "ub-cbsb":
         star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
                 else measure_threshold(kind, e, de_config=de_config))
 
@@ -235,7 +285,7 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
         p_star = _bsc_de_threshold(e, de_config)
     overlays = {
         "ub_cb": measure_threshold("ub-cb", e),
-        "ub_sb": measure_threshold("ub-sb", e, limits=limits),
+        "ub_sb": measure_threshold("ub-sb", e),
         "ub_sb_star": ub_sb_star(p_star),
     }
     return RegionGrid(points=points, overlays=overlays)

@@ -78,6 +78,12 @@ class TestElementaryTransfers:
         assert cb_check_bsc([0.2, 1.0]) == 1.0
         assert cb_check_bsc([0.0, 0.0]) == 0.0
 
+    def test_check_bsc_does_not_cancel_at_tiny_cb(self):
+        # sqrt(1 - (1 - c^2)^2) = c sqrt(2 - c^2); the plain product rounded
+        # these to 0.0 and 1.49e-8
+        for c in (3e-9, 1e-8):
+            assert cb_check_bsc([c, c]) == pytest.approx(c * math.sqrt(2.0 - c * c), rel=1e-12)
+
     def test_var(self):
         assert cb_var([0.5, 0.5]) == 0.25
         assert cb_var([0.3, 0.0]) == 0.0
@@ -210,6 +216,18 @@ class TestUbSbStep:
         want = sb_of_bsc_combination([math.sqrt(sb0)] + [math.sqrt(u)] * (k - 1))
         assert 1e-3 < want < 1.0
         assert ub_sb_step(sb, e, sb0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [((3, 1.0),), ((2, 0.15), (3, 0.85)),
+                                     ((2, 0.05), (3, 0.45), (4, 0.5))])
+    def test_slope_at_zero(self, lam):
+        # F(x; sb0) / x -> rho'(1) (lambda_2 + lambda_3 sb0 / 2) as x -> 0: the
+        # check stage no longer cancels there (x = 1e-12 rounded u by 1e-4)
+        e = DegreeEnsemble(lam, ((6, 1.0),))
+        l2, l3 = (sum(w for k, w in e.lam if k == d) for d in (2, 3))
+        for sb0 in (0.05, 0.3, 0.9):
+            for x in (1e-9, 1e-12, 1e-15):
+                assert ub_sb_step(x, e, sb0) / x == pytest.approx(
+                    5.0 * (l2 + l3 * sb0 / 2.0), rel=1e-6)
 
     def test_threshold_frozen(self, e36):
         # frozen from the scratch bisection of this recursion: 0.263465
@@ -582,6 +600,27 @@ def _random_atoms(rng):
     return tuple(zip(rng.dirichlet(np.ones(k)).tolist(), a.tolist()))
 
 
+def _ref_ub_sb_step(sb, e, sb0):
+    """ub_sb_step before it was broadcast: plain Python, 1 - rho(1 - sb) and
+    the BSC crossovers (1 - sqrt(1 - x)) / 2 computed directly."""
+    u = 1.0 - rho_eval(e, 1.0 - sb)
+    ch = _bsc_outcomes(1.0, math.sqrt(max(0.0, sb0)))
+    inp = _bsc_outcomes(1.0, math.sqrt(max(0.0, u)))
+    out = 0.0
+    for k, w in e.lam:
+        n = k - 1
+        terms = [(1.0, n * l) for _, l in inp]
+        if len(inp) == 2:
+            (q0, l0), (q1, l1) = inp
+            lgn, lq0, lq1 = math.lgamma(n + 1.0), math.log(q0), math.log(q1)
+            terms = [(math.exp(lgn - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
+                               + (n - j) * lq0 + j * lq1), (n - j) * l0 + j * l1)
+                     for j in range(n + 1)]
+        out += w * sum(qc * q * 2.0 / (1.0 + math.exp(lc + l))
+                       for qc, lc in ch for q, l in terms if lc + l < 700.0)
+    return min(1.0, out)
+
+
 # lambda-degree mix, ub-cbsb BSC threshold p* of each ensemble (tol 1e-4)
 CBSB_ENSEMBLES = {
     "(3,6)": (regular_ensemble(3, 6), 0.0710),
@@ -644,3 +683,35 @@ class TestAgainstReferenceKernels:
             ref = iterate_bound("ub-cbsb", start, e)
             assert (traj.states, traj.verdict, traj.iterations) == (
                 ref.states, ref.verdict, ref.iterations)
+
+    @pytest.mark.parametrize("k", list(range(2, 26)) + [2000])
+    def test_ub_sb_step_matches_plain_python_reference(self, k):
+        # x and sb0 from 1e-2 up: below that the reference's own 1 - rho(1-x)
+        # and (1 - sqrt(1 - x)) / 2 lose digits to cancellation.  Both sum
+        # lgamma differences, so each log-weight carries about one rounding
+        # of lgamma(k): 7e-15 at k = 25, 1.8e-12 at k = 2000 (where both
+        # differ from a 40-digit mpmath sum by up to 1.4e-12)
+        e = DegreeEnsemble(((k, 1.0),), ((6, 1.0),))
+        rel = 1e-12 + 2.0 * np.spacing(math.lgamma(k))
+        rng = np.random.default_rng(15 + k)
+        xs = np.append(10.0 ** rng.uniform(-2.0, 0.0, 60), [0.0, 1.0, 0.3, 1.0, 0.0])
+        sb0s = np.append(10.0 ** rng.uniform(-2.0, 0.0, 60), [0.3, 0.3, 0.0, 1.0, 0.0])
+        got = ub_sb_step(xs, e, sb0s)
+        for x, sb0, g in zip(xs, sb0s, got):
+            want = _ref_ub_sb_step(float(x), e, float(sb0))
+            assert g == pytest.approx(want, rel=rel, abs=1e-300), (x, sb0)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 25, 2000])
+    def test_ub_sb_step_broadcast_equals_scalar_calls(self, k):
+        e = DegreeEnsemble(((2, 0.1), (k + 1, 0.9)), ((6, 0.5), (9, 0.5)))
+        rng = np.random.default_rng(16 + k)
+        xs = np.append(10.0 ** rng.uniform(-12.0, 0.0, 12), [0.0, 1.0])
+        sb0s = np.append(10.0 ** rng.uniform(-12.0, 0.0, 9), [0.0, 1.0])
+        grid = ub_sb_step(xs[:, None], e, sb0s[None, :])
+        assert grid.shape == (xs.size, sb0s.size)
+        for i, x in enumerate(xs):
+            row = ub_sb_step(x, e, sb0s)
+            for j, sb0 in enumerate(sb0s):
+                scalar = ub_sb_step(float(x), e, float(sb0))
+                assert type(scalar) is float
+                assert scalar == grid[i, j] == row[j]

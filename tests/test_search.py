@@ -10,7 +10,7 @@ import bpbounds.search as search_mod
 from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, IterationLimits,
                       NoisePair, NonMonotoneError, cb_of, channel_threshold,
                       iterate_bound, measure_threshold, regular_ensemble,
-                      region_sweep)
+                      region_sweep, sb_of)
 from bpbounds.search import _channel_verdict
 
 
@@ -278,6 +278,82 @@ class TestClosedFormCbStar:
         assert above.verdict == "not-decodable"
 
 
+# lambda = 0.05x + 0.45x^2 + 0.5x^3 and 0.1x + 0.9x^3, rho = x^5:
+# lambda_2 rho'(1) = 0.25 and 0.5, SB* an interior tangency
+IRREGULAR_C = DegreeEnsemble(((2, 0.05), (3, 0.45), (4, 0.5)), ((6, 1.0),))
+IRREGULAR_D = DegreeEnsemble(((2, 0.1), (4, 0.9)), ((6, 1.0),))
+# midpoints of the 16-step bisection of the SB recursion on [0, 1] (the
+# default tol 2e-5), as the bisection computed them before SB* was direct
+BISECTED_SB_STAR = [
+    ("3-6", regular_ensemble(3, 6), 0.26346588134765625),
+    ("4-8", regular_ensemble(4, 8), 0.25896453857421875),
+    ("5-10", regular_ensemble(5, 10), 0.23834991455078125),
+    ("6-12", regular_ensemble(6, 12), 0.21767425537109375),
+    ("irregular-c", IRREGULAR_C, 0.31610870361328125),
+    ("irregular-d", IRREGULAR_D, 0.35980987548828125),
+]
+SB_FAMILIES = ["bec", "bsc", "biawgn", "bilc", "rayleigh"]
+
+
+class TestDirectSbStar:
+    @pytest.mark.parametrize("name, e, mid", BISECTED_SB_STAR,
+                             ids=[c[0] for c in BISECTED_SB_STAR])
+    def test_inside_the_bisection_bracket(self, no_recursion, name, e, mid):
+        assert abs(measure_threshold("ub-sb", e) - mid) <= 2.0 ** -17
+
+    @pytest.mark.parametrize("family", SB_FAMILIES)
+    def test_channel_threshold_inverts_sb_of(self, no_recursion, e36, family):
+        res = channel_threshold("ub-sb", family, e36, tol=2e-4)
+        fam = CHANNEL_FAMILIES[family]
+        star = measure_threshold("ub-sb", e36)
+        assert sb_of(fam.build(res.lo)) < star <= sb_of(fam.build(res.hi))
+
+    @pytest.mark.parametrize("e", [regular_ensemble(3, 6), regular_ensemble(4, 8),
+                                   regular_ensemble(6, 12), IRREGULAR_C],
+                             ids=["3-6", "4-8", "6-12", "irregular-c"])
+    def test_recursion_straddles_sb_star(self, e):
+        star = measure_threshold("ub-sb", e)
+        assert iterate_bound("ub-sb", NoisePair(sb=0.999 * star), e).verdict == "decodable"
+        assert iterate_bound("ub-sb", NoisePair(sb=1.001 * star), e).verdict == "not-decodable"
+
+    @pytest.mark.parametrize("e", [
+        IRREGULAR_A, IRREGULAR_B, regular_ensemble(2, 4),
+        DegreeEnsemble(((2, 0.2), (3, 0.8)), ((6, 1.0),))],      # exactly 1
+        ids=["irregular-a", "irregular-b", "2-4", "unit-slope"])
+    def test_zero_when_lambda2_rho_prime_reaches_one(self, no_recursion, e):
+        assert measure_threshold("ub-sb", e) == 0.0
+
+    def test_lambda3_limit(self):
+        # lambda = 0.15x + 0.85x^2, rho = x^5: F's slope at x = 0 is
+        # 5 (0.15 + 0.85 sb0 / 2), which reaches 1 below any interior tangency
+        e = DegreeEnsemble(((2, 0.15), (3, 0.85)), ((6, 1.0),))
+        star = measure_threshold("ub-sb", e)
+        assert star == pytest.approx(2 * (1 - 0.75) / (0.85 * 5), rel=1e-12)
+        assert iterate_bound("ub-sb", NoisePair(sb=0.99 * star), e).verdict == "decodable"
+        assert iterate_bound("ub-sb", NoisePair(sb=1.01 * star), e).verdict == "not-decodable"
+
+    def test_degree_10000_bounded(self):
+        import time
+        import tracemalloc
+
+        e = DegreeEnsemble(((3, 0.5), (10_000, 0.5)), ((6, 0.5), (10_000, 0.5)))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            star = measure_threshold("ub-sb", e)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"SB* = {star:.6g} at degree 10000 in {elapsed:.2f} s, peak {peak / 1e6:.0f} MB")
+        assert elapsed < 120.0
+        assert peak < 256e6
+        # the tangency sits near x = 1e-6, far below the 1e-5 grid of CB*
+        assert 1e-7 < star < 1e-5
+        assert iterate_bound("ub-sb", NoisePair(sb=0.999 * star), e).verdict == "decodable"
+        assert iterate_bound("ub-sb", NoisePair(sb=1.001 * star), e).verdict == "not-decodable"
+
+
 # channel thresholds of each bound, to 3 digits: probes are drawn within
 # +-10% (log scale) of them, where a non-monotone verdict would bite
 NEAR_THRESHOLD = {
@@ -320,6 +396,6 @@ class TestVerdictMonotonicity:
         e = regular_ensemble(*ens)
         t1, t2 = sorted((centre * math.exp(u1), centre * math.exp(u2)))
         fam = CHANNEL_FAMILIES[family]
-        star = measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb") else None
+        star = measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb", "ub-sb") else None
         if _channel_verdict(kind, fam, t2, e, None, star):
             assert _channel_verdict(kind, fam, t1, e, None, star)
