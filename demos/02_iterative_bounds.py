@@ -3,6 +3,9 @@
 A bound recursion starts from the uncoded channel's noise measure and tracks
 an upper (or lower) bound on that measure for the depth-2l decoding tree.
 If the tracked measure is driven to zero the channel is certified decodable.
+A run ends "not-decodable" at a fixed-point witness: a state s* below the
+current one that the recursion maps to at least s*, so the measure can
+never fall below it.
 
 The BiAWGN sigma below sits between the ub-cb threshold (0.7690) and the
 ub-cbsb threshold (0.7826): the CB-only bound cannot certify it, the joint
@@ -29,14 +32,16 @@ for kind, start in [
     head = ", ".join(
         "(" + ", ".join("--" if v is None else f"{v:.4f}" for v in s) + ")"
         for s in traj.states[:4])
-    print(f"{kind:8s} -> {traj.verdict:14s} after {traj.iterations:5d} "
-          f"iterations; first states: {head}")
+    print(f"{kind:8s} -> {traj.verdict:14s} ({traj.reason}) after "
+          f"{traj.iterations:3d} iterations; first states: {head}")
 
 print("""
 Readings:
- * ub-cb stalls: CB alone cannot separate this channel from a worse one.
+ * ub-cb meets a witness after one step: CB alone cannot separate this
+   channel from a worse one, and its recursion has a nonzero fixed point.
  * lb-cb converges: the lower bound only rules channels out, and this one
    is not ruled out.
- * ub-sb stalls as well; SB alone is also too coarse here.
+ * ub-sb meets a witness after one step as well; SB alone is also too
+   coarse here.
  * ub-cbsb converges: knowing the (CB, SB) pair pins the channel down
    enough to certify decodability.""")

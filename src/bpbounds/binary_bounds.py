@@ -51,16 +51,17 @@ __all__ = [
 BOUND_KINDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb")
 
 ENUM_CAP = 1 << 20       # exact-enumeration budget in terms (2^20: 20 distinct BSCs)
+WITNESS_PERIOD = 4        # a fixed-point witness is tried on steps 1, 5, 9, ...
+WITNESS_MARGIN = 1e-9     # relative drop below s_n, past ulp drift at a fixed point
 
 
 @dataclass(frozen=True)
 class IterationLimits:
     max_iter: int = 10_000
     decode_eps: float = 1e-10
-    stall_eps: float = 1e-13
 
     def __post_init__(self):
-        if self.max_iter <= 0 or self.decode_eps <= 0 or self.stall_eps <= 0:
+        if self.max_iter <= 0 or self.decode_eps <= 0:
             raise ValueError("iteration limits must be positive")
 
 
@@ -71,6 +72,7 @@ class BoundTrajectory:
     states: list          # of (cb | None, sb | None)
     verdict: str          # "decodable" | "not-decodable" | "inconclusive"
     iterations: int
+    reason: str           # "decoded" | "witness" | "max_iter"
 
 
 # ---------------------------------------------------------------------------
@@ -354,28 +356,44 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
 # the iteration driver and the threshold bisection
 # ---------------------------------------------------------------------------
 
-def run_recursion(step, measure, start, limits: IterationLimits):
-    """Iterate ``state = step(state)`` from ``start`` and judge it by ``measure``.
+def run_recursion(step, measure, start, limits: IterationLimits,
+                  to_array, from_array):
+    """Iterate ``state = step(state)`` from ``start``, judged by ``measure``.
 
-    Returns (verdict, states, iterations).  The verdict is "decodable" once
-    the measure drops below ``decode_eps``, "not-decodable" once it moves by
-    less than ``stall_eps`` in one iteration (the first iteration is compared
-    with ``measure(start)``), and "inconclusive" after ``max_iter``.
+    Returns (verdict, states, len(states) - 1, reason): "decodable" below
+    ``decode_eps`` ("decoded"), "not-decodable" at a repeated state or a
+    fixed-point witness ("witness"), "inconclusive" at ``max_iter``
+    ("max_iter").  Tried, uncounted, on step 1 and every WITNESS_PERIOD-th
+    step after: s* = from_array((1 - WITNESS_MARGIN) s_n - k |s_n - s_{n-1}|), with
+    ``from_array`` projecting onto the feasible states (``to_array`` is its
+    inverse) and k = 3 r / (1 - r) for the Aitken ratio r in [0, 1) of the
+    component that moved most (else 3), is a witness if measure(s*) >
+    decode_eps, s* <= s_n and step(s*) >= s*.  For a monotone step (ub-cb,
+    lb-cb, ub-sb, Z_m, ub-cbsb on regular ensembles) no later state falls
+    below s*: a proof.  Otherwise (ub-cbsb with lambda_2 > 0) the witness
+    can only end a run early, lowering an inner bound's threshold; it never
+    certifies a channel.
     """
-    decode_eps, stall_eps = limits.decode_eps, limits.stall_eps
-    state = start
-    states = [start]
-    prev = measure(start)
+    states, prev, last = [start], to_array(start), None
     for it in range(1, limits.max_iter + 1):
-        state = step(state)
-        states.append(state)
-        mu = measure(state)
-        if mu < decode_eps:
-            return "decodable", states, it
-        if abs(mu - prev) < stall_eps:
-            return "not-decodable", states, it
-        prev = mu
-    return "inconclusive", states, limits.max_iter
+        states.append(step(states[-1]))
+        if measure(states[-1]) < limits.decode_eps:
+            return "decodable", states, it, "decoded"
+        cur = to_array(states[-1])
+        delta = cur - prev
+        if not delta.any():
+            return "not-decodable", states, it, "witness"
+        if it % WITNESS_PERIOD == 1:
+            j = np.argmax(np.abs(delta))
+            r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
+            k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
+            star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
+            s = to_array(star)
+            if (measure(star) > limits.decode_eps and np.all(s <= cur)
+                    and np.all(to_array(step(star)) >= s)):
+                return "not-decodable", states, it, "witness"
+        prev, last = cur, delta
+    return "inconclusive", states, limits.max_iter, "max_iter"
 
 
 def bisect(decodable, lo: float, hi: float, steps: int):
@@ -394,9 +412,9 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     """Run a bound recursion from the uncoded channel's noise measures.
 
     Tracks CB (ub-cb, lb-cb), SB (ub-sb) or max(CB, SB) (ub-cbsb): decodable
-    below ``decode_eps``; not-decodable once an iteration, the first one
-    included, moves it by less than ``stall_eps`` (a start at a nonzero
-    fixed point stalls after one iteration); inconclusive at ``max_iter``.
+    below ``decode_eps``, not-decodable at a fixed-point witness of
+    ``run_recursion`` (a start at a nonzero fixed point ends after one
+    iteration), inconclusive at ``max_iter``; ``reason`` says which.
 
     ub-cbsb computes every variable-node SB exactly, so before its first
     step it refuses, with a ValueError, an ensemble whose largest lambda
@@ -420,19 +438,22 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
                 f"variable-node SB, past the exact enumeration budget "
                 f"ENUM_CAP = {ENUM_CAP}")
         fam0 = variable_node_upper_family(start.cb, start.sb)
-        verdict, states, its = run_recursion(
+        verdict, states, its, reason = run_recursion(
             lambda pair: two_dim_var_step(start, two_dim_check_step(pair, e), e, fam0),
-            lambda pair: max(pair.cb, pair.sb), start, limits)
-        return BoundTrajectory(kind, [(p.cb, p.sb) for p in states], verdict, its)
+            lambda pair: max(pair.cb, pair.sb), start, limits,
+            lambda pair: np.array([pair.cb, pair.sb]),
+            lambda a: NoisePair(*_project_feasible(*map(float, a))))
+        return BoundTrajectory(kind, [(p.cb, p.sb) for p in states], verdict, its, reason)
 
     coord = "sb" if kind == "ub-sb" else "cb"
     x0 = getattr(start, coord)
     if x0 is None:
         raise ValueError(f"{kind} needs start.{coord}")
     step = {"ub-cb": ub_cb_step, "lb-cb": lb_cb_step, "ub-sb": ub_sb_step}[kind]
-    verdict, states, its = run_recursion(lambda x: step(x, e, x0), float, x0, limits)
+    verdict, states, its, reason = run_recursion(lambda x: step(x, e, x0), float, x0, limits,
+                                                 np.atleast_1d, lambda a: float(a.clip(0, 1)[0]))
     states = [(None, x) for x in states] if coord == "sb" else [(x, None) for x in states]
-    return BoundTrajectory(kind, states, verdict, its)
+    return BoundTrajectory(kind, states, verdict, its, reason)
 
 
 def ub_sb_star(p_star: float) -> float:

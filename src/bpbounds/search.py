@@ -173,15 +173,14 @@ def _sb_star(e: DegreeEnsemble) -> float:
     return _grid_min(sigmas, sigma, limit, min(1e-5, 0.01 / rho_prime1(e) ** 2))
 
 
-def measure_threshold(kind: str, e: DegreeEnsemble, tol: float | None = 2e-5,
-                      limits: IterationLimits | None = None,
+def measure_threshold(kind: str, e: DegreeEnsemble,
                       de_config: DeConfig | None = None) -> float:
     """Supremum of the scalar channel measure the bound still decodes.
 
     Every kind is computed directly, with no recursion: ub-cb and lb-cb
     return CB* (for ub-cb, the exact BEC threshold), ub-sb returns SB*, and
     ub-sb-star returns 4 p*(1-p*) with p* the DE threshold of the BSC
-    family.  ``tol`` and ``limits`` affect no kind.
+    family.
     """
     if kind == "ub-sb-star":
         return ub_sb_star(_bsc_de_threshold(e, de_config))

@@ -87,15 +87,15 @@ def zm_iterate(v0: CbVector, e: DegreeEnsemble,
                limits: IterationLimits | None = None):
     """Iterate the vector bound from v = v0.
 
-    Returns (verdict, trajectory) where verdict is "decodable" once
-    max_{x != 0} v[x] < decode_eps (pairwise errors then vanish),
-    "not-decodable" on a stall, "inconclusive" at max_iter.
+    Returns (verdict, trajectory): "decodable" once max_{x != 0} v[x] <
+    decode_eps (pairwise errors then vanish), "not-decodable" at a fixed-point
+    witness (a proof: the step is monotone), "inconclusive" at max_iter.
     """
     if v0.v.max() > 1.0 + 1e-9:
         raise ValueError("initial CB vector entries must lie in [0, 1]")
-    verdict, states, _ = run_recursion(lambda v: zm_bound_step(v, v0, e),
-                                       CbVector.max_off_zero, v0,
-                                       limits or IterationLimits())
+    verdict, states, _, _ = run_recursion(
+        lambda v: zm_bound_step(v, v0, e), CbVector.max_off_zero, v0,
+        limits or IterationLimits(), lambda v: v.v, lambda a: CbVector(np.clip(a, 0, 1)))
     return verdict, [ZmBoundState(v, it) for it, v in enumerate(states)]
 
 

@@ -41,10 +41,10 @@ from bpbounds.channels import UnsupportedChannelError
 
 def test_criterion1_scalar_thresholds(ens36):
     t0 = time.monotonic()
-    cb_star = measure_threshold("ub-cb", ens36, tol=1e-5)
+    cb_star = measure_threshold("ub-cb", ens36)
     t_cb = time.monotonic() - t0
     t0 = time.monotonic()
-    sb_star = measure_threshold("ub-sb", ens36, tol=1e-5)
+    sb_star = measure_threshold("ub-sb", ens36)
     t_sb = time.monotonic() - t0
     record(f"criterion 1: CB* = {cb_star:.5f} ({t_cb:.1f}s), "
            f"SB* = {sb_star:.5f} ({t_sb:.1f}s)")

@@ -4,15 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
-                      IterationLimits, NoisePair,
+                      IterationLimits, MscChannel, NoisePair,
                       SequenceMapperChannel, cb_check_bec, cb_check_bsc,
-                      cb_var, iterate_bound, lb_cb_step, phi_variable_sb,
+                      cb_var, cb_vector_of, iterate_bound, lb_cb_step,
+                      measure_threshold, phi_variable_sb,
                       regular_ensemble, sb_matched_bsc_replacement,
                       sb_of_bsc_combination, sequence_mapper_cb,
                       two_dim_check_step, two_dim_var_step, ub_cb_step,
-                      ub_sb_star, ub_sb_step, variable_node_upper_family)
+                      ub_sb_star, ub_sb_step, variable_node_upper_family,
+                      zm_iterate)
 from bpbounds.binary_bounds import (ENUM_CAP, _bsc_check_cb, _bsc_llr,
                                     _bsc_outcomes, _project_feasible)
 from bpbounds.ensembles import rho_eval
@@ -715,3 +718,143 @@ class TestAgainstReferenceKernels:
                 scalar = ub_sb_step(float(x), e, float(sb0))
                 assert type(scalar) is float
                 assert scalar == grid[i, j] == row[j]
+
+
+def _stall_rule_recursion(step, measure, start, limits, *adapters):
+    """The driver before the fixed-point witness: "not-decodable" once one
+    step moves the measure by less than 1e-13 (the removed ``stall_eps``)."""
+    state, states, prev = start, [start], measure(start)
+    for it in range(1, limits.max_iter + 1):
+        state = step(state)
+        states.append(state)
+        mu = measure(state)
+        if mu < limits.decode_eps:
+            return "decodable", states, it, "decoded"
+        if abs(mu - prev) < 1e-13:
+            return "not-decodable", states, it, "stall"
+        prev = mu
+    return "inconclusive", states, limits.max_iter, "max_iter"
+
+
+def _witness_starts(kind, name, rng, n):
+    """n starts of ``kind`` on CBSB_ENSEMBLES[name], each a factor
+    exp(+-10^U(-3, -0.7)) off its threshold: many runs are long ones."""
+    e, p_star = CBSB_ENSEMBLES[name]
+
+    def near(x):
+        return min(1.0, x * math.exp(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3.0, -0.7)))
+
+    if kind in ("ub-cb", "lb-cb"):
+        return [NoisePair(cb=near(measure_threshold(kind, e))) for _ in range(n)]
+    if kind == "ub-sb":
+        star = measure_threshold(kind, e) or 0.01     # 0 when lambda_2 rho'(1) >= 1
+        return [NoisePair(sb=near(star)) for _ in range(n)]
+    starts = []
+    for _ in range(n):
+        p = near(p_star)
+        cb = 2 * math.sqrt(p * (1 - p))
+        starts.append(NoisePair(cb, min(cb, cb * cb * (1.0 + rng.uniform(0.0, 0.1)))))
+    return starts
+
+
+class TestFixedPointWitness:
+    LIMITS = IterationLimits(max_iter=3000)
+
+    @pytest.mark.parametrize("name", sorted(CBSB_ENSEMBLES))
+    @pytest.mark.parametrize("kind", ["ub-cb", "lb-cb", "ub-sb", "ub-cbsb"])
+    def test_never_ends_a_run_the_stall_rule_decoded(self, monkeypatch, kind, name):
+        # 4 kinds x 4 ensembles x 32 starts = 512 runs
+        import bpbounds.binary_bounds as bb
+
+        e, _ = CBSB_ENSEMBLES[name]
+        starts = _witness_starts(kind, name, np.random.default_rng(21), 32)
+        got = [iterate_bound(kind, s, e, self.LIMITS) for s in starts]
+        monkeypatch.setattr(bb, "run_recursion", _stall_rule_recursion)
+        decoded = 0
+        for start, traj in zip(starts, got):
+            ref = iterate_bound(kind, start, e, self.LIMITS)
+            if ref.verdict == "decodable":
+                decoded += 1
+                assert (traj.verdict, traj.reason) == ("decodable", "decoded")
+                assert (traj.states, traj.iterations) == (ref.states, ref.iterations)
+            else:
+                assert traj.verdict != "decodable"
+        if not (kind == "ub-sb" and name.startswith("0.3x")):   # SB* = 0 there
+            assert 0 < decoded < len(starts)
+
+    @pytest.mark.parametrize("m", [3, 8, 64])
+    def test_zm_never_ends_a_run_the_stall_rule_decoded(self, monkeypatch, m):
+        import bpbounds.zm as zm_mod
+
+        e = regular_ensemble(3, 6)
+        rng = np.random.default_rng(22 + m)
+        starts = []
+        for _ in range(24):
+            eps = 10.0 ** rng.uniform(-4.0, -0.5)
+            p = np.append(1.0 - eps, eps * rng.dirichlet(np.ones(m - 1)))
+            starts.append(cb_vector_of(MscChannel(p)))
+        got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
+        monkeypatch.setattr(zm_mod, "run_recursion", _stall_rule_recursion)
+        decoded = 0
+        for v0, (verdict, traj) in zip(starts, got):
+            ref_verdict, ref = zm_iterate(v0, e, self.LIMITS)
+            if ref_verdict == "decodable":
+                decoded += 1
+                assert verdict == "decodable"
+                assert len(traj) == len(ref)
+                for a, b in zip(traj, ref):
+                    assert a.iteration == b.iteration and np.array_equal(a.v.v, b.v.v)
+            else:
+                assert verdict != "decodable"
+        assert 0 < decoded < len(starts)
+
+    def test_slow_linear_approach_decodes(self):
+        # F(x) < x all the way to 0 at 0.999 SB*, converging at rate about
+        # 0.9995: the stall rule called this not-decodable after 40,536
+        # steps, at x = 4e-10, once a step moved x by less than 1e-13
+        e = DegreeEnsemble(((2, 0.15), (3, 0.85)), ((6, 1.0),))
+        traj = iterate_bound("ub-sb", NoisePair(sb=0.999 * 2 / 17), e,
+                             IterationLimits(max_iter=10**6))
+        assert (traj.verdict, traj.reason) == ("decodable", "decoded")
+        assert traj.iterations > 40_536
+
+    def test_reasons(self, e36):
+        assert iterate_bound("ub-cb", NoisePair(cb=0.42), e36).reason == "decoded"
+        assert iterate_bound("ub-cb", NoisePair(cb=0.44), e36).reason == "witness"
+        short = iterate_bound("ub-cb", NoisePair(cb=0.4294), e36, IterationLimits(max_iter=3))
+        assert (short.verdict, short.reason, short.iterations) == ("inconclusive", "max_iter", 3)
+
+    def test_ends_a_not_decodable_run_sooner(self, monkeypatch, e36):
+        import bpbounds.binary_bounds as bb
+
+        start = NoisePair(0.52, 0.2704 * 1.05)
+        traj = iterate_bound("ub-cbsb", start, e36)
+        monkeypatch.setattr(bb, "run_recursion", _stall_rule_recursion)
+        ref = iterate_bound("ub-cbsb", start, e36)
+        assert (traj.verdict, traj.reason) == ("not-decodable", "witness")
+        assert ref.verdict == "not-decodable"
+        assert traj.iterations < ref.iterations
+        assert traj.states == ref.states[:traj.iterations + 1]
+
+    @pytest.mark.parametrize("dv", [3, 4, 6])
+    @settings(max_examples=60, deadline=None)
+    @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           shrink=st.floats(0.0, 1.0))
+    def test_ub_cbsb_step_monotone_on_regular_ensembles(self, dv, fracs, shrink):
+        # the witness is a proof where the step is monotone componentwise
+        e = regular_ensemble(dv, 2 * dv)
+        cb0, s0, cb_a, sa, cb_up, sb_up = fracs
+        sb0 = cb0 * cb0 + s0 * (cb0 - cb0 * cb0)
+        sb_a = cb_a * cb_a + sa * (cb_a - cb_a * cb_a)
+        # the upper point, at a distance scaled by shrink^4 (often very close)
+        cb_b = cb_a + (1.0 - cb_a) * cb_up * shrink ** 4
+        lo = max(sb_a, cb_b * cb_b)
+        sb_b = lo + (cb_b - lo) * sb_up * shrink ** 4
+        start = NoisePair(cb0, sb0)
+
+        def step(cb, sb):
+            return two_dim_var_step(start, two_dim_check_step(NoisePair(cb, sb), e), e)
+
+        out_a, out_b = step(cb_a, sb_a), step(cb_b, sb_b)
+        assert out_a.cb <= out_b.cb + 1e-12
+        assert out_a.sb <= out_b.sb + 1e-12

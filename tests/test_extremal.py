@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bpbounds import (AtomicBscFamily, check_node_maximizer, check_node_dual,
+                      phi_variable_sb,
                       variable_node_upper_family, s_envelope,
                       variable_node_pointwise_maximizer, lp_oracle,
                       check_transfer, variable_transfer)
@@ -173,6 +174,31 @@ class TestLpOracle:
             assert got <= closed + 1e-9
         assert gaps[100] <= 2.0 / 100
         assert gaps[400] <= 2.0 / 400
+
+    def test_degree_two_upper_family_dominates_the_box(self):
+        # a degree-2 variable node sees one channel draw (a BSC of index b)
+        # and one message draw: the SB the ub-cbsb step takes from dP** must
+        # dominate every message law in the box E[a] <= cb, E[a^2] <= sb,
+        # also where it falls as sb rises at a fixed cb (so that step is
+        # not monotone when lambda_2 > 0)
+        rng = np.random.default_rng(31)
+
+        def phi(cb, sb, b):
+            return phi_variable_sb(AtomicBscFamily(((1.0, b),)),
+                                   variable_node_upper_family(cb, sb), 1)
+
+        falling = []
+        for _ in range(300):
+            cb, sb = random_valid_pair(rng)
+            b = rng.uniform(0.05, 1.0)
+            sb2 = min(cb, sb + 1e-3 * (cb - cb * cb))
+            if phi(cb, sb2, b) < phi(cb, sb, b):
+                falling.append((cb, sb, sb2, b))
+        assert len(falling) >= 10
+        for cb, sb, sb2, b in falling[:10]:
+            for s in (sb, sb2):
+                lp = lp_oracle(lambda a: variable_transfer(a, b), cb, s, 200)
+                assert phi(cb, s, b) >= lp
 
 
 def test_family_validation():

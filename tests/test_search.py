@@ -130,11 +130,6 @@ class TestLbCbInconclusive:
     # so it must not pull the threshold inward (its closed form runs none)
     SHORT = IterationLimits(max_iter=20)
 
-    def test_measure_threshold(self, e36):
-        full = measure_threshold("lb-cb", e36)
-        short = measure_threshold("lb-cb", e36, limits=self.SHORT)
-        assert short >= full - 2e-5
-
     def test_channel_threshold(self, e36):
         full = channel_threshold("lb-cb", "bsc", e36)
         short = channel_threshold("lb-cb", "bsc", e36, limits=self.SHORT)
