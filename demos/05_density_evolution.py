@@ -6,10 +6,9 @@ population here is kept small so the demo runs in seconds -- thresholds then
 carry a little extra Monte Carlo noise compared to the acceptance settings.
 """
 
-from bpbounds import (Bsc, CHANNEL_FAMILIES, DeConfig, de_decodable,
-                      de_threshold, initial_llr_sampler, measure_threshold,
-                      new_population, de_step, population_pe,
-                      regular_ensemble, ub_sb_star)
+from bpbounds import (Bsc, DeConfig, channel_threshold, de_decodable,
+                      initial_llr_sampler, measure_threshold, new_population,
+                      de_step, population_pe, regular_ensemble, ub_sb_star)
 
 e = regular_ensemble(3, 6)
 cfg = DeConfig(population_size=30_000, max_iter=300, seed=1)
@@ -28,7 +27,13 @@ for p in (0.07, 0.09):
     print(f"BSC({p}): decodable={ok} ({its} iterations); "
           f"pe after 10/20/40 iters: {trace[9]:.4f} {trace[19]:.4f} {trace[39]:.4f}")
 
-value, lo, hi = de_threshold(CHANNEL_FAMILIES["bsc"], e, cfg, lo=0.05, hi=0.12)
-print(f"\nsampled BSC threshold: {value:.4f} (bracket [{lo:.4f}, {hi:.4f}])")
+# the bounds bound BP: ub-cb certifies every p below its threshold, lb-cb
+# proves every p above its own undecodable, so DE bisects only in between
+ub = channel_threshold("ub-cb", "bsc", e, tol=1e-5).value
+lb = channel_threshold("lb-cb", "bsc", e, tol=1e-5).value
+de = channel_threshold("de", "bsc", e, de_config=cfg)
+print(f"\nub-cb and lb-cb bracket the BSC threshold: [{ub:.4f}, {lb:.4f}]")
+print(f"sampled BSC threshold inside it: {de.value:.4f} "
+      f"({de.iterations} DE probes, final bracket [{de.lo:.5f}, {de.hi:.5f}])")
 print("that crossover feeds the non-iterative bound: any symmetric channel")
-print(f"with SB <= 4 p* (1-p*) = {ub_sb_star(value):.4f} is decodable too.")
+print(f"with SB <= 4 p* (1-p*) = {ub_sb_star(de.value):.4f} is decodable too.")

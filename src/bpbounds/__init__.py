@@ -15,9 +15,8 @@ from .extremal import (AtomicBscFamily, check_node_maximizer, check_node_dual,
                        variable_node_upper_family, s_envelope,
                        variable_node_pointwise_maximizer, lp_oracle,
                        check_transfer, variable_transfer)
-from .binary_bounds import (IterationLimits, BoundTrajectory, cb_check_bec,
-                            cb_check_bsc, cb_var, ub_cb_step, lb_cb_step,
-                            sb_of_bsc_combination, ub_sb_step,
+from .binary_bounds import (IterationLimits, BoundTrajectory, ub_cb_step,
+                            lb_cb_step, sb_of_bsc_combination, ub_sb_step,
                             two_dim_check_step, phi_variable_sb,
                             two_dim_var_step, iterate_bound, ub_sb_star,
                             SequenceMapperChannel, sequence_mapper_cb,

@@ -40,7 +40,6 @@ from .extremal import AtomicBscFamily, variable_node_upper_family
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
-    "cb_check_bec", "cb_check_bsc", "cb_var",
     "ub_cb_step", "lb_cb_step", "sb_of_bsc_combination", "ub_sb_step",
     "two_dim_check_step", "phi_variable_sb", "two_dim_var_step",
     "iterate_bound", "ub_sb_star",
@@ -78,33 +77,6 @@ class BoundTrajectory:
 # ---------------------------------------------------------------------------
 # elementary transfer functions
 # ---------------------------------------------------------------------------
-
-def cb_check_bec(cbs) -> float:
-    """Check-node CB when every input is a BEC: 1 - prod(1 - cb_i)."""
-    out = 1.0
-    for c in cbs:
-        out *= 1.0 - c
-    return 1.0 - out
-
-
-def cb_check_bsc(cbs) -> float:
-    """Check-node CB when every input is a BSC: sqrt(1 - prod(1 - cb_i^2)),
-    by log1p/expm1 as in ``_bsc_check_cb``, so that tiny cb_i do not cancel."""
-    t = 0.0
-    for c in cbs:
-        if c >= 1.0:
-            return 1.0
-        t += math.log1p(-c * c)
-    return math.sqrt(max(0.0, -math.expm1(t)))
-
-
-def cb_var(cbs) -> float:
-    """Variable-node CB: plain product of the input CBs."""
-    out = 1.0
-    for c in cbs:
-        out *= c
-    return out
-
 
 def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
     """One iteration of the CB upper bound: cb0 * lambda(1 - rho(1 - cb))."""

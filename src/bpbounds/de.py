@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,26 +238,14 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig,
 
 
 def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,
-                 lo: float | None = None, hi: float | None = None,
-                 steps: int = DE_BISECT_STEPS):
-    """Bisect the family parameter on the DE verdict (12 steps minimum).
+                 lo: float, hi: float, steps: int = DE_BISECT_STEPS):
+    """Bisect the family parameter ``steps`` times on the DE verdict, step i
+    with seed cfg.seed + i.  The caller vouches for the bracket (lo
+    decodable, hi not); no verdict is checked at its ends.
 
-    Returns (value, lo, hi) with value the final midpoint.  Verdicts at the
-    initial bracket are verified; a non-monotone outcome (lo undecodable or
-    hi decodable) triggers a warning reporting both brackets.
+    Returns (value, lo, hi) with value the final midpoint.
     """
-    if steps < 12:
-        raise ValueError("bisection needs at least 12 steps")
-    lo = family.lo if lo is None else lo
-    hi = family.hi if hi is None else hi
-    ok_lo = lo <= family.lo or de_decodable(family.build(lo), e, cfg,
-                                            seed=cfg.seed + 1001)[0]
-    ok_hi = de_decodable(family.build(hi), e, cfg, seed=cfg.seed + 1002)[0]
-    if not ok_lo or ok_hi:
-        warnings.warn(
-            f"non-monotone DE verdicts on [{lo}, {hi}] for {family.name}: "
-            f"lo decodable={ok_lo}, hi decodable={ok_hi}")
-    seeds = itertools.count(cfg.seed)     # step i runs with seed cfg.seed + i
+    seeds = itertools.count(cfg.seed)
     lo, hi = bisect(
         lambda t: de_decodable(family.build(t), e, cfg, seed=next(seeds))[0],
         lo, hi, steps)

@@ -2,8 +2,9 @@
 
 Bisection assumes the decodability verdict is monotone in the channel
 parameter (every supported family's noise measures increase with it); the
-assumption is checked at the initial bracket and a violation raises
-``NonMonotoneError`` instead of silently bisecting.
+assumption is checked at the initial bracket (for DE, at an end no CB bound
+proves) and a violation raises ``NonMonotoneError`` instead of silently
+bisecting.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _steps_for(lo: float, hi: float, tol: float | None) -> int:
 
 
 def _bsc_de_threshold(e: DegreeEnsemble, de_config: DeConfig | None) -> float:
-    return de_mod.de_threshold(CHANNEL_FAMILIES["bsc"], e, de_config or DeConfig())[0]
+    return channel_threshold("de", "bsc", e, de_config=de_config).value
 
 
 def _grid_min(values, f, limit: float, lo: float = 1e-5) -> float:
@@ -215,9 +216,11 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     ub-cb and lb-cb compare the channel's CB with the closed-form CB*, ub-sb
     its SB with SB*, and "ub-sb-star" its SB with 4 p*(1-p*), p* by DE
     unless given.  Only ub-cbsb runs a recursion per probe, under
-    ``limits``; "de" delegates to the sampled-DE oracle.  "lb-cb" yields an
-    *outer* bound: parameters above its threshold are certainly undecodable,
-    nothing below certified.
+    ``limits``.  "lb-cb" yields an *outer* bound: parameters above its
+    threshold are certainly undecodable, nothing below certified.  "de"
+    bisects the sampled-DE oracle only between the ub-cb and lb-cb
+    thresholds, to width (family.hi - family.lo) 2^-13 whatever ``tol``;
+    its ``iterations`` counts the DE bisection steps run.
     """
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
@@ -225,9 +228,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     lo, hi = family.lo, family.hi
 
     if kind == "de":
-        value, blo, bhi = de_mod.de_threshold(family, e, de_config or DeConfig())
-        return ThresholdResult(family.param, blo, bhi, value, "de",
-                               de_mod.DE_BISECT_STEPS)
+        return _de_channel_threshold(family, e, de_config or DeConfig())
 
     star = None
     if kind != "ub-cbsb":
@@ -243,6 +244,32 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, star),
                     lo, hi, steps)
     return ThresholdResult(family.param, lo, hi, 0.5 * (lo + hi), kind, steps)
+
+
+def _de_channel_threshold(family, e: DegreeEnsemble,
+                          cfg: DeConfig) -> ThresholdResult:
+    """Bisect sampled DE inside the bracket the CB bounds prove: lo is the
+    largest grid parameter ub-cb certifies decodable, hi the smallest that
+    lb-cb proves undecodable, both found on DE's final grid, width
+    (family.hi - family.lo) 2^-DE_BISECT_STEPS.  An end no bound proves is
+    the family's own: family.lo is taken as decodable, family.hi gets one DE
+    probe, and a decodable verdict there raises NonMonotoneError."""
+    grid = de_mod.DE_BISECT_STEPS
+    width = (family.hi - family.lo) * 2.0 ** -grid
+
+    def verdict(kind):
+        star = measure_threshold(kind, e)
+        return lambda t: _channel_verdict(kind, family, t, e, None, star)
+
+    lo = bisect(verdict("ub-cb"), family.lo, family.hi, grid)[0]
+    below_lb = verdict("lb-cb")
+    hi = bisect(below_lb, family.lo, family.hi, grid)[1]
+    if (hi == family.hi and below_lb(hi)
+            and de_mod.de_decodable(family.build(hi), e, cfg)[0]):
+        raise NonMonotoneError(family.name, family.lo, hi, True, True)
+    steps = _steps_for(lo, hi, width)
+    value, lo, hi = de_mod.de_threshold(family, e, cfg, lo, hi, steps)
+    return ThresholdResult(family.param, lo, hi, value, "de", steps)
 
 
 # ---------------------------------------------------------------------------

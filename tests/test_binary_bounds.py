@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
                       IterationLimits, MscChannel, NoisePair,
-                      SequenceMapperChannel, cb_check_bec, cb_check_bsc,
-                      cb_var, cb_vector_of, iterate_bound, lb_cb_step,
-                      measure_threshold, phi_variable_sb,
+                      SequenceMapperChannel, cb_vector_of, iterate_bound,
+                      lb_cb_step, measure_threshold, phi_variable_sb,
                       regular_ensemble, sb_matched_bsc_replacement,
                       sb_of_bsc_combination, sequence_mapper_cb,
                       two_dim_check_step, two_dim_var_step, ub_cb_step,
@@ -69,30 +68,6 @@ def _ordered_pick_phi(ch0, chin, d_minus_1):
     return out
 
 
-class TestElementaryTransfers:
-    def test_check_bec(self):
-        assert cb_check_bec([0.0, 0.0]) == 0.0
-        assert cb_check_bec([0.3, 1.0]) == 1.0
-        assert cb_check_bec([0.3, 0.3]) == pytest.approx(0.51)
-        assert cb_check_bec([0.7]) == pytest.approx(0.7)
-
-    def test_check_bsc(self):
-        assert cb_check_bsc([0.6, 0.8]) == pytest.approx(math.sqrt(0.7696), abs=1e-12)
-        assert cb_check_bsc([0.2, 1.0]) == 1.0
-        assert cb_check_bsc([0.0, 0.0]) == 0.0
-
-    def test_check_bsc_does_not_cancel_at_tiny_cb(self):
-        # sqrt(1 - (1 - c^2)^2) = c sqrt(2 - c^2); the plain product rounded
-        # these to 0.0 and 1.49e-8
-        for c in (3e-9, 1e-8):
-            assert cb_check_bsc([c, c]) == pytest.approx(c * math.sqrt(2.0 - c * c), rel=1e-12)
-
-    def test_var(self):
-        assert cb_var([0.5, 0.5]) == 0.25
-        assert cb_var([0.3, 0.0]) == 0.0
-        assert cb_var([1.0, 1.0, 1.0]) == 1.0
-
-
 class TestCbSteps:
     def test_ub_below_threshold_converges(self, e36):
         cb = cb0 = 0.4293
@@ -125,6 +100,14 @@ class TestCbSteps:
         for cb0 in (0.41, 0.45, 0.5, 0.55, 0.57):
             assert iterate_bound("lb-cb", NoisePair(cb=cb0), e).verdict == "decodable"
         assert iterate_bound("lb-cb", NoisePair(cb=0.58), e).verdict != "decodable"
+
+    def test_lb_step_does_not_cancel_at_tiny_cb(self):
+        # two BSC check inputs: sqrt(1 - (1 - c^2)^2) = c sqrt(2 - c^2); the
+        # plain product rounded these to 0.0 and 1.49e-8
+        e = regular_ensemble(3, 3)
+        for c in (3e-9, 1e-8):
+            assert _bsc_check_cb(c, e) == pytest.approx(c * math.sqrt(2.0 - c * c), rel=1e-12)
+            assert lb_cb_step(c, e, 1.0) == pytest.approx(c * c * (2.0 - c * c), rel=1e-12)
 
     def test_lb_below_ub_pointwise(self, e36):
         rng = np.random.default_rng(0)

@@ -98,6 +98,12 @@ class TestThreshold:
         data = json.loads(out)
         assert data["value"] == pytest.approx(0.0837, abs=0.006)
 
+    def test_de_refuses_an_asymmetric_family(self, capsys):
+        code, out, err = run_cli(capsys, "de", "--family", "zchan",
+                                 "--de-pop", "1000")
+        assert code == 2 and out == ""
+        assert "symmetric channels only" in err
+
     def test_de_uses_de_config_iteration_cap(self, capsys, monkeypatch):
         import bpbounds.cli as cli_mod
         from bpbounds import DeConfig, ThresholdResult

@@ -150,13 +150,6 @@ class TestDeThreshold:
         assert lo <= value <= hi
         assert hi - lo == pytest.approx(0.10 * 2 ** -13, abs=1e-9)
 
-    def test_non_monotone_bracket_warns(self, e36):
-        # a bracket starting above the threshold is flagged, not bisected
-        # silently
-        cfg = DeConfig(population_size=10_000, max_iter=120, seed=8)
-        with pytest.warns(UserWarning, match="non-monotone"):
-            de_threshold(CHANNEL_FAMILIES["bsc"], e36, cfg, lo=0.12, hi=0.16)
-
     def test_outer_bound_exceeds_de(self, e36):
         # the CB lower-bound recursion yields an outer threshold: channels
         # decodable in reality must sit below it

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bpbounds.binary_bounds as bb_mod
+import bpbounds.channels as channels_mod
+import bpbounds.de as de_mod
 import bpbounds.search as search_mod
-from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, IterationLimits,
-                      NoisePair, NonMonotoneError, cb_of, channel_threshold,
-                      iterate_bound, measure_threshold, regular_ensemble,
-                      region_sweep, sb_of)
+from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
+                      IterationLimits, NoisePair, NonMonotoneError, cb_of,
+                      channel_threshold, iterate_bound, measure_threshold,
+                      regular_ensemble, region_sweep, sb_of)
 from bpbounds.search import _channel_verdict
 
 
@@ -28,7 +31,6 @@ class TestMeasureThreshold:
         assert measure_threshold("ub-sb", e36) == pytest.approx(0.263465, abs=1e-4)
 
     def test_ub_sb_star_runs_de(self, e36):
-        from bpbounds import DeConfig
         cfg = DeConfig(population_size=15_000, max_iter=250, seed=11)
         star = measure_threshold("ub-sb-star", e36, de_config=cfg)
         assert star == pytest.approx(0.3068, abs=0.02)   # small-population noise
@@ -394,3 +396,94 @@ class TestVerdictMonotonicity:
         star = measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb", "ub-sb") else None
         if _channel_verdict(kind, fam, t2, e, None, star):
             assert _channel_verdict(kind, fam, t1, e, None, star)
+
+
+DE_BRACKET_CASES = ([("3-6", regular_ensemble(3, 6), fam)
+                     for fam in ("bsc", "biawgn", "bilc", "rayleigh", "bec")]
+                    # ub-sb certifies nothing here (lambda_2 rho'(1) > 1), ub-cb does
+                    + [("irregular-b", IRREGULAR_B, "bsc")])
+
+
+@pytest.fixture
+def de_probes(monkeypatch):
+    """Parameters of every DE run and every bracket handed to
+    ``de_threshold``; any ``sb_of`` call fails the test."""
+    seen = {"probes": [], "brackets": []}
+    decodable, threshold = de_mod.de_decodable, de_mod.de_threshold
+
+    def spy_decodable(ch, *args, **kwargs):
+        seen["probes"].append(dataclasses.astuple(ch)[0])
+        return decodable(ch, *args, **kwargs)
+
+    def spy_threshold(family, e, cfg, lo, hi, steps):
+        seen["brackets"].append((lo, hi))
+        return threshold(family, e, cfg, lo, hi, steps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sb_of was called")
+
+    monkeypatch.setattr(de_mod, "de_decodable", spy_decodable)
+    monkeypatch.setattr(de_mod, "de_threshold", spy_threshold)
+    monkeypatch.setattr(search_mod, "sb_of", refuse)
+    monkeypatch.setattr(channels_mod, "sb_of", refuse)
+    return seen
+
+
+class TestDeBracket:
+    # channel_threshold("de") bisects DE only inside [lo, hi], lo certified
+    # by ub-cb and hi excluded by lb-cb, at the 13-step width of the family
+    CFG = DeConfig(population_size=4_000, max_iter=200, seed=5)
+
+    @pytest.mark.parametrize("name, e, family", DE_BRACKET_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in DE_BRACKET_CASES])
+    def test_probes_stay_inside_the_cb_bracket(self, de_probes, name, e, family):
+        fam = CHANNEL_FAMILIES[family]
+        width = (fam.hi - fam.lo) * 2.0 ** -13
+        res = channel_threshold("de", family, e, de_config=self.CFG)
+        [(lo, hi)] = de_probes["brackets"]
+        ub, lb = measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)
+        assert cb_of(fam.build(lo)) < ub <= cb_of(fam.build(lo + width))
+        assert cb_of(fam.build(hi - width)) < lb <= cb_of(fam.build(hi))
+        probes = de_probes["probes"]
+        assert all(lo < t < hi for t in probes)
+        assert len(probes) == res.iterations <= 11
+        assert lo <= res.lo <= res.value <= res.hi <= hi
+        assert res.hi - res.lo <= width * (1.0 + 1e-12)
+
+    def test_ub_sb_star_runs_de_inside_the_bracket(self, e36, de_probes):
+        star = measure_threshold("ub-sb-star", e36, de_config=self.CFG)
+        assert star == pytest.approx(0.3068, abs=0.02)
+        [(lo, hi)] = de_probes["brackets"]
+        assert 0.048 < lo < 0.049 and 0.122 < hi < 0.123
+        assert all(lo < t < hi for t in de_probes["probes"])
+
+
+class TestDeUnprovenEnd:
+    # on p in [0, 0.06] lb-cb excludes no parameter, so family.hi is
+    # unproven and gets one DE probe before the bisection
+    @pytest.fixture
+    def short_bsc(self, monkeypatch):
+        monkeypatch.setitem(CHANNEL_FAMILIES, "bsc",
+                            dataclasses.replace(CHANNEL_FAMILIES["bsc"], hi=0.06))
+
+    def stub_de(self, monkeypatch, p_de):
+        probes = []
+
+        def decodable(ch, e, cfg, seed=None):
+            probes.append(ch.p)
+            return ch.p < p_de, 1
+        monkeypatch.setattr(de_mod, "de_decodable", decodable)
+        return probes
+
+    def test_decodable_hi_raises(self, e36, short_bsc, monkeypatch):
+        probes = self.stub_de(monkeypatch, 1.0)
+        with pytest.raises(NonMonotoneError, match="entire bracket"):
+            channel_threshold("de", "bsc", e36)
+        assert probes == [0.06]
+
+    def test_undecodable_hi_is_bisected_to(self, e36, short_bsc, monkeypatch):
+        probes = self.stub_de(monkeypatch, 0.055)
+        res = channel_threshold("de", "bsc", e36)
+        assert probes[0] == 0.06 and res.hi <= 0.06
+        assert res.lo < 0.055 <= res.hi
+        assert len(probes) == res.iterations + 1
