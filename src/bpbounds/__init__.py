@@ -16,9 +16,9 @@ from .extremal import (AtomicBscFamily, check_node_maximizer, check_node_dual,
                        variable_node_pointwise_maximizer, lp_oracle,
                        check_transfer, variable_transfer)
 from .binary_bounds import (IterationLimits, BoundTrajectory, ub_cb_step,
-                            lb_cb_step, sb_of_bsc_combination, ub_sb_step,
-                            two_dim_check_step, phi_variable_sb,
-                            two_dim_var_step, iterate_bound, ub_sb_star,
+                            lb_cb_step, ub_sb_step, two_dim_check_step,
+                            phi_variable_sb, two_dim_var_step, iterate_bound,
+                            ub_sb_star,
                             SequenceMapperChannel, sequence_mapper_cb,
                             sb_matched_bsc_replacement)
 from .zm import (ZmBoundState, cb_vec_convolve, cb_vec_pointwise,

@@ -12,6 +12,12 @@ and certify decodability when the tracked measure is driven to zero:
 * ``ub_sb_star``   -- non-iterative bound: any BI-SO channel whose SB does
   not exceed that of a decodable BSC is itself decodable.
 
+Every check stage is one of two kernels: ``_bec_check`` (1 - rho(1 - x),
+for ub-cb, ub-sb and the SB half of ub-cbsb) and ``_mixture_check_cb`` (the
+CB of BSC-or-perfect inputs, for the CB half of ub-cbsb and, at q = 1,
+lb-cb).  Both sum expm1/log1p forms, and the mixture's binomial weights
+come from lgamma: neither cancels at small inputs nor overflows at any degree.
+
 The two-dimensional step output is projected back onto the feasible
 region SB <= CB <= sqrt(SB).  The projection keeps a valid bound: the true
 pair satisfies those inequalities, so min(sb, cb) still dominates the true
@@ -28,19 +34,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .channels import BscMixture, NoisePair
-from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
+from .ensembles import DegreeEnsemble, lambda_eval
 from .extremal import AtomicBscFamily, variable_node_upper_family
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
-    "ub_cb_step", "lb_cb_step", "sb_of_bsc_combination", "ub_sb_step",
+    "ub_cb_step", "lb_cb_step", "ub_sb_step",
     "two_dim_check_step", "phi_variable_sb", "two_dim_var_step",
     "iterate_bound", "ub_sb_star",
     "SequenceMapperChannel", "sequence_mapper_cb",
@@ -78,43 +83,65 @@ class BoundTrajectory:
 # elementary transfer functions
 # ---------------------------------------------------------------------------
 
+def _bec_check(x: float, e: DegreeEnsemble) -> float:
+    """1 - rho(1 - x), summed as -sum rho_k expm1((k - 1) log1p(-x)): the
+    direct form cancels at small x (x = 1e-12 lost about 1e-4 of it)."""
+    t = math.log1p(-x) if x < 1.0 else -math.inf
+    return -sum(w * math.expm1((k - 1) * t) for k, w in e.rho)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_binomials(n: int):               # (i, n - i, log C(n, i)) for i = 1..n
+    lg = math.lgamma
+    return tuple((i, n - i, lg(n + 1.0) - lg(i + 1.0) - lg(n - i + 1.0))
+                 for i in range(1, n + 1))
+
+
+def _mixture_check_cb(t: float, q: float, e: DegreeEnsemble) -> float:
+    """CB of a check node whose i.i.d. inputs are each a BSC of index t with
+    probability q, else perfect: E sqrt(-expm1(I log1p(-t^2))) over
+    I ~ Bin(k - 1, q), k ~ rho.  q = 1 is lb-cb's BSC check, t = 1 a BEC."""
+    lt = math.log1p(-t * t) if t < 1.0 else -math.inf
+    if q >= 1.0:
+        return sum(w * math.sqrt(-math.expm1((k - 1) * lt)) for k, w in e.rho)
+    if q <= 0.0:
+        return 0.0
+    lq, lp = math.log(q), math.log1p(-q)
+    exp, sqrt, expm1 = math.exp, math.sqrt, math.expm1     # the ub-cbsb hot loop
+    out = 0.0
+    for k, w in e.rho:
+        acc = 0.0
+        for i, j, c in _log_binomials(k - 1):
+            acc += exp(c + i * lq + j * lp) * sqrt(-expm1(i * lt))
+        out += w * acc
+    return out
+
+
 def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
     """One iteration of the CB upper bound: cb0 * lambda(1 - rho(1 - cb))."""
-    return min(1.0, cb0 * lambda_eval(e, 1.0 - rho_eval(e, 1.0 - cb)))
-
-
-def _bsc_check_cb(cb: float, e: DegreeEnsemble) -> float:
-    """Check-node CB with every input a BSC of index cb, averaged over rho, by
-    expm1/log1p: 1 - (1 - cb^2)^(k-1) cancels and stalls lb-cb near cb = 1e-8."""
-    t = math.log1p(-cb * cb) if cb < 1.0 else -math.inf
-    return sum(w * math.sqrt(-math.expm1((k - 1) * t)) for k, w in e.rho)
+    return min(1.0, cb0 * lambda_eval(e, _bec_check(cb, e)))
 
 
 def lb_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
-    """One iteration of the CB lower bound (BSC check replacement)."""
-    return min(1.0, cb0 * lambda_eval(e, _bsc_check_cb(cb, e)))
+    """One iteration of the CB lower bound: every check input a BSC of index cb."""
+    return min(1.0, cb0 * lambda_eval(e, _mixture_check_cb(cb, 1.0, e)))
 
 
 # ---------------------------------------------------------------------------
 # exact SB of a variable-node combination of BSCs
 # ---------------------------------------------------------------------------
 
-def _bsc_llr(a: float):
-    """(P(sign=-1 | X=0), |LLR|) of a BSC with index a = 2 sqrt(p(1-p))."""
-    s = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
-    p = (1.0 - s) / 2.0
-    mag = 2.0 * math.log((1.0 + s) / a)    # = log((1-p)/p), stable for tiny a
-    return p, mag
-
-
 def _bsc_outcomes(w: float, a: float):
-    """(probability, LLR) outcomes of a BSC atom of weight w: none if perfect
-    (SB 0, not renormalised), one of LLR 0 if useless, no zero-probability flip."""
+    """(probability, LLR) outcomes of a BSC atom of weight w and index
+    a = 2 sqrt(p(1-p)): none if perfect (SB 0, not renormalised), one of
+    LLR 0 if useless, no zero-probability flip."""
     if a <= 0.0:
         return []
     if a >= 1.0:
         return [(w, 0.0)]
-    p, mag = _bsc_llr(a)
+    s = math.sqrt((1.0 - a) * (1.0 + a))
+    p = a * a / (2.0 * (1.0 + s))          # = (1 - s) / 2, which cancels at small a
+    mag = 2.0 * math.log((1.0 + s) / a)    # = log((1-p)/p), stable for tiny a
     return [(w * (1.0 - p), mag), (w * p, -mag)] if p > 0.0 else [(w, mag)]
 
 
@@ -170,20 +197,6 @@ def _sb_of_draws(draws, first=(np.zeros(1), np.zeros(1))) -> float:
         return float((np.exp(logw) * 2.0 / (1.0 + np.exp(llr))).sum())
 
 
-def sb_of_bsc_combination(avals) -> float:
-    """SB of a variable node whose inputs are BSCs with indices ``avals``.
-
-    The output LLR is the sum of the input LLRs +-log((1-p_i)/p_i).  Equal
-    indices are grouped and only the number of flipped inputs per group is
-    enumerated, SB = sum_terms Pr(term | X=0) * 2 / (1 + e^LLR), exactly.
-    d distinct indices take 2^d terms, k equal ones k + 1; past ``ENUM_CAP``
-    terms (more than 20 distinct indices) it raises ValueError.  A perfect
-    input (a = 0) forces SB = 0; a useless input (a = 1) contributes LLR 0.
-    """
-    counts = Counter(min(float(a), 1.0) for a in avals)
-    return _sb_of_draws([(((1.0, a),), n) for a, n in counts.items()])
-
-
 def _bsc_arrays(x):
     """(P(flipped), |LLR|) of the BSC whose SB is x in [0, 1], elementwise,
     stacked on a new first axis: p = x / (2 (1 + sqrt(1 - x))), which is
@@ -198,9 +211,7 @@ def ub_sb_step_at(sb, e: DegreeEnsemble):
     check-output draws built once for every channel it is then given."""
     sb = np.asarray(sb, dtype=float)
     x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
-    with np.errstate(divide="ignore"):
-        t = np.log1p(-x)                                # -inf at sb = 1
-    u = np.minimum(1.0, -sum(w * np.expm1((k - 1) * t) for k, w in e.rho))
+    u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)
     p, l = _bsc_arrays(u)[..., None]
     live = p > 0.0                        # else a perfect check output
     q = np.where(live, p, 0.5)            # keeps the weights of dead rows finite
@@ -227,12 +238,11 @@ def ub_sb_step_at(sb, e: DegreeEnsemble):
 def ub_sb_step(sb, e: DegreeEnsemble, sb0):
     """One iteration of the SB upper bound, broadcast over arrays of sb and sb0.
 
-    Check stage: inputs replaced by BECs of equal SB, giving
-    u = 1 - rho(1 - sb), summed as -expm1((k - 1) log1p(-sb)) so that it does
-    not cancel at small sb.  Variable stage: channel and check outputs
-    replaced by BSCs of equal SB, combined exactly: a degree-k node sums
-    2 / (1 + e^L) = 2 expit(-L) over the channel sign and the number of
-    flipped inputs among k - 1, 2k terms with no term cap.  The binomial
+    Check stage: inputs replaced by BECs of equal SB, u = ``_bec_check(sb)``.
+    Variable stage: channel and check outputs replaced by BSCs of equal SB,
+    combined exactly: a degree-k node sums 2 / (1 + e^L) = 2 expit(-L) over
+    the channel sign and the number of flipped inputs among k - 1, 2k terms
+    with no term cap.  The binomial
     weights come from lgamma, so they neither overflow nor underflow to
     all-zero up to ``MAX_DEGREE``.  Scalar arguments return a float, equal to
     the matching element of an array call.
@@ -253,34 +263,18 @@ def _project_feasible(cb: float, sb: float):
     return cb, sb
 
 
-@functools.lru_cache(maxsize=None)
-def _binomials(n: int):                   # (i, C(n, i)) for i = 1..n, C a float
-    return tuple((i, float(math.comb(n, i))) for i in range(1, n + 1))
-
-
 def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
     """Joint check-node step: SB via BEC replacement, CB via the two-atom
-    moment-matched maximizer (a binomial average of BSC check combinations)."""
+    moment-matched maximizer, whose inputs are each a BSC of index
+    t = sb / cb with probability q = cb^2 / sb and perfect otherwise."""
     cb, sb = pair.cb, pair.sb
     if cb is None or sb is None:
         raise ValueError("two_dim_check_step needs a full NoisePair")
     if cb <= 0.0 or sb <= 0.0:
         return NoisePair(0.0, 0.0)
-    sbp = 1.0 - rho_eval(e, 1.0 - sb)
-    if sb <= cb * cb * (1.0 + 1e-13):
-        # BSC-consistent input: the mixture collapses to the single BSC
-        cbp = _bsc_check_cb(cb, e)
-    else:
-        u = 1.0 - min(1.0, (sb / cb) ** 2)     # in [0, 1]
-        q = min(1.0, cb * cb / sb)       # probability an input atom is active
-        cbp = 0.0
-        for k, w in e.rho:
-            acc = 0.0
-            for i, c in _binomials(k - 1):
-                acc += c * math.sqrt(1.0 - u ** i) * (1.0 - q) ** (k - 1 - i) * q ** i
-            cbp += w * acc
-    cbp, sbp = _project_feasible(cbp, sbp)
-    return NoisePair(cbp, sbp)
+    # q as cb * (cb / sb): cb / sb >= 1, so q does not underflow with cb^2
+    cbp = _mixture_check_cb(min(1.0, sb / cb), min(1.0, cb * (cb / sb)), e)
+    return NoisePair(*_project_feasible(cbp, _bec_check(sb, e)))
 
 
 def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,

@@ -195,15 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional bounds on BP decodable thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ensemble=True, max_iter=10_000,
+    def common(p, seed=True, max_iter=10_000,
                max_iter_help="recursion iteration cap"):
-        if ensemble:
-            p.add_argument("--ensemble", help="ensemble JSON file "
-                           "(default: regular (3,6))")
+        p.add_argument("--ensemble", help="ensemble JSON file "
+                       "(default: regular (3,6))")
         p.add_argument("--max-iter", type=int, default=max_iter,
                        help=f"{max_iter_help} (default {max_iter})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed for DE runs (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed for DE runs (default 0)")
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("measures", help="noise measures of a channel spec")
@@ -213,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="bisect a channel family against a bound")
     common(p)
-    p.add_argument("--bound", required=True, choices=SEARCH_BOUNDS)
+    p.add_argument("--bound", required=True, choices=[b for b in SEARCH_BOUNDS if b != "de"])
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     p.add_argument("--tol", type=float, default=None,
-                   help="bracket width target (default: 24 bisection steps)")
+                   help="bracket width target, at most 60 steps (default: 24 steps)")
     p.add_argument("--de-pop", type=int, default=200_000,
                    help="DE population size (default 200000)")
     p.add_argument("--p-star", type=float, default=None,
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("region", help="decodable-region sweep to CSV")
-    common(p, ensemble=True)
+    common(p)
     p.add_argument("--grid", required=True, help="NxM grid counts")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--de-pop", type=int, default=200_000)
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --out is required for region (CSV target)
 
     p = sub.add_parser("zm", help="Z_m vector bound or stability report")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--channel", required=True, help="msc:... spec")
     p.add_argument("--action", choices=("bound", "stability"), default="bound")
     p.set_defaults(func=cmd_zm)

@@ -123,10 +123,10 @@ def _grid_min(values, f, limit: float, lo: float = 1e-5) -> float:
 
 def _cb_star(kind: str, e: DegreeEnsemble) -> float:
     """CB* = inf over x in (0, 1] of x / g(x), g the ub-cb or lb-cb step at
-    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  The grid
-    starts above the rounding of 1 - rho(1 - x) (an underflowed g counts as
-    +inf); the x -> 0 limit is 1 / (lambda_2 rho'(1)) for ub-cb,
-    1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb."""
+    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  Below the
+    grid stands the x -> 0 limit, 1 / (lambda_2 rho'(1)) for ub-cb and
+    1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb; an underflowed g (lambda
+    at a high variable degree) counts as +inf."""
     step = ub_cb_step if kind == "ub-cb" else lb_cb_step
 
     def ratio(x):

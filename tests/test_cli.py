@@ -119,6 +119,14 @@ class TestThreshold:
         assert run_cli(capsys, "de", "--family", "bsc", "--max-iter", "40")[0] == 0
         assert [c.max_iter for c in configs] == [DeConfig().max_iter, 40]
 
+    def test_de_is_not_a_threshold_bound(self, capsys):
+        # `bpbounds de` is the one DE route; threshold's --max-iter and --tol
+        # meant nothing to DE
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--bound", "de", "--family", "bsc"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'de'" in capsys.readouterr().err
+
     def test_non_monotone_exit_3(self, capsys, monkeypatch):
         from bpbounds import NonMonotoneError
         import bpbounds.cli as cli_mod
@@ -213,6 +221,12 @@ class TestZm:
     def test_binary_spec_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "zm", "--channel", "bsc:0.1")
         assert code == 2
+
+    def test_seed_is_refused(self, capsys):
+        # zm has no randomness
+        with pytest.raises(SystemExit) as exc:
+            main(["zm", "--channel", "msc:0.7,0.1,0.1,0.1", "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestDecompose:
