@@ -1,39 +1,33 @@
-"""Sampled density evolution: the ground truth the bounds are measured against.
+"""Discretized density evolution: the ground truth the bounds are measured against.
 
-A population of LLR samples is pushed through check (tanh rule) and variable
-(sum) stages; the error fraction either collapses to zero or sticks.  The
-population here is kept small so the demo runs in seconds -- thresholds then
-carry a little extra Monte Carlo noise compared to the acceptance settings.
+The LLR density of the messages, stored on a fixed grid, is pushed through
+check (tanh rule) and variable (sum) stages; its error probability either
+collapses or sticks.  Every run is deterministic and says which rule ended
+it: a Bhattacharyya proof through the ub-cb step, a target error
+probability, a fixed-point witness, or the iteration cap.
 """
 
-from bpbounds import (Bsc, DeConfig, channel_threshold, de_decodable,
-                      initial_llr_sampler, measure_threshold, new_population,
-                      de_step, population_pe, regular_ensemble, ub_sb_star)
+from bpbounds import (Bsc, channel_threshold, de_decodable, measure_threshold,
+                      regular_ensemble, ub_sb_star)
 
 e = regular_ensemble(3, 6)
-cfg = DeConfig(population_size=30_000, max_iter=300, seed=1)
 
 # the ub-cb recursion is exact on the BEC, so its CB* is the BEC threshold
 print("exact BEC threshold:", round(measure_threshold("ub-cb", e), 5), "\n")
 
-for p in (0.07, 0.09):
-    sampler = initial_llr_sampler(Bsc(p))
-    pop = new_population(sampler, cfg)
-    trace = []
-    for _ in range(40):
-        pop = de_step(pop, e, sampler)
-        trace.append(population_pe(pop))
-    ok, its = de_decodable(Bsc(p), e, cfg)
-    print(f"BSC({p}): decodable={ok} ({its} iterations); "
-          f"pe after 10/20/40 iters: {trace[9]:.4f} {trace[19]:.4f} {trace[39]:.4f}")
+for p in (0.07, 0.083, 0.085, 0.09):
+    run = de_decodable(Bsc(p), e)
+    shown = " ".join(f"{x:.4f}" for x in run.pe[:: max(1, len(run.pe) // 6)])
+    print(f"BSC({p}): decodable={run.decodable} after {run.iterations} iterations "
+          f"(stopped by {run.reason}); pe: {shown} ... {run.pe[-1]:.4f}")
 
 # the bounds bound BP: ub-cb certifies every p below its threshold, lb-cb
 # proves every p above its own undecodable, so DE bisects only in between
 ub = channel_threshold("ub-cb", "bsc", e, tol=1e-5).value
 lb = channel_threshold("lb-cb", "bsc", e, tol=1e-5).value
-de = channel_threshold("de", "bsc", e, de_config=cfg)
+de = channel_threshold("de", "bsc", e)
 print(f"\nub-cb and lb-cb bracket the BSC threshold: [{ub:.4f}, {lb:.4f}]")
-print(f"sampled BSC threshold inside it: {de.value:.4f} "
+print(f"DE BSC threshold inside it: {de.value:.5f} "
       f"({de.iterations} DE probes, final bracket [{de.lo:.5f}, {de.hi:.5f}])")
 print("that crossover feeds the non-iterative bound: any symmetric channel")
 print(f"with SB <= 4 p* (1-p*) = {ub_sb_star(de.value):.4f} is decodable too.")

@@ -25,9 +25,8 @@ from .zm import (ZmBoundState, cb_vec_convolve, cb_vec_pointwise,
                  zm_bound_step, zm_iterate, sufficient_stability,
                  necessary_stability_violated, gfq_stability,
                  convergence_rate)
-from .de import (DeConfig, LlrPopulation, initial_llr_sampler,
-                 rayleigh_amplitude_marginal_sampler, new_population, de_step,
-                 population_pe, de_decodable, de_threshold)
+from .de import (DeConfig, DeVerdict, channel_density,
+                 rayleigh_amplitude_marginal_density, de_decodable, de_threshold)
 from .search import (ThresholdResult, RegionGrid, NonMonotoneError,
                      measure_threshold, channel_threshold, region_sweep)
 

@@ -37,10 +37,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .channels import BscMixture, NoisePair
-from .ensembles import DegreeEnsemble, lambda_eval
+from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
 from .extremal import AtomicBscFamily, variable_node_upper_family
 
 __all__ = [
@@ -125,6 +126,40 @@ def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
 def lb_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
     """One iteration of the CB lower bound: every check input a BSC of index cb."""
     return min(1.0, cb0 * lambda_eval(e, _mixture_check_cb(cb, 1.0, e)))
+
+
+def grid_samples(values, f, lo: float):
+    """(xs, f(xs)) sorted by x: ``values`` gives f on a log grid on [lo, 1],
+    and Brent's method adds the least point of the cells around every grid
+    local minimum, to 1e-7 of the cell end (tighter, at 1e-12 or 1e-8, it
+    chased rounding noise: a 1-ulp change moved SB*'s evaluation count)."""
+    xs = np.geomspace(lo, 1.0, 201)
+    v = np.asarray(values(xs), dtype=float)
+    left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
+    cells = [(xs[max(i - 1, 0)], xs[min(i + 1, 200)])
+             for i in np.flatnonzero(np.isfinite(v) & (v < left) & (v <= right))]
+    fits = [minimize_scalar(f, bounds=c, method="bounded", options={"xatol": 1e-7 * c[1]})
+            for c in cells]
+    px = np.append(xs, [fit.x for fit in fits])
+    order = np.argsort(px, kind="stable")
+    return px[order], np.append(v, [fit.fun for fit in fits])[order]
+
+
+def cb_ratio_samples(kind: str, e: DegreeEnsemble):
+    """(xs, vs, limit): x / g(x) by ``grid_samples``, g the ub-cb or lb-cb
+    step at cb0 = 1 (an underflowed g counts as +inf), and its x -> 0 limit
+    1 / (lambda_2 rho'(1)), resp. 1 / (lambda_2 sum rho_k sqrt(k-1)).
+    x <- cb0 g(x) from x0 drives x to zero iff cb0 < x / g(x) on (0, x0]."""
+    step = ub_cb_step if kind == "ub-cb" else lb_cb_step
+
+    def ratio(x):
+        g = step(float(x), e, 1.0)
+        return float(x) / g if g > 0.0 else math.inf
+
+    slope = lambda2(e) * (rho_prime1(e) if kind == "ub-cb" else
+                          sum(w * math.sqrt(k - 1) for k, w in e.rho))
+    xs, vs = grid_samples(lambda xs: [ratio(x) for x in xs], ratio, 1e-5)
+    return xs, vs, (1.0 / slope if slope > 0.0 else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Single results are printed as JSON (with a "schema" field), grids are written
 as CSV with a JSON overlay sidecar.  Every command is deterministic given its
-flags and seed.
+flags.
 
 Exit codes: 0 success, 2 parse error or refused input, 3 non-monotone
 verdicts, 4 unwritable output path, 5 symmetry violation.
@@ -94,10 +94,8 @@ def cmd_measures(args) -> int:
 
 def cmd_threshold(args) -> int:
     e = _load_ensemble(args)
-    cfg = DeConfig(population_size=args.de_pop, seed=args.seed)
     result = channel_threshold(args.bound, args.family, e, tol=args.tol,
-                               limits=_limits(args), de_config=cfg,
-                               p_star=args.p_star)
+                               limits=_limits(args), p_star=args.p_star)
     payload = result.to_dict()
     payload.update({"bound": args.bound, "family": args.family,
                     "ensemble": args.ensemble or "regular(3,6)"})
@@ -111,9 +109,8 @@ def cmd_region(args) -> int:
     except ValueError:
         print(f"--grid expects NxM, got {args.grid!r}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = DeConfig(population_size=args.de_pop, seed=args.seed)
     grid = region_sweep(e, n_cb, n_sb, limits=_limits(args),
-                        p_star=args.p_star, de_config=cfg, jobs=args.jobs)
+                        p_star=args.p_star, jobs=args.jobs)
     try:
         with open(args.out, "w") as fh:
             grid.to_csv(fh)
@@ -178,13 +175,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_de(args) -> int:
+    if args.seed is not None or args.de_pop is not None:
+        print("--seed and --de-pop have no effect: DE is deterministic", file=sys.stderr)
     e = _load_ensemble(args)
-    cfg = DeConfig(population_size=args.de_pop, seed=args.seed,
-                   max_iter=args.max_iter)
+    cfg = DeConfig(max_iter=args.max_iter)
     result = channel_threshold("de", args.family, e, de_config=cfg)
     payload = result.to_dict()
-    payload.update({"bound": "de", "family": args.family, "seed": args.seed,
-                    "population_size": args.de_pop,
+    payload.update({"bound": "de", "family": args.family,
                     "ensemble": args.ensemble or "regular(3,6)"})
     return _emit(payload, args.out)
 
@@ -195,15 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional bounds on BP decodable thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, max_iter=10_000,
-               max_iter_help="recursion iteration cap"):
+    def common(p, max_iter=10_000, max_iter_help="recursion iteration cap"):
         p.add_argument("--ensemble", help="ensemble JSON file "
                        "(default: regular (3,6))")
         p.add_argument("--max-iter", type=int, default=max_iter,
                        help=f"{max_iter_help} (default {max_iter})")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="RNG seed for DE runs (default 0)")
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("measures", help="noise measures of a channel spec")
@@ -217,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     p.add_argument("--tol", type=float, default=None,
                    help="bracket width target, at most 60 steps (default: 24 steps)")
-    p.add_argument("--de-pop", type=int, default=200_000,
-                   help="DE population size (default 200000)")
     p.add_argument("--p-star", type=float, default=None,
                    help="skip the DE run for ub-sb-star")
     p.set_defaults(func=cmd_threshold)
@@ -227,13 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", required=True, help="NxM grid counts")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--de-pop", type=int, default=200_000)
     p.add_argument("--p-star", type=float, default=None)
     p.set_defaults(func=cmd_region)
     # --out is required for region (CSV target)
 
     p = sub.add_parser("zm", help="Z_m vector bound or stability report")
-    common(p, seed=False)
+    common(p)
     p.add_argument("--channel", required=True, help="msc:... spec")
     p.add_argument("--action", choices=("bound", "stability"), default="bound")
     p.set_defaults(func=cmd_zm)
@@ -246,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("de", help="sampled density-evolution threshold")
+    p = sub.add_parser("de", help="discretized density-evolution threshold")
     common(p, max_iter=DeConfig().max_iter,
            max_iter_help="DE iterations per probe, DeConfig's cap")
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
-    p.add_argument("--de-pop", type=int, default=200_000)
+    for flag in ("--seed", "--de-pop"):
+        p.add_argument(flag, type=int, help="accepted and ignored: DE is deterministic")
     p.set_defaults(func=cmd_de)
 
     return parser

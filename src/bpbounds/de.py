@@ -1,252 +1,261 @@
-"""Density evolution oracle: ground-truth decodable thresholds for BI-SO
-channels via sampled (population) density evolution over LLR messages.
+"""Density evolution oracle: discretized DE (Richardson & Urbanke, IEEE
+Trans. IT 2001; Chung, Forney, Richardson & Urbanke, IEEE Comm. Lett. 2001).
 
-Populations track the LLR distribution conditioned on the zero input.
-Check nodes use the tanh rule with saturation at |m| = 40 (tanh(20) already
-rounds to 1 in double precision, so saturation is indistinguishable from a
-genuinely noise-free message); exact zeros representing erasures are
-preserved, which keeps BEC populations exact.
+A symmetric LLR density given X = 0, a(-l) = e^-l a(l), is stored by
+magnitude: masses m_k on |L| = k DELTA, the mass at kD split 1 : e^-kD
+between +kD and -kD.  A check output's magnitude depends on the input
+magnitudes only, so one sparse bilinear map on outer(a, b) does a pair,
+each product's mass split linearly between its two neighbouring bins
+(nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
+The variable node is rfft, a power per lambda degree, irfft.  Channels enter
+as exact bin masses: every verdict is deterministic and names its rule.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import irfft, rfft
+from scipy.sparse import csr_matrix
+from scipy.special import erfc, erfcx, ndtr
 
-from .binary_bounds import bisect
+from .binary_bounds import bisect, cb_ratio_samples
 from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
                        ChannelFamily, UnsupportedChannelError)
 from .ensembles import DegreeEnsemble
 
 __all__ = [
-    "LLR_MAX", "DeConfig", "LlrPopulation",
-    "initial_llr_sampler", "rayleigh_amplitude_marginal_sampler",
-    "new_population", "de_step", "population_pe", "de_decodable",
-    "de_threshold",
+    "LLR_MAX", "LLR_BINS", "DeConfig", "DeVerdict", "channel_density",
+    "rayleigh_amplitude_marginal_density", "de_decodable", "de_threshold",
 ]
 
-LLR_MAX = 40.0
+LLR_MAX = 15.0
+LLR_BINS = 75                 # a grid twice as fine moves no acceptance
+DELTA = LLR_MAX / LLR_BINS    # threshold by more than 1e-3
 DE_BISECT_STEPS = 13
+WITNESS_PERIOD = 4            # a witness is tried on every 4th step ...
+WITNESS_MARGIN = 1e-9         # ... with this mass moved to LLR_MAX
+
+_K = LLR_BINS
+_MAGS = np.arange(_K + 1) * DELTA
+_NEG = 1.0 / (1.0 + np.exp(_MAGS))                  # share of m_k at -kD
+_PE = np.where(_MAGS > 0.0, _NEG, 0.5)              # Pr(L < 0) + Pr(L = 0)/2
+_BHAT = 1.0 / np.cosh(_MAGS / 2.0)                  # E[e^(-L/2)] per bin
+_TANH = np.tanh(_MAGS / 2.0)
+_WIDTHS = np.diff(np.append(_TANH, 1.0))            # |tanh(L/2)| cells
 
 
 @dataclass(frozen=True)
 class DeConfig:
-    population_size: int = 200_000
-    max_iter: int = 500
+    max_iter: int = 2000      # near-threshold probes take up to about 1,600
     target_pe: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
-        if self.population_size <= 0 or self.max_iter <= 0 or self.target_pe <= 0:
+        if self.max_iter <= 0 or self.target_pe <= 0:
             raise ValueError("DE configuration values must be positive")
 
 
-@dataclass
-class LlrPopulation:
-    """A population of LLR samples plus the RNG stream that owns the run."""
-    samples: np.ndarray
-    seed: int
-    rng: np.random.Generator = field(repr=False)
+class DeVerdict(NamedTuple):
+    decodable: bool
+    iterations: int
+    reason: str       # "bhattacharyya", "target_pe", "witness" or "max_iter"
+    pe: tuple         # error probability after each iteration
 
 
-# ---------------------------------------------------------------------------
-# channel LLR samplers (conditioned on the zero input)
-# ---------------------------------------------------------------------------
+def _atoms(mags, weights) -> np.ndarray:
+    """Atoms at |L| = mags, split linearly between their neighbouring bins;
+    +inf and beyond LLR_MAX land on LLR_MAX."""
+    pos = np.clip(np.asarray(mags, dtype=float) / DELTA, 0.0, _K)
+    lo = np.floor(pos).astype(np.intp)
+    w = np.asarray(weights, dtype=float) * (pos - lo)
+    return (np.bincount(lo, np.asarray(weights) - w, minlength=_K + 1)
+            + np.bincount(np.minimum(lo + 1, _K), w, minlength=_K + 1))
 
-def initial_llr_sampler(ch):
-    """Return sampler(rng, n) drawing initial LLRs given X = 0.
 
-    Erasures are exact zeros; noise-free observations are +inf (saturated
-    inside de_step).  Asymmetric channels are unsupported: density evolution
-    here relies on the all-zero codeword convention of symmetric channels.
-    """
-    if isinstance(ch, Bsc):
-        p = ch.p
-        if p == 0.0:
-            return lambda rng, n: np.full(n, np.inf)
-        mag = math.log((1.0 - p) / p) if p < 0.5 else 0.0
+def _magnitudes(signed: np.ndarray) -> np.ndarray:
+    """Fold masses on L = -K D .. K D into magnitudes."""
+    m = signed[_K:].copy()
+    m[1:] += signed[_K - 1::-1]
+    return m
 
-        def sample_bsc(rng, n):
-            return np.where(rng.random(n) < p, -mag, mag)
-        return sample_bsc
 
+def _cells(cdf) -> np.ndarray:
+    """Bin k takes the cells (k -+ 1/2) D of signed CDF ``cdf`` and mirrors."""
+    edges = np.concatenate(([-np.inf], (np.arange(-_K, _K) + 0.5) * DELTA, [np.inf]))
+    return _magnitudes(np.diff(cdf(edges)))
+
+
+def channel_density(ch) -> np.ndarray:
+    """Magnitude masses of the channel's LLR density given X = 0: atoms
+    split like check outputs, BEC's at 0 and LLR_MAX, continuous parts by
+    their CDF at the bin edges.  Asymmetric channels are refused."""
+    if isinstance(ch, (Bsc, BscMixture)):
+        atoms = ((1.0, ch.p),) if isinstance(ch, Bsc) else ch.atoms
+        return _atoms([math.log((1.0 - p) / p) if p else math.inf for _, p in atoms],
+                      [w for w, _ in atoms])
     if isinstance(ch, Bec):
-        eps = ch.eps
-
-        def sample_bec(rng, n):
-            return np.where(rng.random(n) < eps, 0.0, np.inf)
-        return sample_bec
-
+        return _atoms([0.0, math.inf], [ch.eps, 1.0 - ch.eps])
     if isinstance(ch, BiAwgn):
-        sigma = ch.sigma
-
-        def sample_awgn(rng, n):
-            return 2.0 * rng.normal(1.0, sigma, n) / (sigma * sigma)
-        return sample_awgn
-
+        mu = 2.0 / ch.sigma ** 2            # LLR ~ N(mu, 2 mu)
+        return _cells(lambda x: ndtr((x - mu) / math.sqrt(2.0 * mu)))
     if isinstance(ch, BiLaplace):
-        lam = ch.lam
-
-        def sample_laplace(rng, n):
-            y = rng.laplace(1.0, lam, n)
-            return (np.abs(y + 1.0) - np.abs(y - 1.0)) / lam
-        return sample_laplace
-
+        # atoms 1/2 and e^-2u/2 at +-2u, u = 1/lam, and on (-2u, 2u) a cell
+        # (a, b) gets e^-u (e^(b/2) - e^(a/2)) / 2
+        u = 1.0 / ch.lam
+        return _atoms([2.0 * u], [0.5 + 0.5 * math.exp(-2.0 * u)]) + _cells(
+            lambda x: 0.5 * (np.exp(np.clip(x / 2.0, -u, u) - u) - math.exp(-2.0 * u)))
     if isinstance(ch, BiRayleigh):
-        sigma = ch.sigma
-
-        def sample_rayleigh(rng, n):
-            # amplitude density 2 a exp(-a^2); the receiver observes a
-            a = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n)
-            y = rng.normal(a, sigma)
-            return 2.0 * a * y / (sigma * sigma)
-        return sample_rayleigh
-
-    if isinstance(ch, BscMixture):
-        weights = np.array([w for w, _ in ch.atoms])
-        mags = np.array([math.log((1.0 - p) / p) if 0.0 < p < 0.5 else
-                         (np.inf if p == 0.0 else 0.0) for _, p in ch.atoms])
-        ps = np.array([p for _, p in ch.atoms])
-
-        def sample_mix(rng, n):
-            which = rng.choice(len(weights), size=n, p=weights)
-            flips = rng.random(n) < ps[which]
-            m = mags[which]
-            return np.where(flips, -m, m)
-        return sample_mix
-
+        # density e^(L/2 - r|L|) / (2cr), c = 2/sigma^2, r = sqrt(1/c + 1/4)
+        # (tests/test_channels.py): masses (r -+ 1/2) / 2r on L < 0 and L > 0
+        r = math.sqrt(ch.sigma ** 2 / 2.0 + 0.25)
+        rm = ch.sigma ** 2 / 2.0 / (r + 0.5)        # r - 1/2 without cancelling
+        return _cells(lambda x: np.where(
+            x <= 0.0, rm / (2 * r) * np.exp((r + 0.5) * np.minimum(x, 0.0)),
+            1.0 - (r + 0.5) / (2 * r) * np.exp(-rm * np.maximum(x, 0.0))))
     raise UnsupportedChannelError(
         f"density evolution supports symmetric channels only, got {type(ch).__name__}")
 
 
-def rayleigh_amplitude_marginal_sampler(sigma: float, grid_pts: int = 2401):
-    """LLR sampler for Rayleigh fading when the amplitude is NOT observed.
+def _log_marginal(y, s2: float):
+    """log p(y | X = +1), y = a + N(0, s2), a ~ 2a e^-a^2 integrated out:
+    e^(-y^2/(2 s2)) (1 - sqrt(pi) z erfcx(z)) / A, A = 1 + 1/(2 s2),
+    z = -y / (2 s2 sqrt(A)); for z < 0 as e^(-y^2/(2 s2 + 1)) (e^(-z^2) -
+    sqrt(pi) z erfc(z)) / A."""
+    a = 1.0 + 0.5 / s2
+    z = -y / (2.0 * s2 * math.sqrt(a))
+    zp, zn = np.maximum(z, 0.0), np.minimum(z, 0.0)
+    pos = -y * y / (2.0 * s2) + np.log(1.0 - math.sqrt(math.pi) * zp * erfcx(zp))
+    neg = -y * y / (2.0 * s2 + 1.0) + np.log(np.exp(-zn * zn)
+                                           - math.sqrt(math.pi) * zn * erfc(zn))
+    return np.where(z >= 0.0, pos, neg) - math.log(a * math.sqrt(2.0 * math.pi * s2))
 
-    The receiver sees only y, so the LLR uses the amplitude-marginalized
-    densities.  Not part of the standard channel set (the BiRayleigh model
-    observes the amplitude); provided because the two models have noticeably
-    different decodable thresholds and are easy to conflate.
-    """
-    from scipy.integrate import quad
 
+def rayleigh_amplitude_marginal_density(sigma: float) -> np.ndarray:
+    """``channel_density`` of Rayleigh fading with the amplitude NOT observed
+    (BiRayleigh observes it): each cell of a fine y grid puts its mass in the
+    bin of its LLR log p(y|+1) - log p(-y|+1)."""
     s2 = sigma * sigma
-
-    def dens0(y):
-        f = lambda a: 2.0 * a * math.exp(-a * a - (y - a) ** 2 / (2.0 * s2))
-        val, _ = quad(f, 0.0, 8.0, epsabs=1e-12, limit=200)
-        return val / math.sqrt(2.0 * math.pi * s2)
-
-    ys = np.linspace(-12.0, 12.0, grid_pts)
-    d0 = np.array([dens0(y) for y in ys])
-    with np.errstate(divide="ignore"):
-        llr = np.log(d0) - np.log(d0[::-1])   # p(y|1) = p(-y|0)
-
-    def sample(rng, n):
-        a = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n)
-        y = rng.normal(a, sigma)
-        return np.interp(y, ys, llr)
-    return sample
+    y = np.linspace(-12.0, 12.0, 24001)
+    logp = _log_marginal(y, s2)
+    bins = np.clip(np.rint((logp - _log_marginal(-y, s2)) / DELTA), -_K, _K)
+    signed = np.bincount(bins.astype(np.intp) + _K, np.exp(logp), minlength=2 * _K + 1)
+    return _magnitudes(signed / signed.sum())
 
 
-# ---------------------------------------------------------------------------
-# population dynamics
-# ---------------------------------------------------------------------------
-
-def new_population(sampler, cfg: DeConfig, seed: int | None = None) -> LlrPopulation:
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    samples = np.clip(sampler(rng, cfg.population_size), -LLR_MAX, LLR_MAX)
-    return LlrPopulation(samples=samples, seed=seed, rng=rng)
-
-
-def _degree_groups(pairs, rng, n):
-    """(k, sel, count) per degree k drawn for n edges, k ascending; a single
-    degree draws nothing and selects every edge with slice(None)."""
-    if len(pairs) == 1:
-        return [(pairs[0][0], slice(None), n)]
-    which = rng.choice(len(pairs), size=n, p=[w for _, w in pairs])
-    masks = [(k, which == i) for i, (k, _) in enumerate(pairs)]
-    return [(k, m, c) for k, m in masks if (c := np.count_nonzero(m))]
+@functools.lru_cache(maxsize=None)
+def _check_matrix() -> csr_matrix:
+    """(K+1) x (K+1)^2 map from outer(a, b) to the check output's masses."""
+    v = (2.0 / DELTA) * np.arctanh(np.outer(_TANH, _TANH).ravel())
+    lo = np.floor(v).astype(np.intp)
+    cols = np.arange(v.size)
+    return csr_matrix((np.concatenate((1.0 - (v - lo), v - lo)),
+                       (np.concatenate((lo, np.minimum(lo + 1, _K))),
+                        np.concatenate((cols, cols)))), shape=(_K + 1, v.size))
 
 
-def _check_stage(msgs: np.ndarray, e: DegreeEnsemble, rng) -> np.ndarray:
-    n = msgs.size
-    tanhs = np.tanh(msgs / 2.0)
-    out = np.empty(n)
-    for k, sel, cnt in _degree_groups(e.rho, rng, n):
-        prod = tanhs[rng.integers(0, n, cnt)]
-        for _ in range(k - 2):
-            prod *= tanhs[rng.integers(0, n, cnt)]
-        with np.errstate(divide="ignore"):
-            np.arctanh(prod, out=prod)
-        prod *= 2.0
-        out[sel] = np.clip(prod, -LLR_MAX, LLR_MAX, out=prod)
+def _check_stage(m: np.ndarray, e: DegreeEnsemble) -> np.ndarray:
+    """The (k - 1)-fold check combination of m, mixed over rho degrees k."""
+    cmat = _check_matrix()
+    squares, out = [m], np.zeros_like(m)
+    for k, w in e.rho:
+        n, i, acc = k - 1, 0, None
+        while n:
+            if i == len(squares):
+                squares.append(cmat @ (squares[-1][:, None] * squares[-1]).ravel())
+            if n & 1:
+                acc = squares[i] if acc is None else cmat @ (acc[:, None] * squares[i]).ravel()
+            n, i = n >> 1, i + 1
+        out += w * acc
     return out
 
 
-def de_step(pop: LlrPopulation, e: DegreeEnsemble, sampler) -> LlrPopulation:
-    """One DE iteration: check stage (tanh rule over k-1 resampled messages,
-    k ~ rho) then variable stage (fresh channel draw plus k-1 check outputs,
-    k ~ lambda).  Degrees are edge-perspective.  Draws on pop.rng, in order:
-    the rho-degree choice, k-1 integer draws per check degree k ascending,
-    the channel draw, then the lambda-degree choice and its draws likewise."""
-    rng = pop.rng
-    n = pop.samples.size
-    checks = _check_stage(pop.samples, e, rng)
-    out = np.clip(sampler(rng, n), -LLR_MAX, LLR_MAX)
-    for k, sel, cnt in _degree_groups(e.lam, rng, n):
-        acc = out[sel]          # a view of out for slice(None), else a copy
-        for _ in range(k - 1):
-            acc += checks[rng.integers(0, n, cnt)]
-        out[sel] = acc
-    np.clip(out, -LLR_MAX, LLR_MAX, out=out)
-    return LlrPopulation(samples=out, seed=pop.seed, rng=rng)
+def _signed(m: np.ndarray, n: int) -> np.ndarray:
+    """Masses on L = jD at index j mod n: every degree's sum lands at 0."""
+    s = np.zeros(n)
+    s[:_K + 1] = m * (1.0 - _NEG)
+    s[0] = m[0]
+    s[n - _K:] = (m[1:] * _NEG[1:])[::-1]
+    return s
 
 
-def population_pe(pop: LlrPopulation) -> float:
-    """Error fraction Pr(m < 0) + Pr(m = 0)/2 (ties guessed by a coin)."""
-    m, n = pop.samples, pop.samples.size
-    return float(np.count_nonzero(m < 0.0) / n + 0.5 * np.count_nonzero(m == 0.0) / n)
+def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
+    cf = rfft(_signed(c, n))
+    s = irfft(chan_f * sum(w * cf ** (k - 1) for k, w in e.lam), n)
+    m = np.concatenate(([s[0]], s[1:_K] + s[n - 1:n - _K:-1], [s[_K:n - _K + 1].sum()]))
+    np.maximum(m, 0.0, out=m)                   # FFT rounding
+    return m / m.sum()
 
 
-def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig,
-                 seed: int | None = None):
-    """Run sampled DE; decodable iff the error fraction falls below target_pe.
+def _degradation_profile(m: np.ndarray) -> np.ndarray:
+    """Integrals from each bin to 1 of the CDF in |tanh(L/2)|: b is degraded
+    from a iff profile(b) >= profile(a) (Modern Coding Theory, ch. 4)."""
+    return np.cumsum((np.cumsum(m) * _WIDTHS)[::-1])[::-1]
 
-    Early exit on a clear stall: once the smoothed error drift over a
-    30-iteration window falls below 0.01% while the error is still far above
-    target, the run is declared stuck.
-    """
-    sampler = ch if callable(ch) else initial_llr_sampler(ch)
-    pop = new_population(sampler, cfg, seed)
-    history = []
+
+def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
+    """Messages with Bhattacharyya B below this decode: B' <= cb0 g(B), the
+    ub-cb step, drives B to 0 if cb0 < x / g(x) on (0, B].  The last of CB*'s
+    samples before one at or below cb0 (a coarse scan misses the dip)."""
+    xs, vs, limit = cb_ratio_samples("ub-cb", e)
+    hit = np.flatnonzero(vs <= cb0)
+    if cb0 >= limit or (hit.size and hit[0] == 0):
+        return 0.0
+    return xs[hit[0] - 1] if hit.size else math.inf
+
+
+def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdict:
+    """Run discretized DE from ``ch``, a channel or its ``channel_density``:
+    decodable once the message Bhattacharyya is below ``_ub_cb_radius`` (a
+    proof) or Pe below ``target_pe``; not decodable at a repeated density or
+    a witness m* = m_n + 2r/(1 - r) (m_n - m_{n-1}), r the Aitken ratio of B,
+    tried every WITNESS_PERIOD steps once r is in (0, 1) and steady (it
+    climbs through 1 on decodable runs): m* no more degraded than m_n, T(m*)
+    no less than m*, Pe(m*) > target_pe.  Where T keeps the degradation
+    order that is a proof; the grid breaks it by ~2e-9 near LLR_MAX."""
+    cfg = cfg or DeConfig()
+    chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
+    n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
+    chan_f = rfft(_signed(chan, n))
+    pe, bs, m, r_try = [], [float(chan @ _BHAT)], chan, -1.0
+    radius = _ub_cb_radius(bs[0], e)
+
+    def step(m):
+        return _variable_stage(_check_stage(m, e), chan_f, e, n)
+
     for it in range(1, cfg.max_iter + 1):
-        pop = de_step(pop, e, sampler)
-        pe = population_pe(pop)
-        history.append(pe)
-        if pe < cfg.target_pe:
-            return True, it
-        if it >= 60 and pe > 50.0 * cfg.target_pe:
-            recent = float(np.mean(history[-10:]))
-            older = float(np.mean(history[-40:-30]))
-            if older - recent < 1e-4 * recent:
-                return False, it
-    return False, cfg.max_iter
+        new = step(m)
+        pe.append(float(new @ _PE))
+        bs.append(float(new @ _BHAT))
+        if bs[-1] < radius or pe[-1] < cfg.target_pe:
+            return DeVerdict(True, it, "bhattacharyya" if bs[-1] < radius else "target_pe",
+                             tuple(pe))
+        witness = np.array_equal(new, m)
+        if it % WITNESS_PERIOD == 0 and not witness:
+            last = bs[-2] - bs[-3]
+            r = (bs[-1] - bs[-2]) / last if last else -1.0
+            if 0.0 < r < 1.0 and abs(r - r_try) <= 0.05 * (1.0 - r):
+                star = np.maximum(new + 2.0 * r / (1.0 - r) * (new - m), 0.0)
+                star *= (1.0 - WITNESS_MARGIN) / star.sum()
+                star[_K] += WITNESS_MARGIN
+                prof = _degradation_profile(star)
+                witness = bool(star @ _PE > cfg.target_pe
+                               and np.all(prof <= _degradation_profile(new))
+                               and np.all(_degradation_profile(step(star)) >= prof))
+            r_try = r
+        if witness:
+            return DeVerdict(False, it, "witness", tuple(pe))
+        m = new
+    return DeVerdict(False, cfg.max_iter, "max_iter", tuple(pe))
 
 
 def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,
                  lo: float, hi: float, steps: int = DE_BISECT_STEPS):
-    """Bisect the family parameter ``steps`` times on the DE verdict, step i
-    with seed cfg.seed + i.  The caller vouches for the bracket (lo
-    decodable, hi not); no verdict is checked at its ends.
-
-    Returns (value, lo, hi) with value the final midpoint.
-    """
-    seeds = itertools.count(cfg.seed)
-    lo, hi = bisect(
-        lambda t: de_decodable(family.build(t), e, cfg, seed=next(seeds))[0],
-        lo, hi, steps)
+    """(midpoint, lo, hi) after ``steps`` bisections on the DE verdict of a
+    bracket the caller vouches for (lo decodable, hi not)."""
+    lo, hi = bisect(lambda t: de_decodable(family.build(t), e, cfg).decodable,
+                    lo, hi, steps)
     return 0.5 * (lo + hi), lo, hi

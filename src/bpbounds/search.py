@@ -2,9 +2,9 @@
 
 Bisection assumes the decodability verdict is monotone in the channel
 parameter (every supported family's noise measures increase with it); the
-assumption is checked at the initial bracket (for DE, at an end no CB bound
-proves) and a violation raises ``NonMonotoneError`` instead of silently
-bisecting.
+assumption is checked at the initial bracket (for the deterministic
+discretized DE, which runs only inside the bracket the CB bounds prove, at
+an end no CB bound proves) and a violation raises ``NonMonotoneError``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from . import de as de_mod
-from .binary_bounds import (IterationLimits, bisect, iterate_bound, lb_cb_step,
-                            ub_cb_step, ub_sb_star, ub_sb_step_at)
+from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
+                            grid_samples, iterate_bound, ub_sb_star,
+                            ub_sb_step_at)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
@@ -102,43 +103,6 @@ def _steps_for(lo: float, hi: float, tol: float | None) -> int:
     return steps
 
 
-def _bsc_de_threshold(e: DegreeEnsemble, de_config: DeConfig | None) -> float:
-    return channel_threshold("de", "bsc", e, de_config=de_config).value
-
-
-def _grid_min(values, f, limit: float, lo: float = 1e-5) -> float:
-    """Least of f on (0, 1], f >= 0: ``values`` gives f on a log grid on
-    [lo, 1], Brent's method refines the cells around every grid local
-    minimum, and ``limit`` is the x -> 0 limit.  At most 1."""
-    xs = np.geomspace(lo, 1.0, 201)
-    v = values(xs)
-    left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
-    best = min(float(v.min()), limit, 1.0)
-    for i in np.flatnonzero(np.isfinite(v) & (v < left) & (v <= right)):
-        cell = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        fit = minimize_scalar(f, bounds=cell, method="bounded", options={"xatol": 1e-12})
-        best = min(best, float(fit.fun))
-    return best
-
-
-def _cb_star(kind: str, e: DegreeEnsemble) -> float:
-    """CB* = inf over x in (0, 1] of x / g(x), g the ub-cb or lb-cb step at
-    cb0 = 1: x <- cb0 g(x) drives cb0 to zero iff cb0 < CB*.  Below the
-    grid stands the x -> 0 limit, 1 / (lambda_2 rho'(1)) for ub-cb and
-    1 / (lambda_2 sum rho_k sqrt(k-1)) for lb-cb; an underflowed g (lambda
-    at a high variable degree) counts as +inf."""
-    step = ub_cb_step if kind == "ub-cb" else lb_cb_step
-
-    def ratio(x):
-        g = step(float(x), e, 1.0)
-        return float(x) / g if g > 0.0 else math.inf
-
-    slope = lambda2(e) * (rho_prime1(e) if kind == "ub-cb" else
-                          sum(w * math.sqrt(k - 1) for k, w in e.rho))
-    return _grid_min(lambda xs: np.array([ratio(x) for x in xs]), ratio,
-                     1.0 / slope if slope > 0.0 else math.inf)
-
-
 def _sb_star(e: DegreeEnsemble) -> float:
     """SB* = min over x in (0, 1] of sigma(x), the least sb0 with
     F(x; sb0) >= x for F = ``ub_sb_step`` (+inf if none): F increases in x
@@ -171,7 +135,8 @@ def _sb_star(e: DegreeEnsemble) -> float:
         except ValueError:          # F(x; 1) < x: no sb0 reaches x
             return math.inf
 
-    return _grid_min(sigmas, sigma, limit, min(1e-5, 0.01 / rho_prime1(e) ** 2))
+    _, vs = grid_samples(sigmas, sigma, min(1e-5, 0.01 / rho_prime1(e) ** 2))
+    return min(float(vs.min()), limit, 1.0)
 
 
 def measure_threshold(kind: str, e: DegreeEnsemble,
@@ -184,9 +149,10 @@ def measure_threshold(kind: str, e: DegreeEnsemble,
     family.
     """
     if kind == "ub-sb-star":
-        return ub_sb_star(_bsc_de_threshold(e, de_config))
-    if kind in ("ub-cb", "lb-cb"):
-        return _cb_star(kind, e)
+        return ub_sb_star(channel_threshold("de", "bsc", e, de_config=de_config).value)
+    if kind in ("ub-cb", "lb-cb"):         # CB* = inf x / g(x), at most 1
+        _, vs, limit = cb_ratio_samples(kind, e)
+        return min(float(vs.min()), limit, 1.0)
     if kind == "ub-sb":
         return _sb_star(e)
     raise ValueError(f"measure_threshold does not support kind {kind!r}")
@@ -218,7 +184,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     unless given.  Only ub-cbsb runs a recursion per probe, under
     ``limits``.  "lb-cb" yields an *outer* bound: parameters above its
     threshold are certainly undecodable, nothing below certified.  "de"
-    bisects the sampled-DE oracle only between the ub-cb and lb-cb
+    bisects the discretized-DE oracle only between the ub-cb and lb-cb
     thresholds, to width (family.hi - family.lo) 2^-13 whatever ``tol``;
     its ``iterations`` counts the DE bisection steps run.
     """
@@ -248,7 +214,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
 
 def _de_channel_threshold(family, e: DegreeEnsemble,
                           cfg: DeConfig) -> ThresholdResult:
-    """Bisect sampled DE inside the bracket the CB bounds prove: lo is the
+    """Bisect discretized DE inside the bracket the CB bounds prove: lo is the
     largest grid parameter ub-cb certifies decodable, hi the smallest that
     lb-cb proves undecodable, both found on DE's final grid, width
     (family.hi - family.lo) 2^-DE_BISECT_STEPS.  An end no bound proves is
@@ -265,7 +231,7 @@ def _de_channel_threshold(family, e: DegreeEnsemble,
     below_lb = verdict("lb-cb")
     hi = bisect(below_lb, family.lo, family.hi, grid)[1]
     if (hi == family.hi and below_lb(hi)
-            and de_mod.de_decodable(family.build(hi), e, cfg)[0]):
+            and de_mod.de_decodable(family.build(hi), e, cfg).decodable):
         raise NonMonotoneError(family.name, family.lo, hi, True, True)
     steps = _steps_for(lo, hi, width)
     value, lo, hi = de_mod.de_threshold(family, e, cfg, lo, hi, steps)
@@ -285,7 +251,6 @@ def _region_point(args):
 def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
                  limits: IterationLimits | None = None,
                  p_star: float | None = None,
-                 de_config: DeConfig | None = None,
                  jobs: int = 1) -> RegionGrid:
     """Verdict of the two-dimensional bound on a feasible (cb, sb) grid.
 
@@ -308,7 +273,7 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
         points = [_region_point(t) for t in tasks]
 
     if p_star is None:
-        p_star = _bsc_de_threshold(e, de_config)
+        p_star = channel_threshold("de", "bsc", e).value
     overlays = {
         "ub_cb": measure_threshold("ub-cb", e),
         "ub_sb": measure_threshold("ub-sb", e),

@@ -10,7 +10,7 @@ import pytest
 
 from bpbounds import (DeConfig, channel_threshold,
                       de_threshold, measure_threshold, regular_ensemble,
-                      CHANNEL_FAMILIES, rayleigh_amplitude_marginal_sampler)
+                      CHANNEL_FAMILIES, rayleigh_amplitude_marginal_density)
 from bpbounds.channels import ChannelFamily
 
 ACCEPTANCE_LINES = []
@@ -63,12 +63,12 @@ def ub_cbsb_thresholds(ens36):
 
 @pytest.fixture(scope="session")
 def de_config():
-    return DeConfig(population_size=200_000, max_iter=500, target_pe=1e-5, seed=7)
+    return DeConfig(target_pe=1e-5)
 
 
 @pytest.fixture(scope="session")
 def de_thresholds(ens36, de_config):
-    """Criterion 5: sampled-DE thresholds, fixed seed; brackets trimmed to
+    """Criterion 5: discretized-DE thresholds; brackets trimmed to
     the physically relevant range so the 13 bisection steps resolve finely."""
     brackets = {
         "bsc": (0.03, 0.15),
@@ -88,13 +88,13 @@ def de_thresholds(ens36, de_config):
 
 @pytest.fixture(scope="session")
 def de_rayleigh_unobserved(ens36, de_config):
-    """Criterion 5c: sampled-DE threshold of Rayleigh fading with the fading
+    """Criterion 5c: discretized-DE threshold of Rayleigh fading with the fading
     amplitude NOT observed, the channel the reference table's DE entry
     belongs to.  Same set-up and bracket as the observed channel in
     de_thresholds, but a fixture of its own so criterion 5b's time budget
     covers what it covered before."""
     family = ChannelFamily("rayleigh-unobserved", "sigma",
-                           rayleigh_amplitude_marginal_sampler, 0.05, 3.0)
+                           rayleigh_amplitude_marginal_density, 0.05, 3.0)
     t0 = time.monotonic()
     value, _, _ = de_threshold(family, ens36, de_config, lo=0.4, hi=1.0)
     return {"value": value, "seconds": time.monotonic() - t0}

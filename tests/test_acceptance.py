@@ -6,7 +6,7 @@ receiver observes the fading amplitude: its CB is 1/(1 + 1/(2 sigma^2)),
 which equals CB* = 0.4294 at sigma = 0.6134, the ub-cb target of criterion
 2 (without the amplitude CB reaches 0.4294 near sigma = 0.536).  Its DE
 entry, 0.644, belongs to the channel whose receiver does not observe the
-amplitude (``rayleigh_amplitude_marginal_sampler``).  Criterion 5c checks
+amplitude (``rayleigh_amplitude_marginal_density``).  Criterion 5c checks
 each number on its own channel.  Everything must pass at the stated
 tolerances.
 """
@@ -105,7 +105,7 @@ def test_criterion5_bec_recursion(ens36, de_thresholds):
     assert bec == pytest.approx(0.4294, abs=1e-4)
 
 
-def test_criterion5_sampled_de(ens36, de_thresholds):
+def test_criterion5_de(ens36, de_thresholds):
     got = de_thresholds["values"]
     record(f"criterion 5b: DE bsc={got['bsc']:.4f} biawgn={got['biawgn']:.4f} "
            f"bilc={got['bilc']:.4f} ({de_thresholds['seconds']:.0f}s)")
@@ -129,7 +129,7 @@ def _rayleigh_capacity(sigma):
     return 1.0 - loss / math.log(2.0)
 
 
-def test_criterion5_sampled_de_birayleigh(de_thresholds, de_rayleigh_unobserved):
+def test_criterion5_de_birayleigh(de_thresholds, de_rayleigh_unobserved):
     """Printed Rayleigh DE threshold 0.644 +- 0.01, on the channel it belongs to.
 
     The reference table's Rayleigh bound entries (criteria 2-4, 5d) fit only
@@ -161,14 +161,14 @@ def test_criterion5_sampled_de_birayleigh(de_thresholds, de_rayleigh_unobserved)
 
 
 def test_criterion5_marginal_rayleigh_reproduces_printed_value(ens36):
-    # the amplitude-unobserved channel brackets the printed 0.644 at a
-    # population and seed other than 5c's bisection
-    from bpbounds import de_decodable, rayleigh_amplitude_marginal_sampler
-    cfg = DeConfig(population_size=100_000, max_iter=400, seed=3)
-    ok_low, _ = de_decodable(rayleigh_amplitude_marginal_sampler(0.634),
-                             ens36, cfg)
-    ok_high, _ = de_decodable(rayleigh_amplitude_marginal_sampler(0.654),
-                              ens36, cfg)
+    # the amplitude-unobserved channel brackets the printed 0.644 at probes
+    # other than 5c's bisection
+    from bpbounds import de_decodable, rayleigh_amplitude_marginal_density
+    cfg = DeConfig()
+    ok_low = de_decodable(rayleigh_amplitude_marginal_density(0.634),
+                          ens36, cfg).decodable
+    ok_high = de_decodable(rayleigh_amplitude_marginal_density(0.654),
+                           ens36, cfg).decodable
     record(f"criterion 5c': amplitude-unobserved DE decodable at 0.634: "
            f"{ok_low}, at 0.654: {ok_high} (printed value sits between)")
     assert ok_low and not ok_high

@@ -91,12 +91,33 @@ class TestThreshold:
         data = json.loads(out)
         assert data["value"] == pytest.approx(0.0710, abs=1e-3)
 
-    def test_de_bsc_small_population(self, capsys):
-        code, out, _ = run_cli(capsys, "de", "--family", "bsc", "--seed", "7",
-                               "--de-pop", "20000", "--max-iter", "200")
-        assert code == 0
+    def test_de_bsc(self, capsys):
+        code, out, err = run_cli(capsys, "de", "--family", "bsc")
+        assert code == 0 and err == ""
         data = json.loads(out)
-        assert data["value"] == pytest.approx(0.0837, abs=0.006)
+        assert data["value"] == pytest.approx(0.0837, abs=0.005)
+        assert "seed" not in data and "population_size" not in data
+
+    def test_de_seed_and_population_change_nothing(self, capsys, tmp_path):
+        # both flags stay accepted and ignored: DE is deterministic
+        texts = []
+        for seed, pop in (("1", "12500"), ("2", "20000")):
+            path = tmp_path / f"de-{seed}.json"
+            code, _, err = run_cli(capsys, "de", "--family", "bsc", "--seed", seed,
+                                   "--de-pop", pop, "--out", str(path))
+            assert code == 0
+            assert err.count("\n") == 1 and "no effect" in err
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("command", [["threshold", "--bound", "ub-cb", "--family", "bsc"],
+                                         ["region", "--grid", "3x3", "--out", "r.csv"]],
+                             ids=["threshold", "region"])
+    @pytest.mark.parametrize("flag", ["--seed", "--de-pop"])
+    def test_seed_and_population_are_refused_outside_de(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, "1"])
+        assert exc.value.code == 2
 
     def test_de_refuses_an_asymmetric_family(self, capsys):
         code, out, err = run_cli(capsys, "de", "--family", "zchan",

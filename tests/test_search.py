@@ -10,7 +10,7 @@ import bpbounds.binary_bounds as bb_mod
 import bpbounds.channels as channels_mod
 import bpbounds.de as de_mod
 import bpbounds.search as search_mod
-from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
+from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeConfig, DeVerdict,
                       IterationLimits, NoisePair, NonMonotoneError, cb_of,
                       channel_threshold, iterate_bound, measure_threshold,
                       regular_ensemble, region_sweep, sb_of)
@@ -31,9 +31,8 @@ class TestMeasureThreshold:
         assert measure_threshold("ub-sb", e36) == pytest.approx(0.263465, abs=1e-4)
 
     def test_ub_sb_star_runs_de(self, e36):
-        cfg = DeConfig(population_size=15_000, max_iter=250, seed=11)
-        star = measure_threshold("ub-sb-star", e36, de_config=cfg)
-        assert star == pytest.approx(0.3068, abs=0.02)   # small-population noise
+        star = measure_threshold("ub-sb-star", e36, de_config=DeConfig())
+        assert star == pytest.approx(0.3068, abs=0.02)
 
     def test_unknown_kind(self, e36):
         with pytest.raises(ValueError):
@@ -351,6 +350,39 @@ class TestDirectSbStar:
         assert iterate_bound("ub-sb", NoisePair(sb=1.001 * star), e).verdict == "not-decodable"
 
 
+# SB* before its Brent refinement got a relative xatol (refined to 1e-12)
+SB_STAR_BEFORE = [("3-6", regular_ensemble(3, 6), 0.26346493697477413),
+                  ("4-8", regular_ensemble(4, 8), 0.25896016810914907),
+                  ("5-10", regular_ensemble(5, 10), 0.23834618777140357),
+                  ("6-12", regular_ensemble(6, 12), 0.21767105933438177),
+                  ("0.15x+0.85x^2", DegreeEnsemble(((2, 0.15), (3, 0.85)), ((6, 1.0),)),
+                   0.11764705882352941)]
+
+
+class TestSbStarRefinement:
+    # Brent's refinement stops at 1e-7 of the cell end: tighter, it chased
+    # rounding noise on sigma's flat minimum, and a 1-ulp change of the check
+    # stage changed how many step kernels SB* builds
+    @pytest.mark.parametrize("name, e, before", SB_STAR_BEFORE[:4],
+                             ids=[c[0] for c in SB_STAR_BEFORE[:4]])
+    @pytest.mark.parametrize("ulps", [0, 1, -1])
+    def test_builds_survive_an_ulp(self, monkeypatch, name, e, before, ulps):
+        check = bb_mod._bec_check
+        monkeypatch.setattr(bb_mod, "_bec_check",
+                            lambda x, e: check(x, e) * (1.0 + ulps * 2.0 ** -52))
+        built = []
+        step_at = search_mod.ub_sb_step_at
+        monkeypatch.setattr(search_mod, "ub_sb_step_at",
+                            lambda *args: built.append(1) or step_at(*args))
+        measure_threshold("ub-sb", e)
+        assert len(built) == 10
+
+    @pytest.mark.parametrize("name, e, before", SB_STAR_BEFORE,
+                             ids=[c[0] for c in SB_STAR_BEFORE])
+    def test_value_unchanged(self, name, e, before):
+        assert abs(measure_threshold("ub-sb", e) - before) <= 1e-15
+
+
 # channel thresholds of each bound, to 3 digits: probes are drawn within
 # +-10% (log scale) of them, where a non-monotone verdict would bite
 NEAR_THRESHOLD = {
@@ -432,7 +464,7 @@ def de_probes(monkeypatch):
 class TestDeBracket:
     # channel_threshold("de") bisects DE only inside [lo, hi], lo certified
     # by ub-cb and hi excluded by lb-cb, at the 13-step width of the family
-    CFG = DeConfig(population_size=4_000, max_iter=200, seed=5)
+    CFG = DeConfig(max_iter=200)
 
     @pytest.mark.parametrize("name, e, family", DE_BRACKET_CASES,
                              ids=[f"{c[0]}-{c[2]}" for c in DE_BRACKET_CASES])
@@ -469,9 +501,9 @@ class TestDeUnprovenEnd:
     def stub_de(self, monkeypatch, p_de):
         probes = []
 
-        def decodable(ch, e, cfg, seed=None):
+        def decodable(ch, e, cfg):
             probes.append(ch.p)
-            return ch.p < p_de, 1
+            return DeVerdict(ch.p < p_de, 1, "target_pe", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
         return probes
 
