@@ -1,5 +1,8 @@
 """Finite-dimensional bounds on belief-propagation decodable thresholds of
-binary and Z_m LDPC code ensembles over memoryless channels."""
+binary and Z_m LDPC code ensembles over memoryless channels.
+
+Importing the package loads numpy and no scipy: each scipy module is
+imported inside the functions that use it, never in a per-step loop."""
 
 from .channels import (Bsc, Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc,
                        BscMixture, MscChannel, MscMixture, CbVector,

@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import expit
 
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
@@ -58,6 +56,7 @@ BOUND_KINDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb")
 ENUM_CAP = 1 << 20       # exact-enumeration budget in terms (2^20: 20 distinct BSCs)
 WITNESS_PERIOD = 4        # a fixed-point witness is tried on steps 1, 5, 9, ...
 WITNESS_MARGIN = 1e-9     # relative drop below s_n, past ulp drift at a fixed point
+_TINY_T = 2.0 ** -500     # ~3e-151: t^2 is still a full-precision normal
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,11 @@ def _log_binomials(n: int):               # (i, n - i, log C(n, i)) for i = 1..n
 def _mixture_check_cb(t: float, q: float, e: DegreeEnsemble) -> float:
     """CB of a check node whose i.i.d. inputs are each a BSC of index t with
     probability q, else perfect: E sqrt(-expm1(I log1p(-t^2))) over
-    I ~ Bin(k - 1, q), k ~ rho.  q = 1 is lb-cb's BSC check, t = 1 a BEC."""
+    I ~ Bin(k - 1, q), k ~ rho.  q = 1 is lb-cb's BSC check, t = 1 a BEC.
+    t^2 underflows below 1.5e-154; there the value is t E sqrt(I) to
+    rounding, scaled exactly from t = 2^-500."""
+    if 0.0 < t < _TINY_T:
+        return t * (_mixture_check_cb(_TINY_T, q, e) / _TINY_T)
     lt = math.log1p(-t * t) if t < 1.0 else -math.inf
     if q >= 1.0:
         return sum(w * math.sqrt(-math.expm1((k - 1) * lt)) for k, w in e.rho)
@@ -133,6 +136,7 @@ def grid_samples(values, f, lo: float):
     and Brent's method adds the least point of the cells around every grid
     local minimum, to 1e-7 of the cell end (tighter, at 1e-12 or 1e-8, it
     chased rounding noise: a 1-ulp change moved SB*'s evaluation count)."""
+    from scipy.optimize import minimize_scalar
     xs = np.geomspace(lo, 1.0, 201)
     v = np.asarray(values(xs), dtype=float)
     left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
@@ -241,9 +245,18 @@ def _bsc_arrays(x):
     return np.stack((x / (2.0 * r), 2.0 * np.log(r / np.sqrt(np.where(x > 0.0, x, 1.0)))))
 
 
+@functools.lru_cache(maxsize=None)
+def _expit():
+    # scipy's expit, imported once: ub-sb's iterate_bound builds a step per
+    # iteration, and an import statement there would run on every one
+    from scipy.special import expit
+    return expit
+
+
 def ub_sb_step_at(sb, e: DegreeEnsemble):
     """``ub_sb_step(sb, e, .)`` as a function of sb0, its check stage and
     check-output draws built once for every channel it is then given."""
+    expit = _expit()
     sb = np.asarray(sb, dtype=float)
     x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
     u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)

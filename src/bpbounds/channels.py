@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import hyp2f1
 
 __all__ = [
     "Bsc", "Bec", "BiAwgn", "BiLaplace", "BiRayleigh", "Bnsc", "BscMixture",
@@ -289,6 +287,7 @@ def _lncosh(u: float) -> float:
 
 
 def _quad_checked(f, lo, hi, what: str) -> float:
+    from scipy.integrate import quad
     res = quad(f, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=True)
     val, abserr = res[0], res[1]
     if abserr > 1e-6:
@@ -350,6 +349,7 @@ def sb_of(ch: BinaryChannel) -> float:
     if isinstance(ch, BiRayleigh):
         s2 = ch.sigma ** 2
         r = math.sqrt(s2 / 2.0 + 0.25)
+        from scipy.special import hyp2f1
         sb = float(hyp2f1(1.0, r + 0.5, r + 1.5, -1.0)) / (r + 0.5) * s2 / r
         return min(sb, cb_of(ch))       # rounding lifts sb past cb from sigma ~ 9e8
     if isinstance(ch, Bnsc):

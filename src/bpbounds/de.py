@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, rfft
-from scipy.sparse import csr_matrix
-from scipy.special import erfc, erfcx, ndtr
 
 from .binary_bounds import bisect, cb_ratio_samples
 from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
@@ -100,6 +97,7 @@ def channel_density(ch) -> np.ndarray:
     if isinstance(ch, Bec):
         return _atoms([0.0, math.inf], [ch.eps, 1.0 - ch.eps])
     if isinstance(ch, BiAwgn):
+        from scipy.special import ndtr
         mu = 2.0 / ch.sigma ** 2            # LLR ~ N(mu, 2 mu)
         return _cells(lambda x: ndtr((x - mu) / math.sqrt(2.0 * mu)))
     if isinstance(ch, BiLaplace):
@@ -125,6 +123,7 @@ def _log_marginal(y, s2: float):
     e^(-y^2/(2 s2)) (1 - sqrt(pi) z erfcx(z)) / A, A = 1 + 1/(2 s2),
     z = -y / (2 s2 sqrt(A)); for z < 0 as e^(-y^2/(2 s2 + 1)) (e^(-z^2) -
     sqrt(pi) z erfc(z)) / A."""
+    from scipy.special import erfc, erfcx
     a = 1.0 + 0.5 / s2
     z = -y / (2.0 * s2 * math.sqrt(a))
     zp, zn = np.maximum(z, 0.0), np.minimum(z, 0.0)
@@ -147,8 +146,9 @@ def rayleigh_amplitude_marginal_density(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _check_matrix() -> csr_matrix:
-    """(K+1) x (K+1)^2 map from outer(a, b) to the check output's masses."""
+def _check_matrix():
+    """(K+1) x (K+1)^2 csr_matrix from outer(a, b) to the check output's masses."""
+    from scipy.sparse import csr_matrix
     v = (2.0 / DELTA) * np.arctanh(np.outer(_TANH, _TANH).ravel())
     lo = np.floor(v).astype(np.intp)
     cols = np.arange(v.size)
@@ -182,7 +182,7 @@ def _signed(m: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
-def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
+def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int, rfft, irfft) -> np.ndarray:
     cf = rfft(_signed(c, n))
     s = irfft(chan_f * sum(w * cf ** (k - 1) for k, w in e.lam), n)
     m = np.concatenate(([s[0]], s[1:_K] + s[n - 1:n - _K:-1], [s[_K:n - _K + 1].sum()]))
@@ -196,11 +196,18 @@ def _degradation_profile(m: np.ndarray) -> np.ndarray:
     return np.cumsum((np.cumsum(m) * _WIDTHS)[::-1])[::-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _ub_cb_samples(e: DegreeEnsemble):
+    # built once per ensemble, not once per DE probe: a 201-point grid and
+    # Brent fits, about 1 ms, against 13 probes per threshold search
+    return cb_ratio_samples("ub-cb", e)
+
+
 def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
     """Messages with Bhattacharyya B below this decode: B' <= cb0 g(B), the
     ub-cb step, drives B to 0 if cb0 < x / g(x) on (0, B].  The last of CB*'s
     samples before one at or below cb0 (a coarse scan misses the dip)."""
-    xs, vs, limit = cb_ratio_samples("ub-cb", e)
+    xs, vs, limit = _ub_cb_samples(e)
     hit = np.flatnonzero(vs <= cb0)
     if cb0 >= limit or (hit.size and hit[0] == 0):
         return 0.0
@@ -216,6 +223,7 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
     climbs through 1 on decodable runs): m* no more degraded than m_n, T(m*)
     no less than m*, Pe(m*) > target_pe.  Where T keeps the degradation
     order that is a proof; the grid breaks it by ~2e-9 near LLR_MAX."""
+    from scipy.fft import irfft, rfft      # bound here, not in the step
     cfg = cfg or DeConfig()
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
@@ -224,7 +232,7 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
     radius = _ub_cb_radius(bs[0], e)
 
     def step(m):
-        return _variable_stage(_check_stage(m, e), chan_f, e, n)
+        return _variable_stage(_check_stage(m, e), chan_f, e, n, rfft, irfft)
 
     for it in range(1, cfg.max_iter + 1):
         new = step(m)

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import de as de_mod
 from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
@@ -116,6 +115,7 @@ def _sb_star(e: DegreeEnsemble) -> float:
     slope = lambda2(e) * rho_prime1(e)
     if slope >= 1.0:
         return 0.0
+    from scipy.optimize import brentq
     lam3 = sum(w for k, w in e.lam if k == 3)
     limit = 2.0 * (1.0 - slope) / (lam3 * rho_prime1(e)) if lam3 > 0.0 else math.inf
 

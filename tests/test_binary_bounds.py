@@ -310,17 +310,22 @@ class TestCheckKernels:
 
     @pytest.mark.parametrize("e", [regular_ensemble(3, 6), IRREGULAR_RHO])
     @settings(max_examples=200, deadline=None)
-    @given(t=st.one_of(st.sampled_from([1e-150, 1.0]), st.floats(1e-150, 1.0)),
+    @given(t=st.one_of(st.sampled_from([5e-324, 1e-300, 1e-160, 1e-150, 1.0]),
+                       st.floats(5e-324, 1.0)),
            q=st.one_of(st.sampled_from([0.0, 1e-20, 1.0]), st.floats(1e-20, 1.0)))
     @example(t=0.4, q=0.0).via("perfect inputs")
     @example(t=0.4, q=1.0).via("lb-cb's BSC check")
     @example(t=1.0, q=0.37).via("BEC inputs")
+    @example(t=1e-160, q=1.0).via("t^2 underflows")
     def test_mixture_check_matches_mpmath(self, e, t, q):
-        # t^2 underflows below 1e-154, and exp(I log q) carries I |log q|
-        # rounding units (1e-13 near q = 1e-300); ub-cbsb's q = cb^2 / sb
-        # stays above cb, and the recursions stop at decode_eps = 1e-10
+        # t^2 underflows below 1.5e-154 (the kernel then scales t E sqrt(I)),
+        # and values below 2.2e-308 are subnormal: both roundings of one
+        # value may differ by a unit of that grid, math.ulp(0.0).
+        # exp(I log q) carries I |log q| rounding units (1e-13 near
+        # q = 1e-300); ub-cbsb's q = cb^2 / sb stays above cb, and the
+        # recursions stop at decode_eps = 1e-10
         assert _mixture_check_cb(t, q, e) == pytest.approx(
-            float(_mp_mixture_check_cb(t, q, e)), rel=1e-13, abs=0.0)
+            float(_mp_mixture_check_cb(t, q, e)), rel=1e-13, abs=math.ulp(0.0))
 
     @pytest.mark.parametrize("k", [1031, 10_000])
     def test_mixture_check_weights_do_not_overflow(self, k):

@@ -293,3 +293,46 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cb"] == 0.5
+
+
+SCIPY_GUARD = r"""
+import io, sys
+from contextlib import redirect_stdout
+
+import bpbounds.cli
+
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def run(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert bpbounds.cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+assert not scipy_modules(), ("import bpbounds.cli", scipy_modules())
+for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
+             ("zm", "--channel", "msc:0.7,0.1,0.1,0.1", "--action", "stability"),
+             ("measures", "--channel", "bsc:0.05"),
+             ("threshold", "--bound", "ub-cbsb", "--family", "bsc")):
+    run(*argv)
+    assert not scipy_modules(), (argv, scipy_modules())
+sys.stdout.write(run("de", "--family", "bsc"))
+assert scipy_modules(), "de ran without scipy"
+"""
+
+
+def test_scipy_is_loaded_only_by_the_commands_that_use_it():
+    # a fresh interpreter: this one imported scipy with the test modules
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # DE on its grid, as before scipy was loaded lazily
+    assert json.loads(proc.stdout) == {
+        "bound": "de", "ensemble": "regular(3,6)", "family": "bsc",
+        "hi": 0.08412396907806396, "iterations": 11, "lo": 0.08408784866333008,
+        "parameter": "p", "schema": "bpbounds.threshold/1", "source": "de",
+        "value": 0.08410590887069702}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import irfft, rfft
 from scipy.integrate import quad
 
 import bpbounds.de as de_mod
@@ -36,8 +37,8 @@ def de_step(m, e, ch):
     """One discretized DE iteration from message density m."""
     chan = channel_density(ch) if not isinstance(ch, np.ndarray) else ch
     n = 1 << (2 * LLR_BINS * max(k for k, _ in e.lam)).bit_length()
-    chan_f = de_mod.rfft(de_mod._signed(chan, n))
-    return de_mod._variable_stage(de_mod._check_stage(m, e), chan_f, e, n)
+    chan_f = rfft(de_mod._signed(chan, n))
+    return de_mod._variable_stage(de_mod._check_stage(m, e), chan_f, e, n, rfft, irfft)
 
 
 class TestBecThreshold:
@@ -151,8 +152,8 @@ class TestDeStep:
             m = de_step(m, e36, ch)
         n = 512
         c = de_mod._check_stage(m, e36)
-        chan_f = de_mod.rfft(de_mod._signed(channel_density(ch), n))
-        s = de_mod.irfft(chan_f * de_mod.rfft(de_mod._signed(c, n)) ** 2, n)
+        chan_f = rfft(de_mod._signed(channel_density(ch), n))
+        s = irfft(chan_f * rfft(de_mod._signed(c, n)) ** 2, n)
         t = np.arange(1, 3 * LLR_BINS)
         assert np.allclose(s[n - t], np.exp(-t * DELTA) * s[t], rtol=0.0, atol=1e-15)
 
@@ -214,6 +215,19 @@ class TestStopRules:
             assert any(ub_cb_step(x, e36, cb0) >= x for x in np.geomspace(r, 1.06 * r, 2000))
         # lambda_2 rho'(1) cb0 >= 1: no message decodes by ub-cb
         assert de_mod._ub_cb_radius(0.7, IRREGULAR) == 0.0
+
+    def test_radius_samples_are_built_once_per_search(self, e36, monkeypatch):
+        from bpbounds.binary_bounds import cb_ratio_samples
+        builds = []
+
+        def counted(kind, e):
+            builds.append((kind, e))
+            return cb_ratio_samples(kind, e)
+
+        monkeypatch.setattr(de_mod, "cb_ratio_samples", counted)
+        de_mod._ub_cb_samples.cache_clear()
+        de_threshold(CHANNEL_FAMILIES["bsc"], e36, DeConfig(), lo=0.07, hi=0.1, steps=3)
+        assert builds == [("ub-cb", e36)]
 
     def test_deterministic(self, e36):
         assert de_decodable(BiAwgn(0.8814), e36) == de_decodable(BiAwgn(0.8814), e36)
