@@ -8,7 +8,8 @@ and certify decodability when the tracked measure is driven to zero:
 * ``lb_cb_step``   -- CB lower bound (check inputs replaced by BSCs).
 * ``ub_sb_step``   -- SB upper bound (BEC check stage, BSC variable stage).
 * ``two_dim_check_step`` / ``two_dim_var_step`` -- the joint (CB, SB) upper
-  bound built from the moment-constrained extremal families.
+  bound built from the moment-constrained extremal families; both wrap one
+  float kernel, which ``iterate_bound`` runs on (cb, sb) tuples.
 * ``ub_sb_star``   -- non-iterative bound: any BI-SO channel whose SB does
   not exceed that of a decodable BSC is itself decodable.
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
-from .extremal import AtomicBscFamily, variable_node_upper_family
+from .extremal import AtomicBscFamily, _normalised, _upper_atoms
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
@@ -198,42 +199,33 @@ def _compositions(n: int, m: int):
 def _draw_terms(outs, n):
     """Log-weight log(n!/prod(K_i!) prod(q_i^K_i)) and LLR K.l of every count
     vector K of n i.i.d. draws over the (probability, LLR) outcomes ``outs``."""
+    if not outs:
+        return np.empty(0), np.empty(0)       # every draw perfect: SB 0
     counts, log_coef = _compositions(n, len(outs))
     q, l = np.array(outs).T
     return log_coef + counts @ np.log(q), counts @ l
 
 
-@functools.lru_cache(maxsize=256)
-def _channel_terms(atoms):
-    """``_draw_terms`` of one draw from ``atoms``, once per channel family."""
-    outs = [o for w, a in atoms for o in _bsc_outcomes(w, a)]
-    return _draw_terms(outs, 1) if outs else (np.empty(0), np.empty(0))
+def _outcomes(atoms):
+    """(probability, LLR) outcomes of one draw from the (weight, a) ``atoms``."""
+    return [o for w, a in atoms for o in _bsc_outcomes(w, a)]
 
 
-def _term_count(sizes) -> int:
-    """Terms ``_sb_of_draws`` sums for groups of n draws over m outcomes, [(m, n)]."""
-    return math.prod(math.comb(n + m - 1, n) for m, n in sizes)
-
-
-def _sb_of_draws(draws, first=(np.zeros(1), np.zeros(1))) -> float:
+def _sb_of_draws(first, outs, n: int) -> float:
     """Exact SB = sum w * 2 / (1 + e^L) of a sum of independent LLR draws: the
     (log-weight, LLR) terms ``first`` outer-combined with the ``_draw_terms`` of
-    n i.i.d. draws per [(atoms, n)] of ``draws``; ValueError past ``ENUM_CAP``."""
-    groups = [([o for w, a in atoms for o in _bsc_outcomes(w, a)], n)
-              for atoms, n in draws if n > 0]
-    terms = len(first[0]) * _term_count((len(outs), n) for outs, n in groups)
-    if terms > ENUM_CAP:
-        raise ValueError(f"exact SB needs {terms} terms, past the enumeration "
-                         f"budget ENUM_CAP = {ENUM_CAP}")
+    n i.i.d. draws over the outcomes ``outs``; ValueError past ``ENUM_CAP``.
+    e^L overflows to inf for a large L: run it under np.errstate(over="ignore")."""
     logw, llr = first
-    for outs, n in groups:
-        if not outs:
-            return 0.0            # every draw perfect
+    if n > 0:
+        terms = len(logw) * math.comb(n + len(outs) - 1, n)
+        if terms > ENUM_CAP:
+            raise ValueError(f"exact SB needs {terms} terms, past the enumeration "
+                             f"budget ENUM_CAP = {ENUM_CAP}")
         lw, ll = _draw_terms(outs, n)
         logw = (logw[:, None] + lw).ravel()
         llr = (llr[:, None] + ll).ravel()
-    with np.errstate(over="ignore"):
-        return float((np.exp(logw) * 2.0 / (1.0 + np.exp(llr))).sum())
+    return float((np.exp(logw) * 2.0 / (1.0 + np.exp(llr))).sum())
 
 
 def _bsc_arrays(x):
@@ -311,18 +303,33 @@ def _project_feasible(cb: float, sb: float):
     return cb, sb
 
 
+# The ub-cbsb float kernel: _cbsb_check, then _cbsb_var (given the channel's CB
+# cb0 and one-draw _draw_terms terms0, under np.errstate(over="ignore")), maps
+# (cb, sb) to (cb', sb'); iterate_bound runs it, the public steps below wrap it.
+
+def _cbsb_check(cb: float, sb: float, e: DegreeEnsemble):
+    if cb <= 0.0 or sb <= 0.0:
+        return 0.0, 0.0
+    # q as cb * (cb / sb): cb / sb >= 1, so q does not underflow with cb^2
+    cbp = _mixture_check_cb(min(1.0, sb / cb), min(1.0, cb * (cb / sb)), e)
+    return _project_feasible(cbp, _bec_check(sb, e))
+
+
+def _cbsb_var(cb: float, sb: float, e: DegreeEnsemble, cb0: float, terms0):
+    if cb <= 0.0 and sb <= 0.0:
+        return 0.0, 0.0
+    outs = _outcomes(_normalised(_upper_atoms(cb, sb)))
+    sbp = sum(w * _sb_of_draws(terms0, outs, k - 1) for k, w in e.lam)
+    return _project_feasible(cb0 * lambda_eval(e, cb), sbp)
+
+
 def two_dim_check_step(pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
     """Joint check-node step: SB via BEC replacement, CB via the two-atom
     moment-matched maximizer, whose inputs are each a BSC of index
     t = sb / cb with probability q = cb^2 / sb and perfect otherwise."""
-    cb, sb = pair.cb, pair.sb
-    if cb is None or sb is None:
+    if pair.cb is None or pair.sb is None:
         raise ValueError("two_dim_check_step needs a full NoisePair")
-    if cb <= 0.0 or sb <= 0.0:
-        return NoisePair(0.0, 0.0)
-    # q as cb * (cb / sb): cb / sb >= 1, so q does not underflow with cb^2
-    cbp = _mixture_check_cb(min(1.0, sb / cb), min(1.0, cb * (cb / sb)), e)
-    return NoisePair(*_project_feasible(cbp, _bec_check(sb, e)))
+    return NoisePair(*_cbsb_check(pair.cb, pair.sb, e))
 
 
 def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,
@@ -332,38 +339,29 @@ def phi_variable_sb(ch0: AtomicBscFamily, chin: AtomicBscFamily,
     The chin draws are i.i.d., so only how many of them land on each
     (atom, sign) outcome matters: the exact sum runs over those count
     vectors, C(d_minus_1 + m - 1, m - 1) of them for m outcomes, times the
-    ch0 outcomes, whose (log-weight, LLR) terms are built once per family and
-    cached (the last 256 families, at most six terms each).  Past ``ENUM_CAP``
-    terms it raises ValueError; for three-atom families (six outcomes) that is
-    d_minus_1 >= 27.
+    ch0 outcomes.  Past ``ENUM_CAP`` terms it raises ValueError; for
+    three-atom families (six outcomes) that is d_minus_1 >= 27.
     """
     if d_minus_1 < 0:
         raise ValueError("d_minus_1 must be >= 0")
-    return _sb_of_draws([(chin.atoms, d_minus_1)], _channel_terms(ch0.atoms))
+    with np.errstate(over="ignore"):
+        return _sb_of_draws(_draw_terms(_outcomes(ch0.atoms), 1), _outcomes(chin.atoms),
+                            d_minus_1)
 
 
-def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble,
-                     fam0: AtomicBscFamily | None = None) -> NoisePair:
+def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble) -> NoisePair:
     """Joint variable-node step.
 
     CB multiplies (BSC replacement is exact there); SB is bounded through the
     three-atom upper families for both the channel and the incoming messages.
     The degree average uses lambda_k, since variable-node degrees follow
-    lambda.  ``fam0`` is fixed over a recursion: its terms come from a cache.
+    lambda.
     """
-    cb0, sb0 = pair0.cb, pair0.sb
-    cb, sb = pair.cb, pair.sb
-    if None in (cb0, sb0, cb, sb):
+    if None in (pair0.cb, pair0.sb, pair.cb, pair.sb):
         raise ValueError("two_dim_var_step needs full NoisePairs")
-    if cb <= 0.0 and sb <= 0.0:
-        return NoisePair(0.0, 0.0)
-    cbp = cb0 * lambda_eval(e, cb)
-    if fam0 is None:
-        fam0 = variable_node_upper_family(cb0, sb0)
-    famin = variable_node_upper_family(cb, sb)
-    sbp = sum(w * phi_variable_sb(fam0, famin, k - 1) for k, w in e.lam)
-    cbp, sbp = _project_feasible(cbp, sbp)
-    return NoisePair(cbp, sbp)
+    terms0 = _draw_terms(_outcomes(_normalised(_upper_atoms(pair0.cb, pair0.sb))), 1)
+    with np.errstate(over="ignore"):
+        return NoisePair(*_cbsb_var(pair.cb, pair.sb, e, pair0.cb, terms0))
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +385,22 @@ def run_recursion(step, measure, start, limits: IterationLimits,
     below s*: a proof.  Otherwise (ub-cbsb with lambda_2 > 0) the witness
     can only end a run early, lowering an inner bound's threshold; it never
     certifies a channel.
+    Float and float-tuple states (the scalar bounds, ub-cbsb) meet
+    ``to_array`` only on witness steps; Z_m's vectors meet it every step.
     """
-    states, prev, last = [start], to_array(start), None
+    plain = isinstance(start, (float, tuple))
+    states = [start]
     for it in range(1, limits.max_iter + 1):
         states.append(step(states[-1]))
         if measure(states[-1]) < limits.decode_eps:
             return "decodable", states, it, "decoded"
-        cur = to_array(states[-1])
-        delta = cur - prev
-        if not delta.any():
+        if (states[-1] == states[-2] if plain
+                else not (to_array(states[-1]) - to_array(states[-2])).any()):
             return "not-decodable", states, it, "witness"
         if it % WITNESS_PERIOD == 1:
+            cur, prev = to_array(states[-1]), to_array(states[-2])
+            delta = cur - prev
+            last = prev - to_array(states[-3]) if it > 1 else None
             j = np.argmax(np.abs(delta))
             r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
             k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
@@ -406,7 +409,6 @@ def run_recursion(step, measure, start, limits: IterationLimits,
             if (measure(star) > limits.decode_eps and np.all(s <= cur)
                     and np.all(to_array(step(star)) >= s)):
                 return "not-decodable", states, it, "witness"
-        prev, last = cur, delta
     return "inconclusive", states, limits.max_iter, "max_iter"
 
 
@@ -436,6 +438,7 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     d - 1 message draws over three-atom families (six outcomes each),
     6 C(d + 4, 5) terms, which refuses d >= 28 whatever the start.  The
     one-dimensional bounds accept every degree up to ``MAX_DEGREE``.
+    ub-cbsb steps (cb, sb) float tuples by the float kernel.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
@@ -445,19 +448,19 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
         if start.cb is None or start.sb is None:
             raise ValueError("ub-cbsb needs a full NoisePair start")
         d = max(k for k, _ in e.lam)
-        terms = _term_count([(6, 1), (6, d - 1)])
+        terms = 6 * math.comb(d + 4, 5)
         if terms > ENUM_CAP:
             raise ValueError(
                 f"ub-cbsb at lambda degree {d} needs up to {terms} terms per "
                 f"variable-node SB, past the exact enumeration budget "
                 f"ENUM_CAP = {ENUM_CAP}")
-        fam0 = variable_node_upper_family(start.cb, start.sb)
-        verdict, states, its, reason = run_recursion(
-            lambda pair: two_dim_var_step(start, two_dim_check_step(pair, e), e, fam0),
-            lambda pair: max(pair.cb, pair.sb), start, limits,
-            lambda pair: np.array([pair.cb, pair.sb]),
-            lambda a: NoisePair(*_project_feasible(*map(float, a))))
-        return BoundTrajectory(kind, [(p.cb, p.sb) for p in states], verdict, its, reason)
+        terms0 = _draw_terms(_outcomes(_normalised(_upper_atoms(start.cb, start.sb))), 1)
+        with np.errstate(over="ignore"):
+            verdict, states, its, reason = run_recursion(
+                lambda s: _cbsb_var(*_cbsb_check(*s, e), e, start.cb, terms0), max,
+                (start.cb, start.sb), limits, np.array,
+                lambda a: _project_feasible(*a.tolist()))
+        return BoundTrajectory(kind, states, verdict, its, reason)
 
     coord = "sb" if kind == "ub-sb" else "cb"
     x0 = getattr(start, coord)

@@ -182,9 +182,9 @@ def _signed(m: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
-def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int, rfft, irfft) -> np.ndarray:
-    cf = rfft(_signed(c, n))
-    s = irfft(chan_f * sum(w * cf ** (k - 1) for k, w in e.lam), n)
+def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
+    cf = np.fft.rfft(_signed(c, n))
+    s = np.fft.irfft(chan_f * sum(w * cf ** (k - 1) for k, w in e.lam), n)
     m = np.concatenate(([s[0]], s[1:_K] + s[n - 1:n - _K:-1], [s[_K:n - _K + 1].sum()]))
     np.maximum(m, 0.0, out=m)                   # FFT rounding
     return m / m.sum()
@@ -223,16 +223,15 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
     climbs through 1 on decodable runs): m* no more degraded than m_n, T(m*)
     no less than m*, Pe(m*) > target_pe.  Where T keeps the degradation
     order that is a proof; the grid breaks it by ~2e-9 near LLR_MAX."""
-    from scipy.fft import irfft, rfft      # bound here, not in the step
     cfg = cfg or DeConfig()
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
-    chan_f = rfft(_signed(chan, n))
+    chan_f = np.fft.rfft(_signed(chan, n))
     pe, bs, m, r_try = [], [float(chan @ _BHAT)], chan, -1.0
     radius = _ub_cb_radius(bs[0], e)
 
     def step(m):
-        return _variable_stage(_check_stage(m, e), chan_f, e, n, rfft, irfft)
+        return _variable_stage(_check_stage(m, e), chan_f, e, n)
 
     for it in range(1, cfg.max_iter + 1):
         new = step(m)

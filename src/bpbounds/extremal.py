@@ -50,15 +50,20 @@ class AtomicBscFamily:
             raise ValueError("weights must be finite, nonnegative and sum to 1")
         if any(not -WEIGHT_TOL <= a <= 1.0 + WEIGHT_TOL for _, a in atoms):
             raise ValueError("BSC indices must lie in [0, 1]")
-        object.__setattr__(
-            self, "atoms",
-            tuple((w / total, min(max(a, 0.0), 1.0)) for w, a in atoms if w > 0.0))
+        object.__setattr__(self, "atoms", _normalised(atoms))
 
     def moment_a(self) -> float:
         return sum(w * a for w, a in self.atoms)
 
     def moment_a2(self) -> float:
         return sum(w * a * a for w, a in self.atoms)
+
+
+def _normalised(atoms) -> tuple:
+    """Weights over their total, indices clipped to [0, 1], zero weights
+    dropped: the family's atoms, and the ub-cbsb kernel's (unvalidated)."""
+    total = sum(w for w, _ in atoms)
+    return tuple((w / total, min(max(a, 0.0), 1.0)) for w, a in atoms if w > 0.0)
 
 
 def check_transfer(a, b):
@@ -111,13 +116,18 @@ def variable_node_upper_family(cb_in: float, sb_in: float) -> AtomicBscFamily:
     [2 sqrt(tc), t + c]; then f lifts the family just enough to dominate the
     envelope there.  E[a^2] = SB_in holds for every f.
     """
+    return AtomicBscFamily(_upper_atoms(cb_in, sb_in))
+
+
+def _upper_atoms(cb_in: float, sb_in: float) -> tuple:
+    """dP**'s (weight, a) atoms before ``_normalised``."""
     c = cb_in
     if c <= DEGENERATE_TOL:
-        return AtomicBscFamily(((1.0, 0.0),))
+        return ((1.0, 0.0),)
     t = sb_in / c
     if t - c <= DEGENERATE_TOL:
         # BSC-consistent input: the family collapses to the single BSC
-        return AtomicBscFamily(((1.0, c),))
+        return ((1.0, c),)
     gate = 2.0 * math.sqrt(t * c) - t + math.sqrt(c * (2.0 * t - c))
     if gate >= 0.0:
         f = 0.0
@@ -132,11 +142,9 @@ def variable_node_upper_family(cb_in: float, sb_in: float) -> AtomicBscFamily:
         else:
             ws = (2.0 * t - math.sqrt(4.0 * t * t - 3.0 * (t - c) ** 2)) / 3.0
         f = eta(ws) / (2.0 * t * (t - c) ** 2)
-    return AtomicBscFamily((
-        ((1.0 - f) * t / (t + c), c),
-        (f, math.sqrt(sb_in)),
-        ((1.0 - f) * c / (t + c), t),
-    ))
+    return (((1.0 - f) * t / (t + c), c),
+            (f, math.sqrt(sb_in)),
+            ((1.0 - f) * c / (t + c), t))
 
 
 def s_envelope(cb_in: float, sb_in: float, b: float) -> float:

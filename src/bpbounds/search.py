@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -267,6 +266,7 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
             sb = cb * cb + (cb - cb * cb) * j / (n_sb - 1)
             tasks.append((cb, sb, e, limits))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # ~20 ms, only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_region_point, tasks, chunksize=8))
     else:

@@ -17,8 +17,9 @@ from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
                       two_dim_var_step, ub_cb_step, ub_sb_star, ub_sb_step,
                       variable_node_upper_family, zm_iterate)
 from bpbounds.binary_bounds import (ENUM_CAP, _bec_check, _bsc_outcomes,
-                                    _mixture_check_cb, _project_feasible)
-from bpbounds.ensembles import rho_eval
+                                    _mixture_check_cb, _project_feasible,
+                                    run_recursion)
+from bpbounds.ensembles import lambda_eval, rho_eval
 
 
 @pytest.fixture(scope="module")
@@ -456,8 +457,8 @@ class TestIterateBound:
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(bb, "two_dim_check_step", no_step)
-        monkeypatch.setattr(bb, "two_dim_var_step", no_step)
+        monkeypatch.setattr(bb, "_cbsb_check", no_step)      # the float kernel
+        monkeypatch.setattr(bb, "_cbsb_var", no_step)
         p = 0.01                                  # BSC-consistent: single-atom families
         pair = NoisePair(2 * math.sqrt(p * (1 - p)), 4 * p * (1 - p))
         with pytest.raises(ValueError, match=f"lambda degree 28.*{ENUM_CAP}"):
@@ -704,6 +705,35 @@ def _ref_ub_sb_step(sb, e, sb0):
     return min(1.0, out)
 
 
+def _recursion(step, start, limits):
+    """ub-cbsb's run of ``step`` through the driver, on NoisePair states."""
+    verdict, states, its, reason = run_recursion(
+        step, lambda p: max(p.cb, p.sb), start, limits,
+        lambda p: np.array([p.cb, p.sb]),
+        lambda a: NoisePair(*_project_feasible(*map(float, a))))
+    return SimpleNamespace(states=[(p.cb, p.sb) for p in states], verdict=verdict,
+                           iterations=its, reason=reason)
+
+
+def _public_ub_cbsb(start, e, limits):
+    return _recursion(lambda p: two_dim_var_step(start, two_dim_check_step(p, e), e),
+                      start, limits)
+
+
+def _ref_ub_cbsb(start, e, limits):
+    """ub-cbsb stepped by the reference kernels above."""
+    fam0 = _ref_variable_node_upper_family(start.cb, start.sb)
+
+    def step(pair):
+        pair = _ref_two_dim_check_step(pair, e)
+        if pair.cb <= 0.0 and pair.sb <= 0.0:
+            return NoisePair(0.0, 0.0)
+        famin = _ref_variable_node_upper_family(pair.cb, pair.sb)
+        sbp = sum(w * _ref_phi_variable_sb(fam0, famin, k - 1) for k, w in e.lam)
+        return NoisePair(*_project_feasible(start.cb * lambda_eval(e, pair.cb), sbp))
+    return _recursion(step, start, limits)
+
+
 # lambda-degree mix, ub-cbsb BSC threshold p* of each ensemble (tol 1e-4)
 CBSB_ENSEMBLES = {
     "(3,6)": (regular_ensemble(3, 6), 0.0710),
@@ -754,11 +784,9 @@ class TestAgainstReferenceKernels:
             assert (got.cb, got.sb) == pytest.approx(want, rel=1e-13, abs=0.0), (cb, sb)
 
     @pytest.mark.parametrize("name", sorted(CBSB_ENSEMBLES))
-    def test_ub_cbsb_trajectories_match_old_check_kernel(self, monkeypatch, name):
+    def test_ub_cbsb_trajectories_match_old_check_kernel(self, name):
         # the old check kernel's rounding moves states by far less than 1e-6
         # and no verdict or iteration count
-        import bpbounds.binary_bounds as bb
-
         e, p_star = CBSB_ENSEMBLES[name]
         rng = np.random.default_rng(14)
         starts = []
@@ -768,15 +796,32 @@ class TestAgainstReferenceKernels:
             cb = 2 * math.sqrt(p * (1 - p))
             sb = cb * cb * (1.0 + (i % 2) * rng.uniform(0.0, 0.05))
             starts.append(NoisePair(cb, min(sb, cb)))
-        got = [iterate_bound("ub-cbsb", s, e) for s in starts]
-        monkeypatch.setattr(bb, "two_dim_check_step", _ref_two_dim_check_step)
-        monkeypatch.setattr(bb, "phi_variable_sb", _ref_phi_variable_sb)
-        monkeypatch.setattr(bb, "variable_node_upper_family", _ref_variable_node_upper_family)
-        for start, traj in zip(starts, got):
-            ref = iterate_bound("ub-cbsb", start, e)
+        for start in starts:
+            traj = iterate_bound("ub-cbsb", start, e)
+            ref = _ref_ub_cbsb(start, e, IterationLimits())
             assert (traj.verdict, traj.iterations) == (ref.verdict, ref.iterations)
             assert np.array(traj.states) == pytest.approx(np.array(ref.states), rel=1e-6,
                                                           abs=0.0)
+
+    @pytest.mark.parametrize("name", ["(3,6)", "(4,8)", "0.3x+0.7x^2,x^5", "(3,1100)"])
+    def test_ub_cbsb_equals_the_public_steps_through_the_driver(self, name):
+        # iterate_bound runs the float kernel on (cb, sb) tuples; the public
+        # steps wrap the same kernel and, on NoisePairs, take the driver's
+        # array path every step: both must give the same run, bit for bit
+        e = regular_ensemble(3, 1100) if name == "(3,1100)" else CBSB_ENSEMBLES[name][0]
+        rng = np.random.default_rng(17)
+        reasons = set()
+        for i in range(12 if name == "(3,1100)" else 40):
+            cb = 10.0 ** rng.uniform(-3.0, -0.05)
+            sb = cb * cb + (cb - cb * cb) * rng.choice([0.0, rng.uniform(), 1.0])
+            start = NoisePair(cb, sb)
+            limits = IterationLimits(max_iter=int(rng.choice([3, 40, 3000])))
+            traj = iterate_bound("ub-cbsb", start, e, limits)
+            ref = _public_ub_cbsb(start, e, limits)
+            assert (traj.states, traj.verdict, traj.reason, traj.iterations) == (
+                ref.states, ref.verdict, ref.reason, ref.iterations)
+            reasons.add(traj.reason)
+        assert reasons == {"decoded", "witness", "max_iter"}
 
     @pytest.mark.parametrize("k", list(range(2, 26)) + [2000])
     def test_ub_sb_step_matches_plain_python_reference(self, k):
@@ -908,6 +953,18 @@ class TestFixedPointWitness:
                              IterationLimits(max_iter=10**6))
         assert (traj.verdict, traj.reason) == ("decodable", "decoded")
         assert traj.iterations > 40_536
+
+    @pytest.mark.parametrize("kind", ["float", "tuple", "array"])
+    def test_a_repeated_state_ends_the_run_on_any_step(self, kind):
+        # step 2 repeats step 1, off the witness steps 1, 5, 9, ...: float and
+        # tuple states are compared as they are, others through to_array
+        wrap = {"float": float, "tuple": lambda x: (x, x),
+                "array": lambda x: SimpleNamespace(v=np.array([x]))}[kind]
+        unwrap = lambda s: np.atleast_1d(getattr(s, "v", s))
+        verdict, _, its, reason = run_recursion(
+            lambda s: wrap(0.5), lambda s: unwrap(s)[0], wrap(0.7), IterationLimits(),
+            unwrap, lambda a: wrap(float(a.clip(0, 1)[0])))
+        assert (verdict, its, reason) == ("not-decodable", 2, "witness")
 
     def test_reasons(self, e36):
         assert iterate_bound("ub-cb", NoisePair(cb=0.42), e36).reason == "decoded"

@@ -314,6 +314,8 @@ def run(*argv):
 
 
 assert not scipy_modules(), ("import bpbounds.cli", scipy_modules())
+# the process pool is imported by region --jobs > 1 alone, not by the CLI
+assert "concurrent.futures.process" not in sys.modules
 for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("zm", "--channel", "msc:0.7,0.1,0.1,0.1", "--action", "stability"),
              ("measures", "--channel", "bsc:0.05"),
