@@ -559,7 +559,7 @@ def sb_matched_bsc_replacement(ch: SequenceMapperChannel, coord: int = 0):
     """
     mixture = ch.coords[coord]
     beta = sum(w * 4.0 * p * (1.0 - p) for w, p in mixture.atoms)
-    p_match = (1.0 - math.sqrt(max(0.0, 1.0 - beta))) / 2.0
+    p_match = float(_bsc_arrays(min(beta, 1.0))[0])
     replaced = list(ch.coords)
     replaced[coord] = BscMixture(((1.0, p_match),))
     after = SequenceMapperChannel(ch.prior0, ch.words0, ch.words1, tuple(replaced))

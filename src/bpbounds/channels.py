@@ -28,7 +28,7 @@ __all__ = [
     "ReverseBnsc", "ChannelSpecError", "NotSymmetricError",
     "UnsupportedChannelError", "QuadratureError",
     "cb_of", "sb_of", "pe_of", "noise_pair_of", "reverse_form",
-    "msc_decompose", "symmetrize", "cb_vector_of", "cutoff_rate",
+    "msc_decompose", "symmetrize", "circ_conv", "cb_vector_of", "cutoff_rate",
     "pairwise_pe", "msc_pe", "x_erasure_decompose", "x_erasure_vector",
     "parse_channel_spec", "ChannelFamily", "CHANNEL_FAMILIES",
 ]
@@ -109,8 +109,8 @@ class BiLaplace:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"BiLaplace scale must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"BiLaplace scale must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class BscMixture:
         if not atoms:
             raise ValueError("mixture needs at least one atom")
         total = sum(w for w, _ in atoms)
-        if any(w < -PROB_TOL for w, _ in atoms) or abs(total - 1.0) > PROB_TOL:
+        if any(not w >= -PROB_TOL for w, _ in atoms) or not abs(total - 1.0) <= PROB_TOL:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if any(not 0.0 <= p <= 0.5 for _, p in atoms):
             raise ValueError("mixture crossovers must lie in [0, 1/2]")
@@ -204,7 +204,7 @@ def _validated_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("probability vector must be 1-D with length >= 2")
-    if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
+    if not (p.min() >= -PROB_TOL and abs(p.sum() - 1.0) <= PROB_TOL):   # NaN fails
         raise ValueError("entries must be nonnegative and sum to 1 within 1e-12")
     p = np.clip(p, 0.0, None)
     return p / p.sum()   # renormalize once; downstream convolutions amplify drift
@@ -238,7 +238,7 @@ class MscMixture:
         if any(ch.m != m for _, ch in atoms):
             raise ValueError("all atoms must share the alphabet size")
         total = sum(w for w, _ in atoms)
-        if any(w < -PROB_TOL for w, _ in atoms) or abs(total - 1.0) > PROB_TOL:
+        if any(not w >= -PROB_TOL for w, _ in atoms) or not abs(total - 1.0) <= PROB_TOL:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         object.__setattr__(self, "atoms", tuple((w / total, ch) for w, ch in atoms))
 
@@ -402,16 +402,21 @@ def reverse_form(ch: Bnsc) -> ReverseBnsc:
 # MSC operations
 # ---------------------------------------------------------------------------
 
+def circ_conv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Circular convolution (u (x) v)[x] = sum_z u[z] v[x - z mod m], direct O(m^2)."""
+    return np.array([float(np.dot(u, np.roll(v[::-1], x + 1))) for x in range(u.size)])
+
+
 def cb_vector_of(ch: MscChannel | MscMixture) -> CbVector:
-    """CB(0 -> x) = sum_y sqrt(p_y p_{y+x}); mixtures average atom vectors."""
+    """CB(0 -> x) = sum_y sqrt(p_y p_{y+x}), the circular autocorrelation of
+    sqrt(p); mixtures average atom vectors."""
     if isinstance(ch, MscMixture):
         acc = np.zeros(ch.m)
         for w, atom in ch.atoms:
             acc += w * cb_vector_of(atom).v
         return CbVector(acc)
-    p = ch.p
-    m = ch.m
-    v = np.array([np.sum(np.sqrt(p * np.roll(p, -x))) for x in range(m)])
+    s = np.sqrt(ch.p)
+    v = circ_conv(np.roll(s[::-1], 1), s)         # s[-z] (x) s
     return CbVector(np.minimum(v, 1.0))   # Cauchy-Schwarz caps entries at 1
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .binary_bounds import bisect, cb_ratio_samples
 from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
                        ChannelFamily, UnsupportedChannelError)
-from .ensembles import DegreeEnsemble
+from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
 
 __all__ = [
     "LLR_MAX", "LLR_BINS", "DeConfig", "DeVerdict", "channel_density",
@@ -63,14 +63,20 @@ class DeVerdict(NamedTuple):
     pe: tuple         # error probability after each iteration
 
 
-def _atoms(mags, weights) -> np.ndarray:
-    """Atoms at |L| = mags, split linearly between their neighbouring bins;
-    +inf and beyond LLR_MAX land on LLR_MAX."""
-    pos = np.clip(np.asarray(mags, dtype=float) / DELTA, 0.0, _K)
+def _split(pos, weights):
+    """Masses ``weights`` at bin positions ``pos`` in [0, K], each split
+    linearly between its neighbouring bins: (lo, hi, w_lo, w_hi)."""
     lo = np.floor(pos).astype(np.intp)
-    w = np.asarray(weights, dtype=float) * (pos - lo)
-    return (np.bincount(lo, np.asarray(weights) - w, minlength=_K + 1)
-            + np.bincount(np.minimum(lo + 1, _K), w, minlength=_K + 1))
+    w_hi = weights * (pos - lo)
+    return lo, np.minimum(lo + 1, _K), weights - w_hi, w_hi
+
+
+def _atoms(mags, weights) -> np.ndarray:
+    """Atoms at |L| = mags, split between their neighbouring bins; +inf and
+    beyond LLR_MAX land on LLR_MAX."""
+    lo, hi, w_lo, w_hi = _split(np.clip(np.asarray(mags, dtype=float) / DELTA, 0.0, _K),
+                                np.asarray(weights, dtype=float))
+    return np.bincount(lo, w_lo, minlength=_K + 1) + np.bincount(hi, w_hi, minlength=_K + 1)
 
 
 def _magnitudes(signed: np.ndarray) -> np.ndarray:
@@ -150,27 +156,16 @@ def _check_matrix():
     """(K+1) x (K+1)^2 csr_matrix from outer(a, b) to the check output's masses."""
     from scipy.sparse import csr_matrix
     v = (2.0 / DELTA) * np.arctanh(np.outer(_TANH, _TANH).ravel())
-    lo = np.floor(v).astype(np.intp)
+    lo, hi, w_lo, w_hi = _split(v, 1.0)
     cols = np.arange(v.size)
-    return csr_matrix((np.concatenate((1.0 - (v - lo), v - lo)),
-                       (np.concatenate((lo, np.minimum(lo + 1, _K))),
-                        np.concatenate((cols, cols)))), shape=(_K + 1, v.size))
+    return csr_matrix((np.concatenate((w_lo, w_hi)),
+                       (np.concatenate((lo, hi)), np.concatenate((cols, cols)))),
+                      shape=(_K + 1, v.size))
 
 
-def _check_stage(m: np.ndarray, e: DegreeEnsemble) -> np.ndarray:
-    """The (k - 1)-fold check combination of m, mixed over rho degrees k."""
-    cmat = _check_matrix()
-    squares, out = [m], np.zeros_like(m)
-    for k, w in e.rho:
-        n, i, acc = k - 1, 0, None
-        while n:
-            if i == len(squares):
-                squares.append(cmat @ (squares[-1][:, None] * squares[-1]).ravel())
-            if n & 1:
-                acc = squares[i] if acc is None else cmat @ (acc[:, None] * squares[i]).ravel()
-            n, i = n >> 1, i + 1
-        out += w * acc
-    return out
+def _check_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The check output's masses for inputs with masses a and b."""
+    return _check_matrix() @ (a[:, None] * b).ravel()
 
 
 def _signed(m: np.ndarray, n: int) -> np.ndarray:
@@ -184,7 +179,7 @@ def _signed(m: np.ndarray, n: int) -> np.ndarray:
 
 def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
     cf = np.fft.rfft(_signed(c, n))
-    s = np.fft.irfft(chan_f * sum(w * cf ** (k - 1) for k, w in e.lam), n)
+    s = np.fft.irfft(chan_f * lambda_eval(e, cf), n)
     m = np.concatenate(([s[0]], s[1:_K] + s[n - 1:n - _K:-1], [s[_K:n - _K + 1].sum()]))
     np.maximum(m, 0.0, out=m)                   # FFT rounding
     return m / m.sum()
@@ -231,7 +226,7 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
     radius = _ub_cb_radius(bs[0], e)
 
     def step(m):
-        return _variable_stage(_check_stage(m, e), chan_f, e, n)
+        return _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n)
 
     for it in range(1, cfg.max_iter + 1):
         new = step(m)

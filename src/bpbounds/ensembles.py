@@ -7,6 +7,7 @@ of degree k, and lambda(x) = sum_k lambda_k x^(k-1), likewise rho.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -31,10 +32,10 @@ def _validated_pairs(pairs, side: str):
         raise ValueError(f"{side} degrees must be >= 2")
     if any(k > MAX_DEGREE for k in degrees):
         raise ValueError(f"{side} degree exceeds the supported maximum {MAX_DEGREE}")
-    if any(w < 0.0 for _, w in pairs):
-        raise ValueError(f"{side} masses must be nonnegative")
+    if any(not w >= 0.0 for _, w in pairs):      # NaN fails too
+        raise ValueError(f"{side} masses must be nonnegative numbers")
     total = sum(w for _, w in pairs)
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:
         raise ValueError(f"{side} masses must sum to 1 within {MASS_TOL}")
     return tuple(sorted((k, w / total) for k, w in pairs))
 
@@ -55,12 +56,25 @@ def regular_ensemble(dv: int, dc: int) -> DegreeEnsemble:
     return DegreeEnsemble(((dv, 1.0),), ((dc, 1.0),))
 
 
-def lambda_eval(e: DegreeEnsemble, x: float) -> float:
+def lambda_eval(e: DegreeEnsemble, x):
     return sum(w * x ** (k - 1) for k, w in e.lam)
 
 
-def rho_eval(e: DegreeEnsemble, x: float) -> float:
-    return sum(w * x ** (k - 1) for k, w in e.rho)
+def rho_eval(e: DegreeEnsemble, x, mul=operator.mul):
+    """rho(x) = sum_k rho_k x^(k-1), the power taken under ``mul``: the
+    check-node product of scalars, of Z_m CB vectors (``circ_conv``) or of
+    DE densities.  Repeated squaring, the squares shared across degrees."""
+    squares, out = [x], 0.0
+    for k, w in e.rho:
+        n, i, acc = k - 1, 0, None
+        while n:
+            if i == len(squares):
+                squares.append(mul(squares[-1], squares[-1]))
+            if n & 1:
+                acc = squares[i] if acc is None else mul(acc, squares[i])
+            n, i = n >> 1, i + 1
+        out = out + w * acc
+    return out
 
 
 def lambda2(e: DegreeEnsemble) -> float:
@@ -85,7 +99,7 @@ def ensemble_from_json(text: str) -> DegreeEnsemble:
         if side not in data:
             raise ValueError(f"ensemble JSON is missing the {side!r} key")
         total = sum(w for _, w in data[side])
-        if abs(total - 1.0) > JSON_MASS_TOL:
+        if not abs(total - 1.0) <= JSON_MASS_TOL:
             raise ValueError(f"{side} masses sum to {total}, expected 1 +- {JSON_MASS_TOL}")
         data[side] = [(k, w / total) for k, w in data[side]]
     return DegreeEnsemble(tuple(map(tuple, data["lambda"])),

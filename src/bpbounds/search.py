@@ -91,7 +91,7 @@ def _steps_for(lo: float, hi: float, tol: float | None) -> int:
     """Fewest halvings (at most 60) that bring [lo, hi] to width tol or less."""
     if tol is None:
         return DEFAULT_BISECT_STEPS
-    if tol <= 0:
+    if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
     steps = 0
     width = hi - lo

@@ -1,8 +1,9 @@
 """Iterative CB-vector bound and stability conditions for Z_m LDPC ensembles.
 
 The state is the vector of pairwise Bhattacharyya parameters CB(0 -> x).
-Check nodes combine by circular convolution (an upper bound on the true
-check-node vector), variable nodes by component-wise products, and the
+The step is lambda(rho(v)), evaluated as DE evaluates it: ``rho_eval``'s
+powers are circular convolutions (``channels.circ_conv``, an upper bound on
+the true check-node vector), lambda's component-wise products, and the
 result is clipped entry-wise to 1.
 
 The convolution bound is loose for m = 2, where the scalar recursion
@@ -13,14 +14,13 @@ the one-dimensional CB bound there.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binary_bounds import IterationLimits, run_recursion, ub_cb_step
-from .channels import CbVector
-from .ensembles import DegreeEnsemble, lambda2, rho_prime1
+from .channels import CbVector, circ_conv
+from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_eval, rho_prime1
 
 __all__ = [
     "ZmBoundState", "cb_vec_convolve", "cb_vec_pointwise", "zm_bound_step",
@@ -41,16 +41,9 @@ def _require_same_m(u: CbVector, v: CbVector):
 
 
 def cb_vec_convolve(u: CbVector, v: CbVector) -> CbVector:
-    """Circular convolution (u (x) v)[x] = sum_z u[z] v[x - z mod m].
-
-    Direct O(m^2) evaluation; entries may exceed 1 and are not clipped here.
-    """
+    """``circ_conv`` of two CB vectors; entries may exceed 1 and are not clipped."""
     _require_same_m(u, v)
-    return CbVector(_circ_conv(u.v, v.v))
-
-
-def _circ_conv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.array([float(np.dot(u, np.roll(v[::-1], x + 1))) for x in range(u.size)])
+    return CbVector(circ_conv(u.v, v.v))
 
 
 def cb_vec_pointwise(u: CbVector, v: CbVector) -> CbVector:
@@ -62,8 +55,6 @@ def cb_vec_pointwise(u: CbVector, v: CbVector) -> CbVector:
 def zm_bound_step(v: CbVector, v0: CbVector, e: DegreeEnsemble) -> CbVector:
     """One iteration v' = min(1, v0 . lambda(rho(v))) of the vector bound.
 
-    rho replaces scalar products by circular convolutions, lambda by
-    component-wise products, and the min is taken entry-wise at the end.
     For m = 2 the scalar CB recursion is used instead (tighter; see module
     docstring), keeping entry 0 at min(1, v0[0]).
     """
@@ -73,14 +64,7 @@ def zm_bound_step(v: CbVector, v0: CbVector, e: DegreeEnsemble) -> CbVector:
             min(1.0, float(v0.v[0])),
             ub_cb_step(float(v.v[1]), e, float(v0.v[1])),
         ]))
-    rho_stage = np.zeros(v.m)
-    for k, w in e.rho:
-        # (k-1)-fold circular convolution power of v
-        rho_stage += w * functools.reduce(_circ_conv, [v.v] * (k - 1))
-    lam_stage = np.zeros(v.m)
-    for k, w in e.lam:
-        lam_stage += w * rho_stage ** (k - 1)
-    return CbVector(np.minimum(1.0, v0.v * lam_stage))
+    return CbVector(np.minimum(1.0, v0.v * lambda_eval(e, rho_eval(e, v.v, circ_conv))))
 
 
 def zm_iterate(v0: CbVector, e: DegreeEnsemble,

@@ -502,6 +502,20 @@ class TestSbMatchedReplacement:
         before, after = sb_matched_bsc_replacement(ch, 0)
         assert after == pytest.approx(before, abs=1e-12)
 
+    @pytest.mark.parametrize("atoms", [((0.5, 1e-20), (0.5, 2e-20)),
+                                       ((0.5, 1e-17), (0.5, 2e-17))])
+    def test_tiny_crossovers_do_not_cancel(self, atoms):
+        # (1 - sqrt(1 - beta)) / 2 read 0 and twice the crossover here
+        ch = SequenceMapperChannel(0.5, ((1.0, (0,)),), ((1.0, (1,)),),
+                                   (BscMixture(atoms),))
+        before, after = sb_matched_bsc_replacement(ch, 0)
+        with mpmath.workdps(40):
+            beta = sum(4 * mpmath.mpf(w) * p * (1 - mpmath.mpf(p)) for w, p in atoms)
+            p = (1 - mpmath.sqrt(1 - beta)) / 2
+            expect = float(2 * mpmath.sqrt(p * (1 - p)))
+        assert after == pytest.approx(expect, rel=1e-13)
+        assert after > before
+
     def test_repetition_mapper(self):
         before, after = sb_matched_bsc_replacement(_repetition_instance(), 0)
         assert after >= before - 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
-                      BiRayleigh, Bnsc, BscMixture, MscChannel, CbVector,
+                      BiRayleigh, Bnsc, BscMixture, MscChannel, MscMixture, CbVector,
                       NoisePair, cb_of, sb_of, pe_of, reverse_form, msc_decompose,
                       symmetrize, cb_vector_of, cutoff_rate, pairwise_pe,
                       x_erasure_decompose, x_erasure_vector,
@@ -251,6 +251,14 @@ class TestCbVector:
         with pytest.raises(ValueError):
             CbVector(np.array([1.0, 0.2, 0.3]))   # v[1] != v[2]
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 64])
+    def test_matches_the_pairwise_sum(self, m):
+        rng = np.random.default_rng(m)
+        for p in (rng.dirichlet(np.ones(m)), rng.dirichlet(np.full(m, 0.1))):
+            brute = [sum(math.sqrt(p[y] * p[(y + x) % m]) for y in range(m)) for x in range(m)]
+            np.testing.assert_allclose(cb_vector_of(MscChannel(p)).v, np.minimum(brute, 1.0),
+                                       rtol=1e-13, atol=1e-15)
+
     def test_cutoff_rate(self):
         assert cutoff_rate(CbVector(np.array([1.0, 0.0]))) == pytest.approx(1.0)
         assert cutoff_rate(CbVector(np.array([1.0, 1.0]))) == pytest.approx(0.0)
@@ -400,6 +408,20 @@ class TestSymmetrize:
                 for y in range(n):
                     brute += 0.5 * min(cond[w % m, y], cond[(x + w) % m, y]) / m
             assert pairwise_pe(mix, x) == pytest.approx(brute, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MscChannel(np.array([math.nan, 0.5, 0.5])),
+    lambda: MscMixture(((math.nan, MscChannel(np.array([0.9, 0.1]))),)),
+    lambda: BscMixture(((math.nan, 0.1),)),
+    lambda: BscMixture(((0.5, 0.1), (0.5, math.nan))),
+    lambda: BiLaplace(math.nan),
+    lambda: BiLaplace(math.inf),
+], ids=["msc", "msc-mixture-weight", "bsc-mixture-weight", "bsc-mixture-crossover",
+        "bilc-nan", "bilc-inf"])
+def test_non_finite_parameters_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestNoisePair:

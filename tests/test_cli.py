@@ -62,6 +62,12 @@ class TestMeasures:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "sigma must lie in (0, 1e+" in err
 
+    @pytest.mark.parametrize("spec", ["msc:nan,0.5,0.5", "mix:(nan,0.1)", "bilc:nan", "bilc:inf"])
+    def test_non_finite_parameter_is_refused(self, capsys, spec):
+        # each printed NaN measures and exited 0
+        code, out, _ = run_cli(capsys, "measures", "--channel", spec)
+        assert code == 2 and out == ""
+
     def test_small_rayleigh_sigma_is_consistent(self, capsys):
         # SB ~ 1.386 sigma^2 must stay above CB^2 ~ 4 sigma^4
         code, out, _ = run_cli(capsys, "measures", "--channel", "rayleigh:1e-3")
@@ -170,6 +176,20 @@ class TestThreshold:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert err.startswith("error: ") and "lambda degree 28" in err
+
+    def test_nan_tol_is_refused(self, capsys):
+        # a NaN tol made no bisection step and printed the bracket's midpoint
+        code, out, err = run_cli(capsys, "threshold", "--bound", "ub-cb",
+                                 "--family", "bsc", "--tol", "nan")
+        assert code == 2 and out == "" and "tol" in err
+
+    def test_nan_ensemble_mass_is_refused(self, capsys, tmp_path):
+        # the ensemble was accepted and the search then exited 3
+        path = tmp_path / "ens.json"
+        path.write_text('{"lambda": [[3, NaN]], "rho": [[6, 1.0]]}')
+        code, out, err = run_cli(capsys, "threshold", "--bound", "ub-cb",
+                                 "--family", "bec", "--ensemble", str(path))
+        assert code == 2 and out == "" and "lambda masses" in err
 
     def test_custom_ensemble_file(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

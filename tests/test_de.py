@@ -11,7 +11,8 @@ from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
                       BscMixture, CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
                       DeVerdict, cb_of, channel_density, channel_threshold,
                       de_decodable, de_threshold, measure_threshold,
-                      rayleigh_amplitude_marginal_density, regular_ensemble)
+                      rayleigh_amplitude_marginal_density, regular_ensemble,
+                      rho_eval)
 from bpbounds.channels import UnsupportedChannelError
 from bpbounds.de import DELTA, LLR_BINS, LLR_MAX
 
@@ -37,7 +38,7 @@ def de_step(m, e, ch):
     chan = channel_density(ch) if not isinstance(ch, np.ndarray) else ch
     n = 1 << (2 * LLR_BINS * max(k for k, _ in e.lam)).bit_length()
     chan_f = np.fft.rfft(de_mod._signed(chan, n))
-    return de_mod._variable_stage(de_mod._check_stage(m, e), chan_f, e, n)
+    return de_mod._variable_stage(rho_eval(e, m, de_mod._check_product), chan_f, e, n)
 
 
 class TestBecThreshold:
@@ -124,7 +125,32 @@ class TestChannelDensities:
         assert pe_of_density(unobs) == pytest.approx(pe_of_density(obs), abs=1e-3)
 
 
+def _ref_check_stage(m, e):
+    """The check stage as it was before ``rho_eval`` took it over."""
+    cmat = de_mod._check_matrix()
+    squares, out = [m], np.zeros_like(m)
+    for k, w in e.rho:
+        n, i, acc = k - 1, 0, None
+        while n:
+            if i == len(squares):
+                squares.append(cmat @ (squares[-1][:, None] * squares[-1]).ravel())
+            if n & 1:
+                acc = squares[i] if acc is None else cmat @ (acc[:, None] * squares[i]).ravel()
+            n, i = n >> 1, i + 1
+        out += w * acc
+    return out
+
+
 class TestDeStep:
+    @pytest.mark.parametrize("ch", [Bsc(0.05), BiAwgn(0.9), Bec(0.4)], ids=repr)
+    def test_check_stage_is_rho_eval(self, ch):
+        # the binned check product is not associative (a left-to-right power
+        # moves single bins by up to 94% of their mass on Bsc(0.05)), so the
+        # squaring order is part of every DE output and is pinned bit for bit
+        e = DegreeEnsemble(((3, 1.0),), ((2, 0.1), (5, 0.2), (6, 0.3), (11, 0.25), (33, 0.15)))
+        m = channel_density(ch)
+        assert np.array_equal(rho_eval(e, m, de_mod._check_product), _ref_check_stage(m, e))
+
     def test_all_perfect_stays_perfect(self, e36):
         # LLR_MAX itself errs with probability e^-15 / (1 + e^-15), so a
         # little mass leaves it
@@ -150,7 +176,7 @@ class TestDeStep:
         for _ in range(3):
             m = de_step(m, e36, ch)
         n = 512
-        c = de_mod._check_stage(m, e36)
+        c = rho_eval(e36, m, de_mod._check_product)
         chan_f = np.fft.rfft(de_mod._signed(channel_density(ch), n))
         s = np.fft.irfft(chan_f * np.fft.rfft(de_mod._signed(c, n)) ** 2, n)
         t = np.arange(1, 3 * LLR_BINS)

@@ -1,9 +1,13 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
 from bpbounds import (DegreeEnsemble, regular_ensemble, lambda_eval, rho_eval,
                       lambda2, rho_prime1, design_rate, ensemble_from_json,
                       ensemble_to_json)
+from bpbounds.channels import circ_conv
 
 
 def test_regular_36_polynomials():
@@ -46,6 +50,30 @@ def test_monotone_on_unit_interval():
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+RHO_MIX = DegreeEnsemble(((3, 1.0),), ((2, 0.1), (5, 0.2), (6, 0.3), (11, 0.25), (33, 0.15)))
+
+
+def _naive_rho(e, x, mul):
+    return sum(w * functools.reduce(mul, [x] * (k - 1)) for k, w in e.rho)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.73, 0.999, 1.0])
+def test_rho_eval_scalar_matches_naive_products(x):
+    # repeated squaring reassociates the power; for associative products
+    # only rounding may differ
+    assert rho_eval(RHO_MIX, x) == pytest.approx(_naive_rho(RHO_MIX, x, operator.mul),
+                                                 rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [3, 8, 64])
+def test_rho_eval_convolution_matches_naive_products(m):
+    rng = np.random.default_rng(m)
+    v = rng.uniform(0.0, 1.0, m)
+    v = 0.5 * (v + np.roll(v[::-1], 1))
+    np.testing.assert_allclose(rho_eval(RHO_MIX, v, circ_conv),
+                               _naive_rho(RHO_MIX, v, circ_conv), rtol=1e-13, atol=0.0)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         DegreeEnsemble(((1, 1.0),), ((6, 1.0),))        # degree < 2
@@ -55,6 +83,16 @@ def test_validation():
         DegreeEnsemble(((3, 0.7),), ((6, 1.0),))        # masses below 1
     with pytest.raises(ValueError):
         DegreeEnsemble(((20_000, 1.0),), ((6, 1.0),))   # degree cap
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DegreeEnsemble(((3, float("nan")),), ((6, 1.0),)),
+    lambda: DegreeEnsemble(((3, 1.0),), ((5, 0.5), (6, float("nan")))),
+    lambda: ensemble_from_json('{"lambda": [[3, NaN]], "rho": [[6, 1.0]]}'),
+], ids=["lambda", "rho", "json"])
+def test_nan_mass_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_json_round_trip():

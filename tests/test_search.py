@@ -120,6 +120,12 @@ class TestStepsFor:
         assert 2.0 ** -steps <= tol
         assert steps == 0 or tol < 2.0 ** (1 - steps)     # one fewer would not do
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_non_positive_tol_refused(self, tol):
+        from bpbounds.search import _steps_for
+        with pytest.raises(ValueError, match="tol must be positive"):
+            _steps_for(0.0, 1.0, tol)
+
     def test_bracket_meets_tol(self, e36):
         res = channel_threshold("ub-cb", "bec", e36, tol=1e-4)
         assert res.iterations == 14
