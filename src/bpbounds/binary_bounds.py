@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brent import minimize_bounded
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
 from .extremal import AtomicBscFamily, _normalised, _upper_atoms
@@ -136,18 +137,18 @@ def grid_samples(values, f, lo: float):
     """(xs, f(xs)) sorted by x: ``values`` gives f on a log grid on [lo, 1],
     and Brent's method adds the least point of the cells around every grid
     local minimum, to 1e-7 of the cell end (tighter, at 1e-12 or 1e-8, it
-    chased rounding noise: a 1-ulp change moved SB*'s evaluation count)."""
-    from scipy.optimize import minimize_scalar
+    chased rounding noise: a 1-ulp change moved SB*'s evaluation count).
+    Brent's method is ``brent.minimize_bounded``, scipy's bounded
+    ``minimize_scalar`` to the bit without loading ``scipy.optimize``."""
     xs = np.geomspace(lo, 1.0, 201)
     v = np.asarray(values(xs), dtype=float)
     left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
     cells = [(xs[max(i - 1, 0)], xs[min(i + 1, 200)])
              for i in np.flatnonzero(np.isfinite(v) & (v < left) & (v <= right))]
-    fits = [minimize_scalar(f, bounds=c, method="bounded", options={"xatol": 1e-7 * c[1]})
-            for c in cells]
-    px = np.append(xs, [fit.x for fit in fits])
+    fits = [minimize_bounded(f, *c, xatol=1e-7 * c[1]) for c in cells]
+    px = np.append(xs, [x for x, _ in fits])
     order = np.argsort(px, kind="stable")
-    return px[order], np.append(v, [fit.fun for fit in fits])[order]
+    return px[order], np.append(v, [fx for _, fx in fits])[order]
 
 
 def cb_ratio_samples(kind: str, e: DegreeEnsemble):
@@ -379,12 +380,14 @@ def run_recursion(step, measure, start, limits: IterationLimits,
     step after: s* = from_array((1 - WITNESS_MARGIN) s_n - k |s_n - s_{n-1}|), with
     ``from_array`` projecting onto the feasible states (``to_array`` is its
     inverse) and k = 3 r / (1 - r) for the Aitken ratio r in [0, 1) of the
-    component that moved most (else 3), is a witness if measure(s*) >
-    decode_eps, s* <= s_n and step(s*) >= s*.  For a monotone step (ub-cb,
-    lb-cb, ub-sb, Z_m, ub-cbsb on regular ensembles) no later state falls
-    below s*: a proof.  Otherwise (ub-cbsb with lambda_2 > 0) the witness
-    can only end a run early, lowering an inner bound's threshold; it never
-    certifies a channel.
+    component that moved most (3 on step 1 and for r < 0), is a witness if
+    measure(s*) > decode_eps, s* <= s_n and step(s*) >= s*.  No try is made
+    while r >= 1: a run whose steps do not shrink is not settling on a
+    fixed point, and the try would cost a step for nothing.  For a monotone
+    step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular ensembles) no later
+    state falls below s*: a proof.  Otherwise (ub-cbsb with lambda_2 > 0)
+    the witness can only end a run early, lowering an inner bound's
+    threshold; it never certifies a channel.
     Float and float-tuple states (the scalar bounds, ub-cbsb) meet
     ``to_array`` only on witness steps; Z_m's vectors meet it every step.
     """
@@ -403,7 +406,9 @@ def run_recursion(step, measure, start, limits: IterationLimits,
             last = prev - to_array(states[-3]) if it > 1 else None
             j = np.argmax(np.abs(delta))
             r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
-            k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
+            if r >= 1.0:            # not slowing down: no fixed point near
+                continue
+            k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
             star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
             s = to_array(star)
             if (measure(star) > limits.decode_eps and np.all(s <= cur)

@@ -260,10 +260,10 @@ class CbVector:
         v = np.asarray(self.v, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("CB vector must be 1-D with length >= 2")
-        if v.min() < -PROB_TOL:
-            raise ValueError("CB vector entries must be nonnegative")
+        if not (v.min() >= -PROB_TOL and v.max() < np.inf):     # NaN fails too
+            raise ValueError("CB vector entries must be finite and nonnegative")
         mirrored = np.roll(v[::-1], 1)   # mirrored[x] = v[m - x mod m]
-        if np.max(np.abs(v - mirrored)) > 1e-9:
+        if not np.max(np.abs(v - mirrored)) <= 1e-9:
             raise ValueError("CB vector must satisfy v[x] = v[m-x]")
         v = v.copy()
         v.setflags(write=False)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import de as de_mod
+from .brent import brentq
 from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
                             grid_samples, iterate_bound, ub_sb_star,
                             ub_sb_step_at)
@@ -114,7 +115,6 @@ def _sb_star(e: DegreeEnsemble) -> float:
     slope = lambda2(e) * rho_prime1(e)
     if slope >= 1.0:
         return 0.0
-    from scipy.optimize import brentq
     lam3 = sum(w for k, w in e.lam if k == 3)
     limit = 2.0 * (1.0 - slope) / (lam3 * rho_prime1(e)) if lam3 > 0.0 else math.inf
 
@@ -128,11 +128,10 @@ def _sb_star(e: DegreeEnsemble) -> float:
         return np.where(step(1.0) >= xs, hi, math.inf)
 
     def sigma(x):
+        x = float(x)
         step = ub_sb_step_at(x, e)
-        try:
-            return brentq(lambda s: step(s) - x, 0.0, 1.0, xtol=1e-15)
-        except ValueError:          # F(x; 1) < x: no sb0 reaches x
-            return math.inf
+        root = brentq(lambda s: step(s) - x, 0.0, 1.0, xtol=1e-15)
+        return math.inf if root is None else root     # None: F(x; 1) < x
 
     _, vs = grid_samples(sigmas, sigma, min(1e-5, 0.01 / rho_prime1(e) ** 2))
     return min(float(vs.min()), limit, 1.0)
@@ -167,7 +166,13 @@ def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
         return sb_of(ch) < star
     if kind == "ub-sb-star":
         return sb_of(ch) <= star
-    start = NoisePair(cb=cb_of(ch), sb=sb_of(ch))
+    cb = cb_of(ch)
+    if star is not None:        # ub-cbsb: (CB* of ub-cb, CB* of lb-cb)
+        if cb < star[0]:
+            return True
+        if cb >= star[1]:
+            return False
+    start = NoisePair(cb=cb, sb=sb_of(ch))
     return iterate_bound(kind, start, e, limits).verdict == "decodable"
 
 
@@ -180,9 +185,14 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
 
     ub-cb and lb-cb compare the channel's CB with the closed-form CB*, ub-sb
     its SB with SB*, and "ub-sb-star" its SB with 4 p*(1-p*), p* by DE
-    unless given.  Only ub-cbsb runs a recursion per probe, under
-    ``limits``.  "lb-cb" yields an *outer* bound: parameters above its
-    threshold are certainly undecodable, nothing below certified.  "de"
+    unless given.  "lb-cb" yields an *outer* bound: parameters above its
+    threshold are certainly undecodable, nothing below certified.
+
+    ub-cbsb decides an interior probe by the same two CB* first: CB below
+    ub-cb's decodes, since the recursion's CB is dominated by ub-cb's and
+    its SB is at most its CB, and CB at or above lb-cb's does not, since
+    BP itself fails there.  Only the probes between them, and the two
+    bracket ends, run the recursion, under ``limits``.  "de"
     bisects the discretized-DE oracle only between the ub-cb and lb-cb
     thresholds, to width (family.hi - family.lo) 2^-13 whatever ``tol``;
     its ``iterations`` counts the DE bisection steps run.
@@ -195,13 +205,14 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     if kind == "de":
         return _de_channel_threshold(family, e, de_config or DeConfig())
 
-    star = None
-    if kind != "ub-cbsb":
-        star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
-                else measure_threshold(kind, e, de_config=de_config))
+    if kind == "ub-cbsb":
+        star, end_star = (measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)), None
+    else:
+        star = end_star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
+                           else measure_threshold(kind, e, de_config=de_config))
 
-    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, star)
-    hi_ok = _channel_verdict(kind, family, hi, e, limits, star)
+    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, end_star)
+    hi_ok = _channel_verdict(kind, family, hi, e, limits, end_star)
     if not lo_ok or hi_ok:
         raise NonMonotoneError(family_name, lo, hi, lo_ok, hi_ok)
 

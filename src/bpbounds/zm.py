@@ -75,7 +75,7 @@ def zm_iterate(v0: CbVector, e: DegreeEnsemble,
     decode_eps (pairwise errors then vanish), "not-decodable" at a fixed-point
     witness (a proof: the step is monotone), "inconclusive" at max_iter.
     """
-    if v0.v.max() > 1.0 + 1e-9:
+    if not v0.v.max() <= 1.0 + 1e-9:     # NaN fails too
         raise ValueError("initial CB vector entries must lie in [0, 1]")
     verdict, states, _, _ = run_recursion(
         lambda v: zm_bound_step(v, v0, e), CbVector.max_off_zero, v0,

@@ -16,7 +16,8 @@ from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
                       sequence_mapper_cb, two_dim_check_step,
                       two_dim_var_step, ub_cb_step, ub_sb_star, ub_sb_step,
                       variable_node_upper_family, zm_iterate)
-from bpbounds.binary_bounds import (ENUM_CAP, _bec_check, _bsc_outcomes,
+from bpbounds.binary_bounds import (ENUM_CAP, WITNESS_MARGIN, WITNESS_PERIOD,
+                                    _bec_check, _bsc_outcomes,
                                     _mixture_check_cb, _project_feasible,
                                     run_recursion)
 from bpbounds.ensembles import lambda_eval, rho_eval
@@ -905,6 +906,99 @@ def _witness_starts(kind, name, rng, n):
         cb = 2 * math.sqrt(p * (1 - p))
         starts.append(NoisePair(cb, min(cb, cb * cb * (1.0 + rng.uniform(0.0, 0.1)))))
     return starts
+
+
+def _ungated_run_recursion(step, measure, start, limits, to_array, from_array):
+    """The driver before the witness gate: a witness try on step 1 and every
+    WITNESS_PERIOD-th step after, whatever the Aitken ratio r."""
+    plain = isinstance(start, (float, tuple))
+    states = [start]
+    for it in range(1, limits.max_iter + 1):
+        states.append(step(states[-1]))
+        if measure(states[-1]) < limits.decode_eps:
+            return "decodable", states, it, "decoded"
+        if (states[-1] == states[-2] if plain
+                else not (to_array(states[-1]) - to_array(states[-2])).any()):
+            return "not-decodable", states, it, "witness"
+        if it % WITNESS_PERIOD == 1:
+            cur, prev = to_array(states[-1]), to_array(states[-2])
+            delta = cur - prev
+            last = prev - to_array(states[-3]) if it > 1 else None
+            j = np.argmax(np.abs(delta))
+            r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
+            k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
+            star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
+            s = to_array(star)
+            if (measure(star) > limits.decode_eps and np.all(s <= cur)
+                    and np.all(to_array(step(star)) >= s)):
+                return "not-decodable", states, it, "witness"
+    return "inconclusive", states, limits.max_iter, "max_iter"
+
+
+def _counting(driver, steps):
+    """``driver`` with every step it takes, witness steps too, appended to ``steps``."""
+    def run(step, *args):
+        return driver(lambda s: steps.append(1) or step(s), *args)
+    return run
+
+
+class TestWitnessGate:
+    # the driver makes no witness try while the Aitken ratio r >= 1; on
+    # these runs that changes no verdict, reason, state or iteration count
+    LIMITS = IterationLimits(max_iter=3000)
+
+    @pytest.mark.parametrize("name", ["(3,6)", "(4,8)", "0.3x+0.7x^2,x^5"])
+    @pytest.mark.parametrize("kind", ["ub-cb", "lb-cb", "ub-sb", "ub-cbsb"])
+    def test_same_runs_as_the_ungated_driver(self, monkeypatch, kind, name):
+        import bpbounds.binary_bounds as bb
+
+        e, _ = CBSB_ENSEMBLES[name]
+        starts = _witness_starts(kind, name, np.random.default_rng(31), 24)
+        gated, ungated = [], []
+        monkeypatch.setattr(bb, "run_recursion", _counting(run_recursion, gated))
+        got = [iterate_bound(kind, s, e, self.LIMITS) for s in starts]
+        monkeypatch.setattr(bb, "run_recursion", _counting(_ungated_run_recursion, ungated))
+        for start, traj in zip(starts, got):
+            ref = iterate_bound(kind, start, e, self.LIMITS)
+            assert (traj.verdict, traj.reason, traj.iterations, traj.states) == (
+                ref.verdict, ref.reason, ref.iterations, ref.states)
+        if kind == "ub-sb" and name.startswith("0.3x"):   # SB* = 0: every run ends at step 1
+            assert len(gated) == len(ungated)
+        else:
+            assert len(gated) < len(ungated)
+
+    @pytest.mark.parametrize("ens", ["(3,6)", "0.3x+0.7x^2,x^5"])
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_zm_same_runs_as_the_ungated_driver(self, monkeypatch, m, ens):
+        import bpbounds.zm as zm_mod
+
+        e, _ = CBSB_ENSEMBLES[ens]
+        rng = np.random.default_rng(32 + m)
+        starts = []
+        for _ in range(16):
+            eps = 10.0 ** rng.uniform(-4.0, -1.5)
+            p = np.append(1.0 - eps, eps * rng.dirichlet(np.ones(m - 1)))
+            starts.append(cb_vector_of(MscChannel(p)))
+        got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
+        monkeypatch.setattr(zm_mod, "run_recursion", _ungated_run_recursion)
+        for v0, (verdict, traj) in zip(starts, got):
+            ref_verdict, ref = zm_iterate(v0, e, self.LIMITS)
+            assert verdict == ref_verdict and len(traj) == len(ref)
+            for a, b in zip(traj, ref):
+                assert a.iteration == b.iteration and np.array_equal(a.v.v, b.v.v)
+
+    def test_fewer_kernel_steps_on_a_long_decodable_run(self, monkeypatch, e36):
+        import bpbounds.binary_bounds as bb
+
+        start = NoisePair(0.430533, 0.330775)
+        gated, ungated = [], []
+        monkeypatch.setattr(bb, "run_recursion", _counting(run_recursion, gated))
+        traj = iterate_bound("ub-cbsb", start, e36)
+        monkeypatch.setattr(bb, "run_recursion", _counting(_ungated_run_recursion, ungated))
+        ref = iterate_bound("ub-cbsb", start, e36)
+        assert (traj.verdict, traj.reason, traj.iterations) == ("decodable", "decoded", 921)
+        assert traj.states == ref.states
+        assert len(gated) < len(ungated)
 
 
 class TestFixedPointWitness:

@@ -251,6 +251,13 @@ class TestCbVector:
         with pytest.raises(ValueError):
             CbVector(np.array([1.0, 0.2, 0.3]))   # v[1] != v[2]
 
+    @pytest.mark.parametrize("v", [[1.0, math.nan], [math.nan, 0.5], [1.0, math.nan, math.nan],
+                                   [1.0, math.inf], [1.0, 0.2, math.inf]])
+    def test_nan_and_inf_refused(self, v):
+        # every comparison with NaN is false: the checks must be negated
+        with pytest.raises(ValueError):
+            CbVector(np.array(v))
+
     @pytest.mark.parametrize("m", [2, 3, 8, 64])
     def test_matches_the_pairwise_sum(self, m):
         rng = np.random.default_rng(m)

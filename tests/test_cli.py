@@ -316,7 +316,7 @@ def test_console_script_installed():
 
 
 SCIPY_GUARD = r"""
-import io, sys
+import io, os, sys
 from contextlib import redirect_stdout
 
 import bpbounds.cli
@@ -342,8 +342,21 @@ for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("threshold", "--bound", "ub-cbsb", "--family", "bsc")):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
+# CB* by the stdlib Brent port, with no scipy.optimize
+for argv in (("threshold", "--bound", "ub-cb", "--family", "bsc"),
+             ("threshold", "--bound", "lb-cb", "--family", "bec")):
+    run(*argv)
+    assert not scipy_modules(), (argv, scipy_modules())
 sys.stdout.write(run("de", "--family", "bsc"))
 assert scipy_modules(), "de ran without scipy"
+# DE's one scipy package is scipy.sparse, the csr check map
+packages = {m.split(".")[1] for m in scipy_modules() if "." in m}
+assert {p for p in packages if not p.startswith("_")} <= {"sparse", "version"}, packages
+# SB* by the stdlib Brent port too; ub-sb and region load scipy.special alone
+for argv in (("threshold", "--bound", "ub-sb", "--family", "bsc"),
+             ("region", "--grid", "4x4", "--p-star", "0.0837", "--out", os.devnull)):
+    run(*argv)
+    assert "scipy.optimize" not in sys.modules, (argv, scipy_modules())
 """
 
 

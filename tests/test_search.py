@@ -111,6 +111,66 @@ class TestChannelThreshold:
         assert 0.0 < res.lo < res.hi < 1.0
 
 
+# the ub-cbsb answers of the benchmark's table-36, (3,6) at tol 2e-4:
+# (lo, hi, bisection steps)
+TABLE_36_CBSB = {
+    "bec": (0.4293212890625, 0.429443359375, 13),
+    "bsc": (0.0709228515625, 0.071044921875, 12),
+    "rayleigh": (0.6148284912109376, 0.6150085449218751, 14),
+    "biawgn": (0.7826385498046875, 0.782818603515625, 14),
+    "bilc": (0.5669342041015626, 0.5671142578125, 14),
+}
+
+
+@pytest.fixture
+def cbsb_probes(monkeypatch):
+    """(family, parameter, star, verdict) of every ``_channel_verdict`` call."""
+    seen = []
+
+    def spy(kind, family, t, e, limits, star):
+        verdict = _channel_verdict(kind, family, t, e, limits, star)
+        seen.append((family, t, star, verdict))
+        return verdict
+    monkeypatch.setattr(search_mod, "_channel_verdict", spy)
+    return seen
+
+
+class TestUbCbsbSearch:
+    @pytest.mark.parametrize("family", sorted(TABLE_36_CBSB))
+    def test_table_36_brackets(self, e36, family):
+        res = channel_threshold("ub-cbsb", family, e36, tol=2e-4)
+        assert (res.lo, res.hi, res.iterations) == TABLE_36_CBSB[family]
+
+    def test_bec_bracket_holds_the_exact_threshold(self, e36):
+        # a recursion from just below the BEC threshold 0.4294398144 needs
+        # more than max_iter steps to decode (17,250 from lo); CB* settles
+        # those probes, so the bracket holds the threshold
+        res = channel_threshold("ub-cbsb", "bec", e36)
+        assert (res.lo, res.hi) == (0.4294397830963135, 0.42943984270095825)
+        assert res.lo < 0.4294398144 < res.hi
+
+    def test_cb_star_decisions_agree_with_the_recursion(self, e36, cbsb_probes):
+        # every interior probe CB* decides gets the same verdict from a
+        # recursion run to a conclusion; the bracket ends always recurse
+        for family in sorted(TABLE_36_CBSB):
+            channel_threshold("ub-cbsb", family, e36, tol=2e-4)
+        channel_threshold("ub-cbsb", "bec", e36)
+        decided = set()
+        for family, t, star, verdict in cbsb_probes:
+            if t in (family.hi, max(family.lo, 1e-9)):
+                assert star is None
+                continue
+            ch = family.build(t)
+            cb = cb_of(ch)
+            if star[0] <= cb < star[1]:
+                continue
+            traj = iterate_bound("ub-cbsb", NoisePair(cb, sb_of(ch)), e36,
+                                 IterationLimits(max_iter=100_000))
+            assert traj.verdict == ("decodable" if verdict else "not-decodable"), (family, t)
+            decided.add(verdict)
+        assert decided == {True, False}
+
+
 class TestStepsFor:
     @pytest.mark.parametrize("tol,steps", [
         (2e-5, 16), (1e-4, 14), (2e-4, 13), (5e-4, 11), (1.0, 0), (3.0, 0)])

@@ -175,6 +175,15 @@ class TestZmIterate:
             assert binary.verdict == verdict
             assert binary.iterations == traj[-1].iteration
 
+    def test_nan_start_refused(self):
+        # a NaN entry past CbVector's own checks (which refuse it) must not
+        # come back as a verdict
+        e = regular_ensemble(3, 6)
+        v0 = CbVector(np.array([1.0, 0.5]))
+        object.__setattr__(v0, "v", np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="must lie in"):
+            zm_iterate(v0, e)
+
     def test_all_ones_fixed_point(self):
         e = regular_ensemble(3, 6)
         verdict, _ = zm_iterate(CbVector(np.ones(6)), e)
