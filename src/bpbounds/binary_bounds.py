@@ -56,6 +56,7 @@ __all__ = [
 BOUND_KINDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb")
 
 ENUM_CAP = 1 << 20       # exact-enumeration budget in terms (2^20: 20 distinct BSCs)
+DECODE_EPS = 1e-10        # a recursion whose measure falls below this decodes
 WITNESS_PERIOD = 4        # a fixed-point witness is tried on steps 1, 5, 9, ...
 WITNESS_MARGIN = 1e-9     # relative drop below s_n, past ulp drift at a fixed point
 _TINY_T = 2.0 ** -500     # ~3e-151: t^2 is still a full-precision normal
@@ -64,11 +65,10 @@ _TINY_T = 2.0 ** -500     # ~3e-151: t^2 is still a full-precision normal
 @dataclass(frozen=True)
 class IterationLimits:
     max_iter: int = 10_000
-    decode_eps: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iter <= 0 or self.decode_eps <= 0:
-            raise ValueError("iteration limits must be positive")
+        if self.max_iter <= 0:
+            raise ValueError("max_iter must be positive")
 
 
 @dataclass
@@ -238,18 +238,9 @@ def _bsc_arrays(x):
     return np.stack((x / (2.0 * r), 2.0 * np.log(r / np.sqrt(np.where(x > 0.0, x, 1.0)))))
 
 
-@functools.lru_cache(maxsize=None)
-def _expit():
-    # scipy's expit, imported once: ub-sb's iterate_bound builds a step per
-    # iteration, and an import statement there would run on every one
-    from scipy.special import expit
-    return expit
-
-
 def ub_sb_step_at(sb, e: DegreeEnsemble):
     """``ub_sb_step(sb, e, .)`` as a function of sb0, its check stage and
     check-output draws built once for every channel it is then given."""
-    expit = _expit()
     sb = np.asarray(sb, dtype=float)
     x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
     u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)
@@ -267,9 +258,10 @@ def ub_sb_step_at(sb, e: DegreeEnsemble):
         sb0 = np.asarray(sb0, dtype=float)
         p0, lc = _bsc_arrays(np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0))[..., None]
         out = 0.0
-        for w, weight, llr in terms:
-            out = out + w * (weight * ((1.0 - p0) * expit(-lc - llr)
-                                       + p0 * expit(lc - llr))).sum(axis=-1)
+        with np.errstate(over="ignore"):    # expit(z) = 1 / (1 + e^-z), 0 once e^-z is inf
+            for w, weight, llr in terms:
+                out = out + w * (weight * ((1.0 - p0) * (1.0 / (1.0 + np.exp(lc + llr)))
+                                           + p0 * (1.0 / (1.0 + np.exp(llr - lc))))).sum(axis=-1)
         # a perfect channel or check output makes the node's SB 0
         out = np.minimum(1.0, 2.0 * out) * (live & (p0 > 0.0))[..., 0]
         return float(out[0]) if sb.ndim == sb0.ndim == 0 else out
@@ -374,14 +366,14 @@ def run_recursion(step, measure, start, limits: IterationLimits,
     """Iterate ``state = step(state)`` from ``start``, judged by ``measure``.
 
     Returns (verdict, states, len(states) - 1, reason): "decodable" below
-    ``decode_eps`` ("decoded"), "not-decodable" at a repeated state or a
+    ``DECODE_EPS`` ("decoded"), "not-decodable" at a repeated state or a
     fixed-point witness ("witness"), "inconclusive" at ``max_iter``
     ("max_iter").  Tried, uncounted, on step 1 and every WITNESS_PERIOD-th
     step after: s* = from_array((1 - WITNESS_MARGIN) s_n - k |s_n - s_{n-1}|), with
     ``from_array`` projecting onto the feasible states (``to_array`` is its
     inverse) and k = 3 r / (1 - r) for the Aitken ratio r in [0, 1) of the
     component that moved most (3 on step 1 and for r < 0), is a witness if
-    measure(s*) > decode_eps, s* <= s_n and step(s*) >= s*.  No try is made
+    measure(s*) > DECODE_EPS, s* <= s_n and step(s*) >= s*.  No try is made
     while r >= 1: a run whose steps do not shrink is not settling on a
     fixed point, and the try would cost a step for nothing.  For a monotone
     step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular ensembles) no later
@@ -395,7 +387,7 @@ def run_recursion(step, measure, start, limits: IterationLimits,
     states = [start]
     for it in range(1, limits.max_iter + 1):
         states.append(step(states[-1]))
-        if measure(states[-1]) < limits.decode_eps:
+        if measure(states[-1]) < DECODE_EPS:
             return "decodable", states, it, "decoded"
         if (states[-1] == states[-2] if plain
                 else not (to_array(states[-1]) - to_array(states[-2])).any()):
@@ -411,7 +403,7 @@ def run_recursion(step, measure, start, limits: IterationLimits,
             k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
             star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
             s = to_array(star)
-            if (measure(star) > limits.decode_eps and np.all(s <= cur)
+            if (measure(star) > DECODE_EPS and np.all(s <= cur)
                     and np.all(to_array(step(star)) >= s)):
                 return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"
@@ -433,7 +425,7 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     """Run a bound recursion from the uncoded channel's noise measures.
 
     Tracks CB (ub-cb, lb-cb), SB (ub-sb) or max(CB, SB) (ub-cbsb): decodable
-    below ``decode_eps``, not-decodable at a fixed-point witness of
+    below ``DECODE_EPS``, not-decodable at a fixed-point witness of
     ``run_recursion`` (a start at a nonzero fixed point ends after one
     iteration), inconclusive at ``max_iter``; ``reason`` says which.
 

@@ -474,13 +474,6 @@ def x_erasure_decompose(ch: MscChannel, x: int):
     return weight, r, s
 
 
-def _permutation_power(T: np.ndarray, k: int) -> np.ndarray:
-    out = np.arange(T.size)
-    for _ in range(k):
-        out = T[out]
-    return out
-
-
 def msc_decompose(cond: np.ndarray, transform) -> MscMixture:
     """Decompose a circularly symmetric channel into a mixture of MSCs.
 
@@ -492,53 +485,46 @@ def msc_decompose(cond: np.ndarray, transform) -> MscMixture:
         Output permutation T with T^m = identity realizing the symmetry
         P(Y = y | 0) = P(Y = T^x(y) | x).
 
-    Each T-orbit of outputs becomes one MSC atom; orbits shorter than m
-    (repeated representatives) are spread uniformly over the m slots, which
-    preserves the posterior law.
+    Every check reads one table, ``powers[x] = T^x`` for x = 0..m.  Each
+    T-orbit of outputs becomes one MSC atom, in the order of its smallest
+    output; an orbit of size d < m is spread uniformly over the m slots,
+    which preserves the posterior law.  ``NotSymmetricError`` names the
+    first x at which a row, or then an orbit's weight, departs from x = 0's.
     """
     cond = np.array(cond, dtype=float)
     m, n = cond.shape
-    for x in range(m):
-        if n >= 2:
-            cond[x] = _validated_prob_vector(cond[x])
+    if n >= 2:
+        cond = np.array([_validated_prob_vector(row) for row in cond])
     T = np.asarray(transform, dtype=int)
     if T.shape != (n,) or sorted(T.tolist()) != list(range(n)):
         raise ValueError("transform must be a permutation of the outputs")
-    if not np.array_equal(_permutation_power(T, m), np.arange(n)):
+    powers = np.empty((m + 1, n), dtype=int)
+    powers[0] = np.arange(n)
+    for x in range(m):
+        powers[x + 1] = T[powers[x]]
+    if not np.array_equal(powers[m], powers[0]):
         raise ValueError("transform must satisfy T^m = identity")
 
-    # circular symmetry: P(y|0) = P(T^x(y)|x) for all x, y
-    Tx = np.arange(n)
-    for x in range(m):
-        delta = np.abs(cond[0] - cond[x, Tx])
-        if delta.max() > SYMMETRY_TOL:
-            y = int(delta.argmax())
-            raise NotSymmetricError(x, y, float(delta.max()))
-        Tx = T[Tx]
+    inputs = np.arange(m)[:, None]
+    delta = np.abs(cond[0] - cond[inputs, powers[:m]])
+    bad = np.flatnonzero(delta.max(axis=1) > SYMMETRY_TOL)
+    if bad.size:
+        x = bad[0]
+        raise NotSymmetricError(int(x), int(delta[x].argmax()), float(delta[x].max()))
 
-    seen = np.zeros(n, dtype=bool)
     atoms = []
-    for y0 in range(n):
-        if seen[y0]:
-            continue
-        reps = [y0]
-        seen[y0] = True
-        y = int(T[y0])
-        while y != y0:
-            seen[y] = True
-            reps.append(y)
-            y = int(T[y])
-        d = len(reps)            # orbit size divides m since T^m = id
-        weight = float(cond[0, reps].sum())
-        # weights must not depend on the channel input
-        for x in range(1, m):
-            wx = float(cond[x, _permutation_power(T, x)[reps]].sum())
-            if abs(wx - weight) > SYMMETRY_TOL:
-                raise NotSymmetricError(x, reps[0], abs(wx - weight))
-        if weight <= PROB_TOL:
-            continue
-        p = np.array([cond[0, reps[i % d]] for i in range(m)]) * (d / m)
-        atoms.append((weight, MscChannel(p / p.sum())))
+    for y0 in np.flatnonzero(powers[:m].min(axis=0) == powers[0]):   # orbit minima
+        orbit = powers[:m, y0]
+        d = int(np.argmax(powers[1:, y0] == y0)) + 1    # divides m since T^m = id
+        # one weight per input; C order sums each row pairwise, as a 1-D sum does
+        weights = np.ascontiguousarray(cond[inputs, powers[:m, orbit[:d]]]).sum(axis=1)
+        off = np.flatnonzero(np.abs(weights - weights[0]) > SYMMETRY_TOL)
+        if off.size:
+            x = off[0]
+            raise NotSymmetricError(int(x), int(y0), float(abs(weights[x] - weights[0])))
+        if weights[0] > PROB_TOL:
+            p = cond[0, orbit] * (d / m)
+            atoms.append((float(weights[0]), MscChannel(p / p.sum())))
     return MscMixture(tuple(atoms))
 
 
@@ -548,18 +534,16 @@ def symmetrize(cond: np.ndarray) -> MscMixture:
     Concatenates the channel with a uniform dither W on Z_m (the receiver
     sees the pair (W, Y) with the input shifted by W), which is circularly
     symmetric under T(w, y) = (w - 1, y), then applies ``msc_decompose``.
+    Each row of ``cond`` is checked to be a probability vector first: every
+    dithered row averages all of them, so a bad row need not show there.
     """
     cond = np.asarray(cond, dtype=float)
     m, n = cond.shape
-    big = np.zeros((m, m * n))
-    for x in range(m):
-        for w in range(m):
-            big[x, w * n:(w + 1) * n] = cond[(x + w) % m] / m
-    T = np.zeros(m * n, dtype=int)
-    for w in range(m):
-        for y in range(n):
-            T[w * n + y] = ((w - 1) % m) * n + y
-    return msc_decompose(big, T)
+    rows_ok = cond.min() >= -PROB_TOL and np.all(np.abs(cond.sum(axis=1) - 1.0) <= PROB_TOL)
+    if not rows_ok:                                                  # NaN fails
+        raise ValueError("each row must be nonnegative and sum to 1 within 1e-12")
+    big = np.concatenate([np.roll(cond, -w, axis=0) for w in range(m)], axis=1) / m
+    return msc_decompose(big, (np.arange(m * n) - n) % (m * n))
 
 
 # ---------------------------------------------------------------------------

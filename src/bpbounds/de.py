@@ -49,17 +49,18 @@ _WIDTHS = np.diff(np.append(_TANH, 1.0))            # |tanh(L/2)| cells
 @dataclass(frozen=True)
 class DeConfig:
     max_iter: int = 2000      # near-threshold probes take up to about 1,600
-    target_pe: float = 1e-5
 
     def __post_init__(self):
-        if self.max_iter <= 0 or self.target_pe <= 0:
-            raise ValueError("DE configuration values must be positive")
+        if self.max_iter <= 0:
+            raise ValueError("DE max_iter must be positive")
 
 
 class DeVerdict(NamedTuple):
+    """A DE run's verdict and the rule that ended it: "bhattacharyya"
+    (decodable), "witness" or "max_iter" (not); see ``de_decodable``."""
     decodable: bool
     iterations: int
-    reason: str       # "bhattacharyya", "target_pe", "witness" or "max_iter"
+    reason: str
     pe: tuple         # error probability after each iteration
 
 
@@ -211,13 +212,14 @@ def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
 
 def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdict:
     """Run discretized DE from ``ch``, a channel or its ``channel_density``:
-    decodable once the message Bhattacharyya is below ``_ub_cb_radius`` (a
-    proof) or Pe below ``target_pe``; not decodable at a repeated density or
-    a witness m* = m_n + 2r/(1 - r) (m_n - m_{n-1}), r the Aitken ratio of B,
+    "bhattacharyya" once the message Bhattacharyya B is below
+    ``_ub_cb_radius`` (a proof); "witness" at a repeated density or a
+    witness m* = m_n + 2r/(1 - r) (m_n - m_{n-1}), r the Aitken ratio of B,
     tried every WITNESS_PERIOD steps once r is in (0, 1) and steady (it
     climbs through 1 on decodable runs): m* no more degraded than m_n, T(m*)
-    no less than m*, Pe(m*) > target_pe.  Where T keeps the degradation
-    order that is a proof; the grid breaks it by ~2e-9 near LLR_MAX."""
+    no less than m*, B(m*) not below the radius.  Where T keeps the
+    degradation order that is a proof; the grid breaks it by ~2e-9 near
+    LLR_MAX.  "max_iter" once ``cfg.max_iter`` steps ran out."""
     cfg = cfg or DeConfig()
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
@@ -232,9 +234,8 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
         new = step(m)
         pe.append(float(new @ _PE))
         bs.append(float(new @ _BHAT))
-        if bs[-1] < radius or pe[-1] < cfg.target_pe:
-            return DeVerdict(True, it, "bhattacharyya" if bs[-1] < radius else "target_pe",
-                             tuple(pe))
+        if bs[-1] < radius:
+            return DeVerdict(True, it, "bhattacharyya", tuple(pe))
         witness = np.array_equal(new, m)
         if it % WITNESS_PERIOD == 0 and not witness:
             last = bs[-2] - bs[-3]
@@ -244,7 +245,7 @@ def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdic
                 star *= (1.0 - WITNESS_MARGIN) / star.sum()
                 star[_K] += WITNESS_MARGIN
                 prof = _degradation_profile(star)
-                witness = bool(star @ _PE > cfg.target_pe
+                witness = bool(star @ _BHAT >= radius
                                and np.all(prof <= _degradation_profile(new))
                                and np.all(_degradation_profile(step(star)) >= prof))
             r_try = r

@@ -72,7 +72,7 @@ def zm_iterate(v0: CbVector, e: DegreeEnsemble,
     """Iterate the vector bound from v = v0.
 
     Returns (verdict, trajectory): "decodable" once max_{x != 0} v[x] <
-    decode_eps (pairwise errors then vanish), "not-decodable" at a fixed-point
+    ``DECODE_EPS`` (pairwise errors then vanish), "not-decodable" at a fixed-point
     witness (a proof: the step is monotone), "inconclusive" at max_iter.
     """
     if not v0.v.max() <= 1.0 + 1e-9:     # NaN fails too

@@ -63,7 +63,7 @@ def ub_cbsb_thresholds(ens36):
 
 @pytest.fixture(scope="session")
 def de_config():
-    return DeConfig(target_pe=1e-5)
+    return DeConfig()
 
 
 @pytest.fixture(scope="session")

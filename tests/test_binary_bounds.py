@@ -16,7 +16,7 @@ from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
                       sequence_mapper_cb, two_dim_check_step,
                       two_dim_var_step, ub_cb_step, ub_sb_star, ub_sb_step,
                       variable_node_upper_family, zm_iterate)
-from bpbounds.binary_bounds import (ENUM_CAP, WITNESS_MARGIN, WITNESS_PERIOD,
+from bpbounds.binary_bounds import (DECODE_EPS, ENUM_CAP, WITNESS_MARGIN, WITNESS_PERIOD,
                                     _bec_check, _bsc_outcomes,
                                     _mixture_check_cb, _project_feasible,
                                     run_recursion)
@@ -325,7 +325,7 @@ class TestCheckKernels:
         # value may differ by a unit of that grid, math.ulp(0.0).
         # exp(I log q) carries I |log q| rounding units (1e-13 near
         # q = 1e-300); ub-cbsb's q = cb^2 / sb stays above cb, and the
-        # recursions stop at decode_eps = 1e-10
+        # recursions stop at DECODE_EPS = 1e-10
         assert _mixture_check_cb(t, q, e) == pytest.approx(
             float(_mp_mixture_check_cb(t, q, e)), rel=1e-13, abs=math.ulp(0.0))
 
@@ -879,7 +879,7 @@ def _stall_rule_recursion(step, measure, start, limits, *adapters):
         state = step(state)
         states.append(state)
         mu = measure(state)
-        if mu < limits.decode_eps:
+        if mu < DECODE_EPS:
             return "decodable", states, it, "decoded"
         if abs(mu - prev) < 1e-13:
             return "not-decodable", states, it, "stall"
@@ -915,7 +915,7 @@ def _ungated_run_recursion(step, measure, start, limits, to_array, from_array):
     states = [start]
     for it in range(1, limits.max_iter + 1):
         states.append(step(states[-1]))
-        if measure(states[-1]) < limits.decode_eps:
+        if measure(states[-1]) < DECODE_EPS:
             return "decodable", states, it, "decoded"
         if (states[-1] == states[-2] if plain
                 else not (to_array(states[-1]) - to_array(states[-2])).any()):
@@ -929,7 +929,7 @@ def _ungated_run_recursion(step, measure, start, limits, to_array, from_array):
             k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
             star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
             s = to_array(star)
-            if (measure(star) > limits.decode_eps and np.all(s <= cur)
+            if (measure(star) > DECODE_EPS and np.all(s <= cur)
                     and np.all(to_array(step(star)) >= s)):
                 return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"

@@ -11,6 +11,7 @@ from bpbounds import (CHANNEL_FAMILIES, Bsc, Bec, BiAwgn, BiLaplace,
                       symmetrize, cb_vector_of, cutoff_rate, pairwise_pe,
                       x_erasure_decompose, x_erasure_vector,
                       parse_channel_spec)
+import bpbounds.channels as channels_mod
 from bpbounds.channels import (BIAWGN_SIGMA_MAX, BIRAYLEIGH_SIGMA_MAX, PROB_TOL,
                                ChannelSpecError, NotSymmetricError,
                                UnsupportedChannelError, noise_pair_of)
@@ -415,6 +416,172 @@ class TestSymmetrize:
                 for y in range(n):
                     brute += 0.5 * min(cond[w % m, y], cond[(x + w) % m, y]) / m
             assert pairwise_pe(mix, x) == pytest.approx(brute, abs=1e-12)
+
+    def test_rows_that_are_not_distributions_refused(self):
+        # each dithered row averages every input row, so the first three sum
+        # to 1 there
+        for cond in ([[0.5, 0.3], [0.7, 0.5]], [[1.2, -0.2], [0.0, 1.0]], [[0.5], [1.5]],
+                     [[math.nan, 1.0], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match="sum to 1"):
+                symmetrize(np.array(cond))
+
+
+class _Report(NotSymmetricError):
+    """NotSymmetricError that keeps its (x, y, |delta|) for exact comparison."""
+
+    def __init__(self, x, y, delta):
+        super().__init__(x, y, delta)
+        self.report = (x, y, delta)
+
+
+def _ref_msc_decompose(cond, transform):
+    """``msc_decompose`` as it was before the table of T's powers."""
+    def permutation_power(T, k):
+        out = np.arange(T.size)
+        for _ in range(k):
+            out = T[out]
+        return out
+
+    cond = np.array(cond, dtype=float)
+    m, n = cond.shape
+    for x in range(m):
+        if n >= 2:
+            cond[x] = channels_mod._validated_prob_vector(cond[x])
+    T = np.asarray(transform, dtype=int)
+    if T.shape != (n,) or sorted(T.tolist()) != list(range(n)):
+        raise ValueError("transform must be a permutation of the outputs")
+    if not np.array_equal(permutation_power(T, m), np.arange(n)):
+        raise ValueError("transform must satisfy T^m = identity")
+    Tx = np.arange(n)
+    for x in range(m):
+        delta = np.abs(cond[0] - cond[x, Tx])
+        if delta.max() > channels_mod.SYMMETRY_TOL:
+            raise _Report(x, int(delta.argmax()), float(delta.max()))
+        Tx = T[Tx]
+    seen = np.zeros(n, dtype=bool)
+    atoms = []
+    for y0 in range(n):
+        if seen[y0]:
+            continue
+        reps = [y0]
+        seen[y0] = True
+        y = int(T[y0])
+        while y != y0:
+            seen[y] = True
+            reps.append(y)
+            y = int(T[y])
+        d = len(reps)
+        weight = float(cond[0, reps].sum())
+        for x in range(1, m):
+            wx = float(cond[x, permutation_power(T, x)[reps]].sum())
+            if abs(wx - weight) > channels_mod.SYMMETRY_TOL:
+                raise _Report(x, reps[0], abs(wx - weight))
+        if weight <= PROB_TOL:
+            continue
+        p = np.array([cond[0, reps[i % d]] for i in range(m)]) * (d / m)
+        atoms.append((weight, MscChannel(p / p.sum())))
+    return MscMixture(tuple(atoms))
+
+
+def _ref_symmetrize(cond):
+    """``symmetrize`` as it was before its dither was built by ``np.roll``."""
+    cond = np.asarray(cond, dtype=float)
+    m, n = cond.shape
+    big = np.zeros((m, m * n))
+    for x in range(m):
+        for w in range(m):
+            big[x, w * n:(w + 1) * n] = cond[(x + w) % m] / m
+    T = np.zeros(m * n, dtype=int)
+    for w in range(m):
+        for y in range(n):
+            T[w * n + y] = ((w - 1) % m) * n + y
+    return _ref_msc_decompose(big, T)
+
+
+def _outcome(fn, *args):
+    """Atoms (weight, p) or the error a decomposition ends in, compared exactly."""
+    try:
+        mix = fn(*args)
+    except _Report as err:
+        return "not-symmetric", err.report
+    except ValueError as err:
+        return "value-error", str(err)
+    return "mixture", [(w, ch.p.tolist()) for w, ch in mix.atoms]
+
+
+def _random_symmetric(rng):
+    """(cond, T, orbits): random T-orbits (sizes dividing m) laid out at random
+    outputs, P(T^x(y) | x) = P(y | 0), some orbits of zero weight."""
+    m = int(rng.choice([2, 3, 4, 5, 6, 8, 12, 16]))
+    sizes = rng.choice([d for d in range(1, m + 1) if m % d == 0], size=int(rng.integers(1, 6)))
+    layout = rng.permutation(int(sizes.sum()))
+    T = np.empty(layout.size, dtype=int)
+    row0 = rng.dirichlet(np.full(layout.size, 0.5))
+    start, orbits = 0, []
+    for d in sizes:
+        orbit = layout[start:start + d]
+        orbits.append(orbit)
+        T[orbit] = np.roll(orbit, -1)
+        if rng.random() < 0.15:
+            row0[orbit] = 0.0
+        start += d
+    row0 = row0 / row0.sum() if row0.sum() > 0.0 else np.full(row0.size, 1.0 / row0.size)
+    cond = np.empty((m, layout.size))
+    Tx = np.arange(layout.size)
+    for x in range(m):
+        cond[x, Tx] = row0
+        Tx = T[Tx]
+    return cond, T, orbits
+
+
+def _break_symmetry(cond, orbits, rng):
+    """Move mass within a row x > 0: sometimes one large move, sometimes one
+    orbit up and another down by just under SYMMETRY_TOL an entry, which only
+    the per-input weight check sees."""
+    m, n = cond.shape
+    cond = cond.copy()
+    x = int(rng.integers(1, m))
+    pairs = [(a, b) for i, a in enumerate(orbits) for j, b in enumerate(orbits)
+             if i != j and len(a) == len(b) >= 2 and cond[x, b].min() > 1e-9]
+    if pairs and rng.random() < 0.5:
+        up, down = pairs[int(rng.integers(len(pairs)))]
+        step = 0.9e-10
+        cond[x, up] += step
+        cond[x, down] -= step
+    else:
+        a, b = rng.choice(n, size=2, replace=n < 2)
+        amount = min(cond[x, a], 10.0 ** rng.uniform(-11, -1))
+        cond[x, a] -= amount
+        cond[x, b] += amount
+    return cond
+
+
+class TestDecompositionMatchesReference:
+    def test_msc_decompose(self, monkeypatch):
+        monkeypatch.setattr(channels_mod, "NotSymmetricError", _Report)
+        rng = np.random.default_rng(19)
+        kinds = {}
+        for i in range(600):
+            cond, T, orbits = _random_symmetric(rng)
+            if i % 2:
+                cond = _break_symmetry(cond, orbits, rng)
+            got = _outcome(msc_decompose, cond, T)
+            assert got == _outcome(_ref_msc_decompose, cond, T)
+            kinds[got[0]] = kinds.get(got[0], 0) + 1
+        assert kinds["mixture"] >= 300 and kinds["not-symmetric"] >= 150
+
+    def test_symmetrize(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 10)), int(rng.integers(2, 8))
+            cond = rng.dirichlet(np.full(n, 0.5), size=m)
+            if rng.random() < 0.3:
+                cond[int(rng.integers(m))] = np.eye(n)[int(rng.integers(n))]
+            got = _outcome(symmetrize, cond)
+            assert got[0] == "mixture" and got == _outcome(_ref_symmetrize, cond)
+        # the dither is not limited to small alphabets
+        cond = rng.dirichlet(np.ones(32), size=24)
+        assert _outcome(symmetrize, cond) == _outcome(_ref_symmetrize, cond)
 
 
 @pytest.mark.parametrize("build", [

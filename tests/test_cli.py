@@ -298,6 +298,14 @@ class TestDecompose:
         data = json.loads(out)
         assert data["cb_vector"][1] == pytest.approx(0.44721, abs=1e-5)
 
+    def test_symmetrize_refuses_rows_that_are_not_distributions(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[0.5, 0.3], [0.7, 0.5]]")
+        code, out, err = run_cli(capsys, "decompose", "--matrix", str(path),
+                                 "--symmetrize")
+        assert code == 2 and out == ""
+        assert "sum to 1" in err
+
     def test_asymmetric_exit_5(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[[0.9, 0.1], [0.2, 0.8]]")
@@ -342,9 +350,12 @@ for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("threshold", "--bound", "ub-cbsb", "--family", "bsc")):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
-# CB* by the stdlib Brent port, with no scipy.optimize
+# CB* and SB* by the stdlib Brent port, with no scipy.optimize, and
+# ub-sb's expit in numpy
 for argv in (("threshold", "--bound", "ub-cb", "--family", "bsc"),
-             ("threshold", "--bound", "lb-cb", "--family", "bec")):
+             ("threshold", "--bound", "lb-cb", "--family", "bec"),
+             ("threshold", "--bound", "ub-sb", "--family", "bsc"),
+             ("region", "--grid", "4x4", "--p-star", "0.0837", "--out", os.devnull)):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
 sys.stdout.write(run("de", "--family", "bsc"))
@@ -352,11 +363,6 @@ assert scipy_modules(), "de ran without scipy"
 # DE's one scipy package is scipy.sparse, the csr check map
 packages = {m.split(".")[1] for m in scipy_modules() if "." in m}
 assert {p for p in packages if not p.startswith("_")} <= {"sparse", "version"}, packages
-# SB* by the stdlib Brent port too; ub-sb and region load scipy.special alone
-for argv in (("threshold", "--bound", "ub-sb", "--family", "bsc"),
-             ("region", "--grid", "4x4", "--p-star", "0.0837", "--out", os.devnull)):
-    run(*argv)
-    assert "scipy.optimize" not in sys.modules, (argv, scipy_modules())
 """
 
 

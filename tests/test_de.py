@@ -196,13 +196,9 @@ class TestStopRules:
         assert len(got.pe) == got.iterations
         assert all(type(x) is float for x in got.pe)
 
-    def test_bhattacharyya_is_the_usual_decodable_rule(self, e36):
+    def test_bhattacharyya_is_the_decodable_rule(self, e36):
         got = de_decodable(Bsc(0.07), e36)
-        assert got.reason == "bhattacharyya" and got.pe[-1] > DeConfig().target_pe
-
-    def test_target_pe(self, e36):
-        got = de_decodable(Bsc(0.07), e36, DeConfig(target_pe=0.05))
-        assert got.reason == "target_pe" and got.pe[-1] < 0.05
+        assert got.decodable and got.reason == "bhattacharyya"
 
     def test_witness(self, e36):
         got = de_decodable(Bsc(0.12), e36)
@@ -274,6 +270,65 @@ class TestStopRules:
         for t, v in zip(probes, verdicts):
             long = de_decodable(fam.build(t), e, DeConfig(max_iter=3000))
             assert not long.decodable, t
+
+
+def _ref_de_decodable(ch, e, cfg, target_pe=1e-5):
+    """``de_decodable`` with the stop rule it had before: decodable also once
+    Pe fell below ``target_pe``, and a witness needed Pe(m*) > target_pe."""
+    chan = channel_density(ch)
+    n = 1 << (2 * LLR_BINS * max(k for k, _ in e.lam)).bit_length()
+    chan_f = np.fft.rfft(de_mod._signed(chan, n))
+    pe, bs, m, r_try = [], [bhattacharyya(chan)], chan, -1.0
+    radius = de_mod._ub_cb_radius(bs[0], e)
+
+    def step(m):
+        return de_mod._variable_stage(rho_eval(e, m, de_mod._check_product), chan_f, e, n)
+
+    for it in range(1, cfg.max_iter + 1):
+        new = step(m)
+        pe.append(pe_of_density(new))
+        bs.append(bhattacharyya(new))
+        if bs[-1] < radius or pe[-1] < target_pe:
+            return DeVerdict(True, it, "bhattacharyya" if bs[-1] < radius else "target_pe",
+                             tuple(pe))
+        witness = np.array_equal(new, m)
+        if it % de_mod.WITNESS_PERIOD == 0 and not witness:
+            last = bs[-2] - bs[-3]
+            r = (bs[-1] - bs[-2]) / last if last else -1.0
+            if 0.0 < r < 1.0 and abs(r - r_try) <= 0.05 * (1.0 - r):
+                star = np.maximum(new + 2.0 * r / (1.0 - r) * (new - m), 0.0)
+                star *= (1.0 - de_mod.WITNESS_MARGIN) / star.sum()
+                star[LLR_BINS] += de_mod.WITNESS_MARGIN
+                prof = de_mod._degradation_profile(star)
+                witness = bool(pe_of_density(star) > target_pe
+                               and np.all(prof <= de_mod._degradation_profile(new))
+                               and np.all(de_mod._degradation_profile(step(star)) >= prof))
+            r_try = r
+        if witness:
+            return DeVerdict(False, it, "witness", tuple(pe))
+        m = new
+    return DeVerdict(False, cfg.max_iter, "max_iter", tuple(pe))
+
+
+@pytest.mark.parametrize("family", ["bsc", "biawgn", "bec", "bilc", "rayleigh"])
+@pytest.mark.parametrize("e", [regular_ensemble(3, 6),
+                               DegreeEnsemble(((2, 0.25), (3, 0.35), (8, 0.4)), ((7, 1.0),))],
+                         ids=["36", "irregular-x7"])
+def test_stop_rule_matches_the_target_pe_rule(monkeypatch, family, e):
+    # the Pe rule decided no verdict: every probe of a threshold search ends
+    # with the same verdict, reason, iteration count and Pe trajectory
+    runs = []
+
+    def both(ch, e, cfg=None):
+        got = de_decodable(ch, e, cfg)
+        runs.append((got, _ref_de_decodable(ch, e, cfg or DeConfig())))
+        return got
+
+    monkeypatch.setattr(de_mod, "de_decodable", both)
+    channel_threshold("de", family, e)
+    assert len(runs) >= 10
+    for got, ref in runs:
+        assert got == ref
 
 
 class TestMonotonicity:

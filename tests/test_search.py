@@ -79,12 +79,12 @@ class TestChannelThreshold:
                                  p_star=0.0837).value
         assert iterative <= star + 1e-3
 
-    def test_non_monotone_raises(self, e36):
+    def test_non_monotone_raises(self, e36, monkeypatch):
         # a decode epsilon above 1 declares even the noisy bracket end
         # decodable; the bracket check must refuse to bisect that
-        limits = IterationLimits(decode_eps=2.0)
+        monkeypatch.setattr(bb_mod, "DECODE_EPS", 2.0)
         with pytest.raises(NonMonotoneError, match="entire bracket"):
-            channel_threshold("ub-cbsb", "bec", e36, limits=limits)
+            channel_threshold("ub-cbsb", "bec", e36)
 
     def test_sb_recursion_defeated_by_heavy_degree_two_mass(self):
         # lambda_2 rho'(1) = 0.3 * 4.6 > 1: the SB recursion contracts for no
@@ -569,7 +569,7 @@ class TestDeUnprovenEnd:
 
         def decodable(ch, e, cfg):
             probes.append(ch.p)
-            return DeVerdict(ch.p < p_de, 1, "target_pe", ())
+            return DeVerdict(ch.p < p_de, 1, "bhattacharyya", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
         return probes
 
