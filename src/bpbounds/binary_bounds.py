@@ -42,7 +42,7 @@ import numpy as np
 from .brent import minimize_bounded
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
-from .extremal import AtomicBscFamily, _normalised, _upper_atoms
+from .extremal import AtomicBscFamily, _upper_atoms
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
@@ -199,27 +199,37 @@ def _compositions(n: int, m: int):
 
 def _draw_terms(outs, n):
     """Log-weight log(n!/prod(K_i!) prod(q_i^K_i)) and LLR K.l of every count
-    vector K of n i.i.d. draws over the (probability, LLR) outcomes ``outs``."""
-    if not outs:
-        return np.empty(0), np.empty(0)       # every draw perfect: SB 0
-    counts, log_coef = _compositions(n, len(outs))
-    q, l = np.array(outs).T
+    vector K of n i.i.d. draws over the outcome arrays ``outs`` = (q, l)."""
+    q, l = outs
+    if not q.size:
+        return q, l                           # every draw perfect: SB 0
+    counts, log_coef = _compositions(n, q.size)
     return log_coef + counts @ np.log(q), counts @ l
 
 
-def _outcomes(atoms):
-    """(probability, LLR) outcomes of one draw from the (weight, a) ``atoms``."""
-    return [o for w, a in atoms for o in _bsc_outcomes(w, a)]
+def _outcomes(atoms, total: float = 1.0):
+    """(probability, LLR) outcomes of one draw from the (weight, a) ``atoms``
+    as two arrays (q, l): weights over ``total``, indices clipped to [0, 1],
+    zero weights dropped, as ``_normalised`` does; a no-op on a family's."""
+    flat = np.array([x for w, a in atoms if w > 0.0
+                     for o in _bsc_outcomes(w / total, min(max(a, 0.0), 1.0)) for x in o])
+    return flat[0::2], flat[1::2]
+
+
+def _upper_outcomes(cb: float, sb: float):
+    """``_outcomes`` of dP**'s atoms ``_upper_atoms(cb, sb)``, normalised."""
+    atoms = _upper_atoms(cb, sb)
+    return _outcomes(atoms, sum(w for w, _ in atoms))
 
 
 def _sb_of_draws(first, outs, n: int) -> float:
     """Exact SB = sum w * 2 / (1 + e^L) of a sum of independent LLR draws: the
     (log-weight, LLR) terms ``first`` outer-combined with the ``_draw_terms`` of
-    n i.i.d. draws over the outcomes ``outs``; ValueError past ``ENUM_CAP``.
+    n i.i.d. draws over the outcome arrays ``outs``; ValueError past ``ENUM_CAP``.
     e^L overflows to inf for a large L: run it under np.errstate(over="ignore")."""
     logw, llr = first
     if n > 0:
-        terms = len(logw) * math.comb(n + len(outs) - 1, n)
+        terms = len(logw) * math.comb(n + outs[0].size - 1, n)
         if terms > ENUM_CAP:
             raise ValueError(f"exact SB needs {terms} terms, past the enumeration "
                              f"budget ENUM_CAP = {ENUM_CAP}")
@@ -311,7 +321,7 @@ def _cbsb_check(cb: float, sb: float, e: DegreeEnsemble):
 def _cbsb_var(cb: float, sb: float, e: DegreeEnsemble, cb0: float, terms0):
     if cb <= 0.0 and sb <= 0.0:
         return 0.0, 0.0
-    outs = _outcomes(_normalised(_upper_atoms(cb, sb)))
+    outs = _upper_outcomes(cb, sb)
     sbp = sum(w * _sb_of_draws(terms0, outs, k - 1) for k, w in e.lam)
     return _project_feasible(cb0 * lambda_eval(e, cb), sbp)
 
@@ -352,7 +362,7 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble) -> No
     """
     if None in (pair0.cb, pair0.sb, pair.cb, pair.sb):
         raise ValueError("two_dim_var_step needs full NoisePairs")
-    terms0 = _draw_terms(_outcomes(_normalised(_upper_atoms(pair0.cb, pair0.sb))), 1)
+    terms0 = _draw_terms(_upper_outcomes(pair0.cb, pair0.sb), 1)
     with np.errstate(over="ignore"):
         return NoisePair(*_cbsb_var(pair.cb, pair.sb, e, pair0.cb, terms0))
 
@@ -451,7 +461,7 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
                 f"ub-cbsb at lambda degree {d} needs up to {terms} terms per "
                 f"variable-node SB, past the exact enumeration budget "
                 f"ENUM_CAP = {ENUM_CAP}")
-        terms0 = _draw_terms(_outcomes(_normalised(_upper_atoms(start.cb, start.sb))), 1)
+        terms0 = _draw_terms(_upper_outcomes(start.cb, start.sb), 1)
         with np.errstate(over="ignore"):
             verdict, states, its, reason = run_recursion(
                 lambda s: _cbsb_var(*_cbsb_check(*s, e), e, start.cb, terms0), max,

@@ -26,7 +26,7 @@ __all__ = [
     "Bsc", "Bec", "BiAwgn", "BiLaplace", "BiRayleigh", "Bnsc", "BscMixture",
     "BinaryChannel", "NoisePair", "MscChannel", "MscMixture", "CbVector",
     "ReverseBnsc", "ChannelSpecError", "NotSymmetricError",
-    "UnsupportedChannelError", "QuadratureError",
+    "UnsupportedChannelError",
     "cb_of", "sb_of", "pe_of", "noise_pair_of", "reverse_form",
     "msc_decompose", "symmetrize", "circ_conv", "cb_vector_of", "cutoff_rate",
     "pairwise_pe", "msc_pe", "x_erasure_decompose", "x_erasure_vector",
@@ -35,9 +35,8 @@ __all__ = [
 
 PROB_TOL = 1e-12          # probability vectors validated to this, then renormalized
 SYMMETRY_TOL = 1e-10      # circular-symmetry check of conditional matrices
-# largest sigma at which cb_of and sb_of both finish, with a margin: past
-# about 1.7e6 the BiAWGN SB quadrature misses its error bound, and past about
-# 1.3e154 sigma ** 2 overflows
+# largest BiAWGN sigma accepted: the SB sum is checked against 30-digit
+# integrals up to it; past about 1.3e154 sigma ** 2 overflows
 BIAWGN_SIGMA_MAX = 1e6
 BIRAYLEIGH_SIGMA_MAX = 1e150
 
@@ -62,10 +61,6 @@ class NotSymmetricError(ValueError):
 
 class UnsupportedChannelError(ValueError):
     """Operation not defined for this channel type."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +276,7 @@ class CbVector:
 # scalar noise measures
 # ---------------------------------------------------------------------------
 
-def _lncosh(u: float) -> float:
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
-
-
-def _quad_checked(f, lo, hi, what: str) -> float:
-    from scipy.integrate import quad
-    res = quad(f, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=True)
-    val, abserr = res[0], res[1]
-    if abserr > 1e-6:
-        raise QuadratureError(f"{what}: quadrature error estimate {abserr:.2e}")
-    return val
+_AWGN_NODES = 0.25 * np.arange(-160.0, 161.0)     # the BiAWGN SB sum's trapezoid nodes
 
 
 def cb_of(ch: BinaryChannel) -> float:
@@ -323,7 +307,11 @@ def cb_of(ch: BinaryChannel) -> float:
 def sb_of(ch: BinaryChannel) -> float:
     """Soft bit value under uniform input.
 
-    BiAWGN needs one adaptive quadrature; everything else is closed form.
+    BiAWGN's SB is e^(-1/(2 sigma^2)) a / sqrt(2 pi) times the integral of
+    e^(-a^2 t^2/2) sech(a t/sigma) dt, a = min(sigma, 1): one trapezoid sum,
+    step 1/4 on [-40, 40], off by about e^(-pi^2 / step) = e^-39.5 (the
+    integrand is analytic for |Im t| < pi/2) and within 7e-15 of 30-digit
+    integrals for sigma in [0.05, 1e6].  Everything else is closed form.
     BiRayleigh's LLR given the fading power t ~ Exp(1) is N(ct, 2ct), c =
     2/sigma^2, so its density is e^(L/2 - r|L|)/(2cr), r = sqrt(1/c + 1/4).
     Against 2/(1 + e^L) it gives SB = sigma^2 beta(r + 1/2) / r, where
@@ -337,10 +325,9 @@ def sb_of(ch: BinaryChannel) -> float:
     if isinstance(ch, (BiAwgn, BiRayleigh)) and ch.sigma ** 2 == 0.0:
         return 0.0      # sigma^2 underflowed: the noise-free limit
     if isinstance(ch, BiAwgn):
-        s2 = ch.sigma ** 2
-        f = lambda x: math.exp(-x * x / (2.0 * s2) - _lncosh(x / s2))
-        val = _quad_checked(f, -30.0 * ch.sigma, 30.0 * ch.sigma, "sb_of(BiAwgn)")
-        return math.exp(-1.0 / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2) * val
+        a, t = min(ch.sigma, 1.0), _AWGN_NODES
+        val = float((np.exp(-0.5 * (a * t) ** 2) / np.cosh(a / ch.sigma * t)).sum())
+        return math.exp(-1.0 / (2.0 * ch.sigma ** 2)) * a / math.sqrt(2.0 * math.pi) * 0.25 * val
     if isinstance(ch, BiLaplace):
         u = 1.0 / ch.lam
         e2 = math.exp(-2.0 * u)         # e^-u / cosh u without overflow at small lam

@@ -267,9 +267,12 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
     For each of n_cb values of cb the feasible band sb in [cb^2, cb] is
     sampled at n_sb points.  Overlay lines carry the one-dimensional
     thresholds; ub_sb_star uses the supplied p_star or runs the DE oracle.
+    ``jobs`` > 1 sweeps in that many worker processes; below 1 is refused.
     """
     if n_cb < 2 or n_sb < 2:
         raise ValueError("grid counts must be >= 2")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = []
     for i in range(n_cb):
         cb = i / (n_cb - 1)

@@ -17,7 +17,7 @@ from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
                       two_dim_var_step, ub_cb_step, ub_sb_star, ub_sb_step,
                       variable_node_upper_family, zm_iterate)
 from bpbounds.binary_bounds import (DECODE_EPS, ENUM_CAP, WITNESS_MARGIN, WITNESS_PERIOD,
-                                    _bec_check, _bsc_outcomes,
+                                    _bec_check, _bsc_outcomes, _cbsb_check,
                                     _mixture_check_cb, _project_feasible,
                                     run_recursion)
 from bpbounds.ensembles import lambda_eval, rho_eval
@@ -390,6 +390,16 @@ class TestPhiVariableSb:
 
 
 class TestTwoDimVarStep:
+    def test_exact_up_to_the_budget_then_refused(self):
+        # (0.01, 0.005) makes dP** three atoms, six outcomes per draw: at
+        # lambda degree d, 6 * C(d + 4, 5) terms, 1,019,466 at d = 27 and
+        # 1,208,256 at d = 28 against 2^20
+        pair = NoisePair(0.01, 0.005)
+        assert len(variable_node_upper_family(pair.cb, pair.sb).atoms) == 3
+        assert 0.0 < two_dim_var_step(pair, pair, regular_ensemble(27, 54)).sb < 1.0
+        with pytest.raises(ValueError, match=f"1208256 terms.*{ENUM_CAP}"):
+            two_dim_var_step(pair, pair, regular_ensemble(28, 56))
+
     def test_zero_input(self, e36):
         out = two_dim_var_step(NoisePair(0.5, 0.3), NoisePair(0.0, 0.0), e36)
         assert (out.cb, out.sb) == (0.0, 0.0)
@@ -749,6 +759,26 @@ def _ref_ub_cbsb(start, e, limits):
     return _recursion(step, start, limits)
 
 
+def _ref_tuple_ub_cbsb(start, e, limits):
+    """``iterate_bound("ub-cbsb", ...)`` with its variable-node SB taken the
+    tuple way: dP** as a normalised family of (weight, a) tuples, its draws
+    as a list of (probability, LLR) tuples (``_ref_phi_variable_sb``), and
+    the check step, ``run_recursion`` call and projections of ``iterate_bound``."""
+    fam0 = _ref_variable_node_upper_family(start.cb, start.sb)
+
+    def step(state):
+        cb, sb = _cbsb_check(*state, e)
+        if cb <= 0.0 and sb <= 0.0:
+            return 0.0, 0.0
+        famin = _ref_variable_node_upper_family(cb, sb)
+        sbp = sum(w * _ref_phi_variable_sb(fam0, famin, k - 1) for k, w in e.lam)
+        return _project_feasible(start.cb * lambda_eval(e, cb), sbp)
+    verdict, states, its, reason = run_recursion(
+        step, max, (start.cb, start.sb), limits, np.array,
+        lambda a: _project_feasible(*a.tolist()))
+    return SimpleNamespace(states=states, verdict=verdict, iterations=its, reason=reason)
+
+
 # lambda-degree mix, ub-cbsb BSC threshold p* of each ensemble (tol 1e-4)
 CBSB_ENSEMBLES = {
     "(3,6)": (regular_ensemble(3, 6), 0.0710),
@@ -833,6 +863,29 @@ class TestAgainstReferenceKernels:
             limits = IterationLimits(max_iter=int(rng.choice([3, 40, 3000])))
             traj = iterate_bound("ub-cbsb", start, e, limits)
             ref = _public_ub_cbsb(start, e, limits)
+            assert (traj.states, traj.verdict, traj.reason, traj.iterations) == (
+                ref.states, ref.verdict, ref.reason, ref.iterations)
+            reasons.add(traj.reason)
+        assert reasons == {"decoded", "witness", "max_iter"}
+
+    @pytest.mark.parametrize("name", ["(3,6)", "(4,8)", "0.3x+0.7x^2,x^5"])
+    def test_ub_cbsb_equals_the_tuple_variable_node_path(self, name):
+        # dP**'s draws are built as (q, l) arrays in one pass: the same float
+        # operations as the tuple families, so the same runs, bit for bit
+        e, p_star = CBSB_ENSEMBLES[name]
+        rng = np.random.default_rng(18)
+        reasons = set()
+        for i in range(40):
+            if i % 2:
+                cb = 10.0 ** rng.uniform(-3.0, -0.05)
+            else:                                 # near the BSC threshold
+                p = p_star * math.exp(rng.uniform(-0.1, 0.1))
+                cb = 2 * math.sqrt(p * (1 - p))
+            sb = cb * cb + (cb - cb * cb) * rng.choice([0.0, rng.uniform(), 1.0])
+            start = NoisePair(cb, sb)
+            limits = IterationLimits(max_iter=int(rng.choice([3, 40, 3000])))
+            traj = iterate_bound("ub-cbsb", start, e, limits)
+            ref = _ref_tuple_ub_cbsb(start, e, limits)
             assert (traj.states, traj.verdict, traj.reason, traj.iterations) == (
                 ref.states, ref.verdict, ref.reason, ref.iterations)
             reasons.add(traj.reason)

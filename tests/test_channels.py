@@ -80,8 +80,9 @@ class TestSbOf:
     @pytest.mark.parametrize("build, top", [(BiAwgn, BIAWGN_SIGMA_MAX),
                                             (BiRayleigh, BIRAYLEIGH_SIGMA_MAX)])
     def test_sigma_range_ends_where_the_measures_finish(self, build, top):
-        # past the range the BiAWGN quadrature misses its error bound and
-        # BiRayleigh's sigma ** 2 overflows; every accepted sigma finishes
+        # BiAWGN's range ends where its SB sum is checked against 30-digit
+        # integrals, BiRayleigh's before sigma ** 2 overflows; every
+        # accepted sigma finishes
         for sigma in np.logspace(-170.0, math.log10(top), 400):
             ch = build(float(sigma))
             assert 0.0 <= sb_of(ch) <= cb_of(ch) + PROB_TOL
@@ -157,9 +158,13 @@ def _range_points(family):
 
 class TestSbOfHighPrecision:
     """sb_of against 30-digit quadrature of the SB definition, at both ends and
-    the middle of each quadrature family's range and of the Laplace family's."""
+    the middle of each non-discrete family's range; BiAWGN's trapezoid sum
+    also on both sides of its sigma = 1 change of variable and at the ends of
+    the accepted sigma range, to 1e-14."""
 
     @pytest.mark.parametrize("family,x", _range_points("biawgn")
+                             + [("biawgn", x) for x in (0.3, 0.99, 1.0, 1.01, 1e3,
+                                                         BIAWGN_SIGMA_MAX)]
                              + _range_points("rayleigh") + _range_points("bilc")
                              + [("bilc", 1e-4), ("rayleigh", 0.002), ("rayleigh", 0.001)])
     def test_matches_definition(self, family, x):
@@ -168,7 +173,8 @@ class TestSbOfHighPrecision:
                             "bilc": (BiLaplace, _sb_laplace_definition)}[family]
         with mp.workdps(30):
             want = float(reference(x))
-        assert sb_of(build(x)) == pytest.approx(want, rel=1e-8, abs=0.0)
+        rel = 1e-14 if family == "biawgn" else 1e-8
+        assert sb_of(build(x)) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 _log_param = st.floats(math.log(1e-6), math.log(1e2)).map(math.exp)

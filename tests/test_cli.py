@@ -56,8 +56,9 @@ class TestMeasures:
 
     @pytest.mark.parametrize("spec", ["biawgn:1e7", "rayleigh:1e155", "biawgn:1e155"])
     def test_sigma_past_supported_range_is_refused(self, capsys, spec):
-        # the BiAWGN SB quadrature fails from about 1.7e6 and sigma ** 2
-        # overflows from about 1.3e154; both printed a traceback
+        # past the accepted ranges (BiAWGN's ends at 1e6, where its SB sum is
+        # checked; sigma ** 2 overflows from about 1.3e154) each printed a
+        # traceback
         code, out, err = run_cli(capsys, "measures", "--channel", spec)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "sigma must lie in (0, 1e+" in err
@@ -227,6 +228,15 @@ class TestRegion:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        # --jobs -2 ran serially and exited 0
+        out_path = tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, "region", "--grid", "3x2", "--jobs", jobs,
+                                 "--out", str(out_path), "--p-star", "0.0837")
+        assert code == 2 and out == "" and not out_path.exists()
+        assert "jobs must be >= 1" in err
+
     def test_unwritable_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "region", "--grid", "3x2",
                                "--out", "/nonexistent-dir/r.csv",
@@ -350,12 +360,17 @@ for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("threshold", "--bound", "ub-cbsb", "--family", "bsc")):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
-# CB* and SB* by the stdlib Brent port, with no scipy.optimize, and
-# ub-sb's expit in numpy
+# CB* and SB* by the stdlib Brent port, with no scipy.optimize, ub-sb's
+# expit in numpy, and BiAWGN's SB as one numpy trapezoid sum
 for argv in (("threshold", "--bound", "ub-cb", "--family", "bsc"),
              ("threshold", "--bound", "lb-cb", "--family", "bec"),
              ("threshold", "--bound", "ub-sb", "--family", "bsc"),
-             ("region", "--grid", "4x4", "--p-star", "0.0837", "--out", os.devnull)):
+             ("region", "--grid", "4x4", "--p-star", "0.0837", "--out", os.devnull),
+             ("measures", "--channel", "biawgn:0.8"),
+             ("threshold", "--bound", "ub-sb", "--family", "biawgn", "--tol", "2e-4"),
+             ("threshold", "--bound", "ub-cbsb", "--family", "biawgn", "--tol", "2e-4"),
+             ("threshold", "--bound", "ub-sb-star", "--family", "biawgn",
+              "--p-star", "0.0837")):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
 sys.stdout.write(run("de", "--family", "bsc"))
