@@ -21,7 +21,7 @@ print("overlays:", {k: round(v, 4) for k, v in grid.overlays.items()}, "\n")
 cbs = sorted({round(p[0], 6) for p in grid.points})
 rows = 18
 canvas = [[" "] * len(cbs) for _ in range(rows + 1)]
-for cb, sb, dec, _ in grid.points:
+for cb, sb, dec, *_ in grid.points:
     col = cbs.index(round(cb, 6))
     row = rows - int(round(sb * rows))
     canvas[row][col] = "#" if dec else "."

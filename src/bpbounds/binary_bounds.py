@@ -430,6 +430,19 @@ def bisect(decodable, lo: float, hi: float, steps: int):
     return lo, hi
 
 
+def check_cbsb_budget(e: DegreeEnsemble) -> None:
+    """ValueError if a ub-cbsb variable-node SB could need more than
+    ``ENUM_CAP`` terms: 6 C(d + 4, 5) at the largest lambda degree d (one
+    channel draw, d - 1 message draws, six outcomes each), so d >= 28."""
+    d = max(k for k, _ in e.lam)
+    terms = 6 * math.comb(d + 4, 5)
+    if terms > ENUM_CAP:
+        raise ValueError(
+            f"ub-cbsb at lambda degree {d} needs up to {terms} terms per "
+            f"variable-node SB, past the exact enumeration budget "
+            f"ENUM_CAP = {ENUM_CAP}")
+
+
 def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
                   limits: IterationLimits | None = None) -> BoundTrajectory:
     """Run a bound recursion from the uncoded channel's noise measures.
@@ -439,11 +452,8 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     ``run_recursion`` (a start at a nonzero fixed point ends after one
     iteration), inconclusive at ``max_iter``; ``reason`` says which.
 
-    ub-cbsb computes every variable-node SB exactly, so before its first
-    step it refuses, with a ValueError, an ensemble whose largest lambda
-    degree d could need more than ``ENUM_CAP`` terms: one channel draw and
-    d - 1 message draws over three-atom families (six outcomes each),
-    6 C(d + 4, 5) terms, which refuses d >= 28 whatever the start.  The
+    ub-cbsb computes every variable-node SB exactly: ``check_cbsb_budget``
+    refuses, before the first step, an ensemble past ``ENUM_CAP``.  The
     one-dimensional bounds accept every degree up to ``MAX_DEGREE``.
     ub-cbsb steps (cb, sb) float tuples by the float kernel.
     """
@@ -454,13 +464,7 @@ def iterate_bound(kind: str, start: NoisePair, e: DegreeEnsemble,
     if kind == "ub-cbsb":
         if start.cb is None or start.sb is None:
             raise ValueError("ub-cbsb needs a full NoisePair start")
-        d = max(k for k, _ in e.lam)
-        terms = 6 * math.comb(d + 4, 5)
-        if terms > ENUM_CAP:
-            raise ValueError(
-                f"ub-cbsb at lambda degree {d} needs up to {terms} terms per "
-                f"variable-node SB, past the exact enumeration budget "
-                f"ENUM_CAP = {ENUM_CAP}")
+        check_cbsb_budget(e)
         terms0 = _draw_terms(_upper_outcomes(start.cb, start.sb), 1)
         with np.errstate(over="ignore"):
             verdict, states, its, reason = run_recursion(

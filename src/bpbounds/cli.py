@@ -109,8 +109,7 @@ def cmd_region(args) -> int:
     except ValueError:
         print(f"--grid expects NxM, got {args.grid!r}", file=sys.stderr)
         return EXIT_PARSE
-    grid = region_sweep(e, n_cb, n_sb, limits=_limits(args),
-                        p_star=args.p_star, jobs=args.jobs)
+    grid = region_sweep(e, n_cb, n_sb, limits=_limits(args), p_star=args.p_star)
     try:
         with open(args.out, "w") as fh:
             grid.to_csv(fh)
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="decodable-region sweep to CSV")
     common(p)
     p.add_argument("--grid", required=True, help="NxM grid counts")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--p-star", type=float, default=None)
     p.set_defaults(func=cmd_region)
     # --out is required for region (CSV target)

@@ -18,8 +18,8 @@ import numpy as np
 from . import de as de_mod
 from .brent import brentq
 from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
-                            grid_samples, iterate_bound, ub_sb_star,
-                            ub_sb_step_at)
+                            check_cbsb_budget, grid_samples, iterate_bound,
+                            ub_sb_star, ub_sb_step_at)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
@@ -72,16 +72,17 @@ class ThresholdResult:
 class RegionGrid:
     """Decodable-region sample: feasible (cb, sb) points with verdicts.
 
-    Points are certified-decodable by the two-dimensional bound; a False
-    entry means "not certified", never "proved undecodable".
+    A True point is certified decodable by the two-dimensional bound; a
+    False one is proved undecodable if its reason is "lb-cb-star" (CB at or
+    above lb-cb's CB*, where BP fails), else only "not certified".
     """
-    points: list           # of (cb, sb, decodable, iterations)
+    points: list           # of (cb, sb, decodable, iterations, reason)
     overlays: dict         # ub_cb / ub_sb / ub_sb_star lines
 
     def to_csv(self, fh) -> None:
-        fh.write("cb,sb,decodable,iterations\n")
-        for cb, sb, dec, it in self.points:
-            fh.write(f"{cb:.12g},{sb:.12g},{int(dec)},{it}\n")
+        fh.write("cb,sb,decodable,iterations,reason\n")
+        for cb, sb, dec, it, reason in self.points:
+            fh.write(f"{cb:.12g},{sb:.12g},{int(dec)},{it},{reason}\n")
 
     def overlays_json(self) -> str:
         return json.dumps({"schema": "bpbounds.region-overlays/1", **self.overlays},
@@ -156,6 +157,25 @@ def measure_threshold(kind: str, e: DegreeEnsemble,
     raise ValueError(f"measure_threshold does not support kind {kind!r}")
 
 
+def _cbsb_verdict(cb: float, sb, e: DegreeEnsemble,
+                  limits: IterationLimits | None, stars) -> tuple[bool, int, str]:
+    """(decodable, iterations, reason) of ub-cbsb at (cb, sb()); ``sb`` is
+    called only if the recursion runs (a channel's SB can cost a quadrature).
+
+    ``stars`` = (CB* of ub-cb, CB* of lb-cb) settles cb below the first as
+    decodable ("ub-cb-star": the recursion's CB is dominated by ub-cb's and
+    its SB is at most its CB) and cb at or above the second as not
+    ("lb-cb-star": BP itself fails there).  Otherwise, or with ``stars``
+    None, ``iterate_bound`` runs under ``limits``."""
+    if stars is not None:
+        if cb < stars[0]:
+            return True, 0, "ub-cb-star"
+        if cb >= stars[1]:
+            return False, 0, "lb-cb-star"
+    traj = iterate_bound("ub-cbsb", NoisePair(cb=cb, sb=sb()), e, limits)
+    return traj.verdict == "decodable", traj.iterations, traj.reason
+
+
 def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
                      limits: IterationLimits | None, star: float | None) -> bool:
     ch = family.build(theta)
@@ -166,14 +186,7 @@ def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
         return sb_of(ch) < star
     if kind == "ub-sb-star":
         return sb_of(ch) <= star
-    cb = cb_of(ch)
-    if star is not None:        # ub-cbsb: (CB* of ub-cb, CB* of lb-cb)
-        if cb < star[0]:
-            return True
-        if cb >= star[1]:
-            return False
-    start = NoisePair(cb=cb, sb=sb_of(ch))
-    return iterate_bound(kind, start, e, limits).verdict == "decodable"
+    return _cbsb_verdict(cb_of(ch), lambda: sb_of(ch), e, limits, star)[0]
 
 
 def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
@@ -188,11 +201,8 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     unless given.  "lb-cb" yields an *outer* bound: parameters above its
     threshold are certainly undecodable, nothing below certified.
 
-    ub-cbsb decides an interior probe by the same two CB* first: CB below
-    ub-cb's decodes, since the recursion's CB is dominated by ub-cb's and
-    its SB is at most its CB, and CB at or above lb-cb's does not, since
-    BP itself fails there.  Only the probes between them, and the two
-    bracket ends, run the recursion, under ``limits``.  "de"
+    ub-cbsb decides a probe by ``_cbsb_verdict``, which runs the recursion,
+    under ``limits``, only between the two CB*, and at both bracket ends.  "de"
     bisects the discretized-DE oracle only between the ub-cb and lb-cb
     thresholds, to width (family.hi - family.lo) 2^-13 whatever ``tol``;
     its ``iterations`` counts the DE bisection steps run.
@@ -252,44 +262,31 @@ def _de_channel_threshold(family, e: DegreeEnsemble,
 # decodable-region sweep
 # ---------------------------------------------------------------------------
 
-def _region_point(args):
-    cb, sb, e, limits = args
-    traj = iterate_bound("ub-cbsb", NoisePair(cb, sb), e, limits)
-    return cb, sb, traj.verdict == "decodable", traj.iterations
-
-
 def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
                  limits: IterationLimits | None = None,
-                 p_star: float | None = None,
-                 jobs: int = 1) -> RegionGrid:
+                 p_star: float | None = None) -> RegionGrid:
     """Verdict of the two-dimensional bound on a feasible (cb, sb) grid.
 
     For each of n_cb values of cb the feasible band sb in [cb^2, cb] is
-    sampled at n_sb points.  Overlay lines carry the one-dimensional
+    sampled at n_sb points, each decided by ``_cbsb_verdict`` after one
+    ub-cbsb budget check.  Overlay lines carry the one-dimensional
     thresholds; ub_sb_star uses the supplied p_star or runs the DE oracle.
-    ``jobs`` > 1 sweeps in that many worker processes; below 1 is refused.
     """
     if n_cb < 2 or n_sb < 2:
         raise ValueError("grid counts must be >= 2")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = []
+    check_cbsb_budget(e)
+    stars = (measure_threshold("ub-cb", e), measure_threshold("lb-cb", e))
+    points = []
     for i in range(n_cb):
         cb = i / (n_cb - 1)
         for j in range(n_sb):
             sb = cb * cb + (cb - cb * cb) * j / (n_sb - 1)
-            tasks.append((cb, sb, e, limits))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor   # ~20 ms, only here
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_region_point, tasks, chunksize=8))
-    else:
-        points = [_region_point(t) for t in tasks]
+            points.append((cb, sb, *_cbsb_verdict(cb, lambda: sb, e, limits, stars)))
 
     if p_star is None:
         p_star = channel_threshold("de", "bsc", e).value
     overlays = {
-        "ub_cb": measure_threshold("ub-cb", e),
+        "ub_cb": stars[0],
         "ub_sb": measure_threshold("ub-sb", e),
         "ub_sb_star": ub_sb_star(p_star),
     }

@@ -209,7 +209,7 @@ class TestRegion:
                                "--out", str(out_path), "--p-star", "0.0837")
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
-        assert lines[0] == "cb,sb,decodable,iterations"
+        assert lines[0] == "cb,sb,decodable,iterations,reason"
         sidecar = json.loads((tmp_path / "region.csv.overlays.json").read_text())
         assert sidecar["ub_cb"] == pytest.approx(0.4294, abs=1e-3)
         assert sidecar["ub_sb"] == pytest.approx(0.2635, abs=1e-3)
@@ -228,14 +228,14 @@ class TestRegion:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
-        # --jobs -2 ran serially and exited 0
+    def test_jobs_is_refused_exit_2(self, capsys, tmp_path):
+        # the serial sweep settles most points in closed form; no pool is left
         out_path = tmp_path / "r.csv"
-        code, out, err = run_cli(capsys, "region", "--grid", "3x2", "--jobs", jobs,
-                                 "--out", str(out_path), "--p-star", "0.0837")
-        assert code == 2 and out == "" and not out_path.exists()
-        assert "jobs must be >= 1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--grid", "3x2", "--jobs", "2",
+                  "--out", str(out_path), "--p-star", "0.0837"])
+        assert exc.value.code == 2 and not out_path.exists()
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unwritable_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "region", "--grid", "3x2",
@@ -352,7 +352,7 @@ def run(*argv):
 
 
 assert not scipy_modules(), ("import bpbounds.cli", scipy_modules())
-# the process pool is imported by region --jobs > 1 alone, not by the CLI
+# no command starts a process pool, so the CLI imports none
 assert "concurrent.futures.process" not in sys.modules
 for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("zm", "--channel", "msc:0.7,0.1,0.1,0.1", "--action", "stability"),

@@ -207,11 +207,11 @@ class TestRegionSweep:
     def test_small_grid(self, e36):
         grid = region_sweep(e36, 6, 4, p_star=0.0837)
         # feasibility of every grid point
-        for cb, sb, dec, it in grid.points:
+        for cb, sb, dec, *_ in grid.points:
             assert cb * cb - 1e-12 <= sb <= cb + 1e-12
         # corners
-        assert any(cb == 0 and dec for cb, sb, dec, it in grid.points)
-        assert any(cb == 1 and sb == 1 and not dec for cb, sb, dec, it in grid.points)
+        assert any(cb == 0 and dec for cb, sb, dec, *_ in grid.points)
+        assert any(cb == 1 and sb == 1 and not dec for cb, sb, dec, *_ in grid.points)
         # overlays present
         assert grid.overlays["ub_cb"] == pytest.approx(0.42944, abs=5e-4)
         assert grid.overlays["ub_sb"] == pytest.approx(0.26346, abs=5e-4)
@@ -221,7 +221,7 @@ class TestRegionSweep:
         # every feasible point with cb below the ub-cb threshold is decodable
         grid = region_sweep(e36, 9, 3, p_star=0.0837)
         ub_cb = grid.overlays["ub_cb"]
-        for cb, sb, dec, it in grid.points:
+        for cb, sb, dec, *_ in grid.points:
             if cb <= ub_cb - 1e-6:
                 assert dec, (cb, sb)
 
@@ -237,15 +237,41 @@ class TestRegionSweep:
         buf = io.StringIO()
         grid.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "cb,sb,decodable,iterations"
+        assert lines[0] == "cb,sb,decodable,iterations,reason"
         assert len(lines) == len(grid.points) + 1
         overlays = json.loads(grid.overlays_json())
         assert overlays["schema"] == "bpbounds.region-overlays/1"
 
-    def test_jobs_parallel_equals_serial(self, e36):
-        a = region_sweep(e36, 4, 3, p_star=0.0837)
-        b = region_sweep(e36, 4, 3, p_star=0.0837, jobs=2)
-        assert a.points == b.points
+    @pytest.mark.parametrize("e, n_cb, n_sb", [
+        (regular_ensemble(4, 8), 12, 12),
+        (regular_ensemble(5, 10), 8, 8),
+        (regular_ensemble(6, 12), 6, 6),
+        (regular_ensemble(3, 6), 21, 9),
+        (DegreeEnsemble(((2, 0.3), (3, 0.7)), ((6, 1.0),)), 20, 20),
+    ], ids=["4-8", "5-10", "6-12", "3-6", "irregular"])
+    def test_settled_points_equal_the_recursion(self, e, n_cb, n_sb):
+        # only points between the two CB* recurse; every verdict is the
+        # one the recursion gives at that point
+        grid = region_sweep(e, n_cb, n_sb, p_star=0.0837)
+        ub, lb = measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)
+        for cb, sb, dec, it, reason in grid.points:
+            traj = iterate_bound("ub-cbsb", NoisePair(cb, sb), e)
+            assert dec == (traj.verdict == "decodable"), (cb, sb, reason)
+            if cb < ub:
+                assert (it, reason) == (0, "ub-cb-star")
+            elif cb >= lb:
+                assert (it, reason) == (0, "lb-cb-star")
+            else:
+                assert (it, reason) == (traj.iterations, traj.reason)
+
+    def test_settled_below_ub_cb_star_where_the_recursion_runs_out(self, e36):
+        # the one verdict the settling may change: a run cut short by
+        # max_iter below CB*(ub-cb) is now certified
+        short = IterationLimits(max_iter=3)
+        grid = region_sweep(e36, 11, 2, limits=short, p_star=0.0837)
+        cb, sb, dec, it, reason = next(p for p in grid.points if p[0] == 0.4)
+        assert iterate_bound("ub-cbsb", NoisePair(cb, sb), e36, short).reason == "max_iter"
+        assert (dec, it, reason) == (True, 0, "ub-cb-star")
 
 
 class TestThresholdResultJson:
