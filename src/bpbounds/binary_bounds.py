@@ -6,7 +6,8 @@ and certify decodability when the tracked measure is driven to zero:
 * ``ub_cb_step``   -- CB upper bound (check inputs replaced by BECs); valid
   for non-symmetric binary channels as well via the reverse-channel view.
 * ``lb_cb_step``   -- CB lower bound (check inputs replaced by BSCs).
-* ``ub_sb_step``   -- SB upper bound (BEC check stage, BSC variable stage).
+* ``ub_sb_step``   -- SB upper bound (BEC check stage, BSC variable stage),
+  rational in the channel's SB; ``ub_sb_sigma`` inverts it by Newton.
 * ``two_dim_check_step`` / ``two_dim_var_step`` -- the joint (CB, SB) upper
   bound built from the moment-constrained extremal families; both wrap one
   float kernel, which ``iterate_bound`` runs on (cb, sb) tuples.
@@ -46,7 +47,7 @@ from .extremal import AtomicBscFamily, _upper_atoms
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
-    "ub_cb_step", "lb_cb_step", "ub_sb_step",
+    "ub_cb_step", "lb_cb_step", "ub_sb_step", "ub_sb_sigma",
     "two_dim_check_step", "phi_variable_sb", "two_dim_var_step",
     "iterate_bound", "ub_sb_star",
     "SequenceMapperChannel", "sequence_mapper_cb",
@@ -240,42 +241,51 @@ def _sb_of_draws(first, outs, n: int) -> float:
 
 
 def _bsc_arrays(x):
-    """(P(flipped), |LLR|) of the BSC whose SB is x in [0, 1], elementwise,
-    stacked on a new first axis: p = x / (2 (1 + sqrt(1 - x))), which is
-    (1 - sqrt(1 - x)) / 2 without its cancellation at small x, and
-    |LLR| = log((1 - p) / p), 0 at x = 1 and log 4 (not +inf) at x = 0."""
+    """(P(flipped), |LLR|) of the BSC whose SB is x in [0, 1], elementwise:
+    p = x / (2 (1 + sqrt(1 - x))), which is (1 - sqrt(1 - x)) / 2 without
+    its cancellation at small x, and |LLR| = log((1 - p) / p), 0 at x = 1
+    and log 4 (not +inf) at x = 0."""
     r = 1.0 + np.sqrt(1.0 - x)
-    return np.stack((x / (2.0 * r), 2.0 * np.log(r / np.sqrt(np.where(x > 0.0, x, 1.0)))))
+    return x / (2.0 * r), 2.0 * np.log(r / np.sqrt(np.where(x > 0.0, x, 1.0)))
 
 
-def ub_sb_step_at(sb, e: DegreeEnsemble):
-    """``ub_sb_step(sb, e, .)`` as a function of sb0, its check stage and
-    check-output draws built once for every channel it is then given."""
-    sb = np.asarray(sb, dtype=float)
-    x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
-    u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)
-    p, l = _bsc_arrays(u)[..., None]
-    live = p > 0.0                        # else a perfect check output
-    q = np.where(live, p, 0.5)            # keeps the weights of dead rows finite
-    lq0, lq1 = np.log1p(-q), np.log(q)
-    terms = []
-    for k, w in e.lam:
+@functools.lru_cache(maxsize=32)
+def _draw_counts(lam):
+    """(lambda_k, flips j, keeps k - 1 - j, log C(k - 1, j), (k - 1 - 2j) / 2)
+    of every way a degree-k node's k - 1 check draws can flip, all degrees
+    in flat arrays."""
+    rows = []
+    for k, w in lam:
         counts, log_coef = _compositions(k - 1, 2)     # row j: (j, k - 1 - j)
         flips, keeps = counts.T
-        terms.append((w, np.exp(log_coef + keeps * lq0 + flips * lq1), (keeps - flips) * l))
+        rows.append((np.full(k, w), flips, keeps, log_coef, 0.5 * (keeps - flips)))
+    return tuple(np.concatenate(c) for c in zip(*rows))
 
-    def step(sb0):
-        sb0 = np.asarray(sb0, dtype=float)
-        p0, lc = _bsc_arrays(np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0))[..., None]
-        out = 0.0
-        with np.errstate(over="ignore"):    # expit(z) = 1 / (1 + e^-z), 0 once e^-z is inf
-            for w, weight, llr in terms:
-                out = out + w * (weight * ((1.0 - p0) * (1.0 / (1.0 + np.exp(lc + llr)))
-                                           + p0 * (1.0 / (1.0 + np.exp(llr - lc))))).sum(axis=-1)
-        # a perfect channel or check output makes the node's SB 0
-        out = np.minimum(1.0, 2.0 * out) * (live & (p0 > 0.0))[..., 0]
-        return float(out[0]) if sb.ndim == sb0.ndim == 0 else out
-    return step
+
+def _ub_sb_terms(sb, e: DegreeEnsemble):
+    """(w, a, live) of ub-sb's variable stage at check inputs of SB sb: each
+    check output is the BSC of SB u = ``_bec_check(sb)``, crossover p and
+    |LLR| l, and a term of degree k with j flipped draws has weight
+    w = lambda_k C(k - 1, j) p^j (1 - p)^(k - 1 - j) and a = sinh^2(L / 2)
+    at L = (k - 1 - 2j) l; ``live`` is False where u is 0."""
+    x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
+    u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)
+    p, l = _bsc_arrays(u)
+    live = p > 0.0                        # else a perfect check output
+    q = np.where(live, p, 0.5)[..., None]  # keeps the weights of dead rows finite
+    lam, flips, keeps, log_coef, half = _draw_counts(e.lam)
+    w = lam * np.exp(log_coef + keeps * np.log1p(-q) + flips * np.log(q))
+    with np.errstate(over="ignore"):      # sinh overflows to inf: the term is 0
+        a = np.square(np.sinh(half * l[..., None]))
+    return w, a, live
+
+
+def _node_sb(s, w, a):
+    """(G, G') at channel SB s: G(s) = s sum w / (1 + s a), the node's SB,
+    and its derivative sum w / (1 + s a)^2; NaN where s = 0 meets a = inf."""
+    d = 1.0 + s[..., None] * a
+    r = w / d
+    return s * r.sum(axis=-1), (r / d).sum(axis=-1)
 
 
 def ub_sb_step(sb, e: DegreeEnsemble, sb0):
@@ -283,14 +293,49 @@ def ub_sb_step(sb, e: DegreeEnsemble, sb0):
 
     Check stage: inputs replaced by BECs of equal SB, u = ``_bec_check(sb)``.
     Variable stage: channel and check outputs replaced by BSCs of equal SB,
-    combined exactly: a degree-k node sums 2 / (1 + e^L) = 2 expit(-L) over
-    the channel sign and the number of flipped inputs among k - 1, 2k terms
-    with no term cap.  The binomial
-    weights come from lgamma, so they neither overflow nor underflow to
-    all-zero up to ``MAX_DEGREE``.  Scalar arguments return a float, equal to
-    the matching element of an array call.
+    combined exactly.  For a symmetric LLR L, SB = E[2 / (1 + e^L)] =
+    E[1 - tanh(L / 2)] = E[1 - tanh^2(L / 2)].  A check sum of magnitude m
+    and the channel's LLR l0 (SB s0 = 1 - tanh^2(l0 / 2)) agree in sign with
+    probability (1 + tanh(m / 2) tanh(l0 / 2)) / 2, and averaging
+    1 - tanh^2 of their sum over the signs gives s0 / (1 + s0 sinh^2(m / 2)).
+    So a node's SB is s0 sum w / (1 + s0 a) over the terms of
+    ``_ub_sb_terms``: rational in s0, with no term cap and no exp per
+    channel, and increasing and concave in s0.  The binomial weights
+    come from lgamma, so they neither overflow nor underflow to all-zero up
+    to ``MAX_DEGREE``; an overflowing a_j is inf, its term 0.  Scalar
+    arguments return a float, equal to the matching element of an array call.
     """
-    return ub_sb_step_at(sb, e)(sb0)
+    sb, sb0 = np.asarray(sb, dtype=float), np.asarray(sb0, dtype=float)
+    s = np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0)
+    w, a, live = _ub_sb_terms(sb, e)
+    with np.errstate(invalid="ignore"):   # s = 0 meets a = inf: masked below
+        g = np.minimum(1.0, _node_sb(s, w, a)[0])
+    # a perfect channel or check output makes the node's SB 0
+    out = np.where(live & (s > 0.0), g, 0.0)
+    return float(out[0]) if sb.ndim == sb0.ndim == 0 else out
+
+
+def ub_sb_sigma(x, e: DegreeEnsemble):
+    """sigma(x), the least sb0 with ``ub_sb_step(x, e, sb0) >= x``,
+    elementwise over x in (0, 1]; +inf where F(x; 1) < x.
+
+    Newton's method on G(s) = x, G(s) = s sum w / (1 + s a) the step's
+    rational form, from s = x: G increases and is concave, and G(s) <= s, so
+    x is at or below the root and each Newton step rises towards it without
+    passing it.  An entry with a root rises, by Newton's step or at least
+    one ulp, until G(s) >= x: 3-9 steps.  A scalar x returns a float."""
+    x = np.asarray(x, dtype=float)
+    w, a, _ = _ub_sb_terms(x, e)
+    xs = s = np.atleast_1d(x)
+    root = _node_sb(np.ones_like(xs), w, a)[0] >= xs
+    while True:
+        g, dg = _node_sb(s, w, a)
+        low = (g < xs) & root
+        if not low.any():
+            break
+        s = np.where(low, np.maximum(s + (xs - g) / dg, np.nextafter(s, 2.0)), s)
+    out = np.where(root, np.minimum(s, 1.0), math.inf)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

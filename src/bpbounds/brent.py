@@ -1,22 +1,22 @@
-"""Brent's bounded minimiser and root finder on plain floats (Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
+"""Brent's bounded minimiser on plain floats (Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 5).
 
-Each follows scipy's implementation operation for operation, so it returns
-the same floats from the same function evaluations:
-``minimize_bounded`` is ``scipy.optimize.minimize_scalar(method="bounded")``
-and ``brentq`` is ``scipy.optimize.brentq`` (its C loop).  Neither loads
-scipy: ``scipy.optimize`` alone costs about 0.6 s to import.
+``minimize_bounded`` follows ``scipy.optimize.minimize_scalar(method=
+"bounded")`` operation for operation, so it returns the same floats from the
+same function evaluations without loading scipy (``scipy.optimize`` alone
+costs about 0.6 s to import).  It refines CB* and SB*; SB*'s sigma(x) needs
+no root finder, since ``binary_bounds.ub_sb_sigma`` solves it by Newton's
+method on the ub-sb step's rational form.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["minimize_bounded", "brentq"]
+__all__ = ["minimize_bounded"]
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_RTOL = 4.0 * 2.0 ** -52
 
 
 def _sign(x: float) -> float:
@@ -87,47 +87,3 @@ def minimize_bounded(f, a: float, b: float, xatol: float):
         if num >= 500:
             break
     return xf, fx
-
-
-def brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100):
-    """A root of f in [xa, xb] by inverse quadratic interpolation and
-    bisection, to xtol + 4 eps |x|; None if f(xa) and f(xb) share a sign
-    (signed zeros count), RuntimeError after ``maxiter`` steps."""
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        return None
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:           # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                      # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry    # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")

@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import de as de_mod
-from .brent import brentq
 from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
                             check_cbsb_budget, grid_samples, iterate_bound,
-                            ub_sb_star, ub_sb_step_at)
+                            ub_sb_sigma, ub_sb_star)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
 from .de import DeConfig
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
@@ -31,7 +30,6 @@ __all__ = [
 
 SEARCH_BOUNDS = ("ub-cb", "lb-cb", "ub-sb", "ub-cbsb", "ub-sb-star", "de")
 DEFAULT_BISECT_STEPS = 24
-SIGMA_BISECT_STEPS = 32      # grid sigma to 2^-32; Brent refines the minima
 
 
 class NonMonotoneError(RuntimeError):
@@ -107,34 +105,24 @@ def _sb_star(e: DegreeEnsemble) -> float:
     """SB* = min over x in (0, 1] of sigma(x), the least sb0 with
     F(x; sb0) >= x for F = ``ub_sb_step`` (+inf if none): F increases in x
     and sb0 and F(x; sb0) <= sb0, so the recursion from sb0 decodes iff
-    sb0 < SB*.  The grid bisects sb0 for all x at once; Brent's method
-    solves sigma(x) alone.  F's slope at x = 0 is rho'(1) (lambda_2 +
-    lambda_3 sb0 / 2), so SB* = 0 if lambda_2 rho'(1) >= 1, and sigma tends
-    to 2 (1 - lambda_2 rho'(1)) / (lambda_3 rho'(1)) as x -> 0.  sigma(x)
-    can stay near x down to x ~ 4 / rho'(1)^2, where a degree-3 node's
-    channel stops outweighing its inputs: the grid starts 400 times lower."""
+    sb0 < SB*.  sigma is ``ub_sb_sigma``, Newton's method on F's rational
+    form in sb0: vectorised on the log grid of ``grid_samples``, scalar at
+    each point of its Brent refinement.  F's slope at x = 0 is rho'(1)
+    (lambda_2 + lambda_3 sb0 / 2), so SB* = 0 if lambda_2 rho'(1) >= 1, and
+    sigma tends to 2 (1 - lambda_2 rho'(1)) / (lambda_3 rho'(1)) as x -> 0.
+    sigma(x) can stay near x down to x ~ 4 / rho'(1)^2, where a degree-3
+    node's channel stops outweighing its inputs: the grid starts 400 times
+    lower."""
     slope = lambda2(e) * rho_prime1(e)
     if slope >= 1.0:
         return 0.0
     lam3 = sum(w for k, w in e.lam if k == 3)
     limit = 2.0 * (1.0 - slope) / (lam3 * rho_prime1(e)) if lam3 > 0.0 else math.inf
 
-    def sigmas(xs):
-        step = ub_sb_step_at(xs, e)
-        lo, hi = np.zeros_like(xs), np.ones_like(xs)
-        for _ in range(SIGMA_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            up = step(mid) >= xs
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        return np.where(step(1.0) >= xs, hi, math.inf)
-
     def sigma(x):
-        x = float(x)
-        step = ub_sb_step_at(x, e)
-        root = brentq(lambda s: step(s) - x, 0.0, 1.0, xtol=1e-15)
-        return math.inf if root is None else root     # None: F(x; 1) < x
+        return ub_sb_sigma(x, e)
 
-    _, vs = grid_samples(sigmas, sigma, min(1e-5, 0.01 / rho_prime1(e) ** 2))
+    _, vs = grid_samples(sigma, sigma, min(1e-5, 0.01 / rho_prime1(e) ** 2))
     return min(float(vs.min()), limit, 1.0)
 
 
@@ -144,8 +132,9 @@ def measure_threshold(kind: str, e: DegreeEnsemble,
 
     Every kind is computed directly, with no recursion: ub-cb and lb-cb
     return CB* (for ub-cb, the exact BEC threshold), ub-sb returns SB*, and
-    ub-sb-star returns 4 p*(1-p*) with p* the DE threshold of the BSC
-    family.
+    ub-sb-star returns 4 p*(1-p*) with p* the midpoint of DE's final bracket
+    on the BSC family.  That midpoint is an estimate, not a crossover DE
+    certified decodable, so the ub-sb-star value is not a proven inner bound.
     """
     if kind == "ub-sb-star":
         return ub_sb_star(channel_threshold("de", "bsc", e, de_config=de_config).value)
@@ -197,9 +186,11 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     """Bisect the channel-family parameter to width ``tol`` against a verdict.
 
     ub-cb and lb-cb compare the channel's CB with the closed-form CB*, ub-sb
-    its SB with SB*, and "ub-sb-star" its SB with 4 p*(1-p*), p* by DE
-    unless given.  "lb-cb" yields an *outer* bound: parameters above its
-    threshold are certainly undecodable, nothing below certified.
+    its SB with SB*, and "ub-sb-star" its SB with 4 p*(1-p*), p* the given
+    ``p_star`` or else the midpoint of DE's final bracket on the BSC family:
+    an estimate, not a certified decodable crossover, so that threshold is
+    not a proven inner bound.  "lb-cb" yields an *outer* bound: parameters
+    above its threshold are certainly undecodable, nothing below certified.
 
     ub-cbsb decides a probe by ``_cbsb_verdict``, which runs the recursion,
     under ``limits``, only between the two CB*, and at both bracket ends.  "de"

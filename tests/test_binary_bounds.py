@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -19,7 +20,7 @@ from bpbounds import (AtomicBscFamily, BscMixture, DegreeEnsemble,
 from bpbounds.binary_bounds import (DECODE_EPS, ENUM_CAP, WITNESS_MARGIN, WITNESS_PERIOD,
                                     _bec_check, _bsc_outcomes, _cbsb_check,
                                     _mixture_check_cb, _project_feasible,
-                                    run_recursion)
+                                    run_recursion, ub_sb_sigma)
 from bpbounds.ensembles import lambda_eval, rho_eval
 
 
@@ -259,6 +260,71 @@ class TestUbSbStep:
                 s = sn
             lo, hi = (mid, hi) if ok else (lo, mid)
         assert (lo + hi) / 2 == pytest.approx(0.263465, abs=5e-5)
+
+
+def _side(draw):
+    degrees = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True))
+    masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(degrees),
+                           max_size=len(degrees)))
+    return tuple((k, m / sum(masses)) for k, m in zip(degrees, masses))
+
+
+@st.composite
+def ensembles_to_12(draw):
+    return DegreeEnsemble(_side(draw), _side(draw))
+
+
+class TestUbSbSigma:
+    @settings(max_examples=300, deadline=None)
+    @given(e=ensembles_to_12(), x=st.floats(-6.0, 0.0).map(lambda t: 10.0 ** t))
+    def test_least_root(self, e, x):
+        # sigma(x) is a root, F(x; sigma) >= x, and no float a few roundings
+        # of F below it is one.  F's relative slope k = s F'(s) / F(s) is at
+        # most 1, and near 1 - lambda_2 rho'(1) at small x, so one rounding
+        # of F moves the least root by about 1 / k ulps: the margin is at
+        # least 8 / k ulps, by the secant of F over [sigma / 2, sigma], k2,
+        # which lies between k and 2 k (each term s w / (1 + s a) is concave)
+        sigma = ub_sb_sigma(x, e)
+        assert isinstance(sigma, float) and not math.isnan(sigma)
+        assert (sigma == math.inf) == (ub_sb_step(x, e, 1.0) < x)
+        if sigma < math.inf:
+            f = ub_sb_step(x, e, sigma)
+            assert f >= x
+            k2 = 2.0 * (1.0 - ub_sb_step(x, e, 0.5 * sigma) / f)
+            assert ub_sb_step(x, e, sigma * (1.0 - 16.0 * 2.0 ** -52 / k2)) < x
+
+    @pytest.mark.parametrize("e", [regular_ensemble(3, 6), regular_ensemble(4, 8),
+                                   regular_ensemble(5, 10), regular_ensemble(6, 12),
+                                   DegreeEnsemble(((2, 0.15), (3, 0.85)), ((6, 1.0),)),
+                                   DegreeEnsemble(((2, 0.05), (3, 0.45), (4, 0.5)), ((6, 1.0),)),
+                                   DegreeEnsemble(((2, 0.1), (4, 0.9)), ((6, 1.0),))],
+                             ids=["3-6", "4-8", "5-10", "6-12", "lambda-3-limit",
+                                  "irregular-c", "irregular-d"])
+    def test_sb_star_misses_no_dip(self, e):
+        # SB* = min sigma on a 201-point grid refined by Brent's method: no
+        # point of a 20,000-point grid dips below it
+        xs = np.geomspace(1e-7, 1.0, 20_000)
+        assert ub_sb_sigma(xs, e).min() >= measure_threshold("ub-sb", e) - 1e-15
+
+    def test_vectorised_equals_scalar(self, e36):
+        xs = np.geomspace(1e-6, 1.0, 50)
+        assert ub_sb_sigma(xs, e36).tolist() == [ub_sb_sigma(float(x), e36) for x in xs]
+
+    def test_perfect_channel_and_overflowing_terms(self, e36):
+        # sb0 = 0 gives 0; at x = 1e-300 and degree 2000 sinh^2 overflows
+        # to inf and its terms vanish, with no NaN and no warning
+        wide = DegreeEnsemble(((3, 0.5), (2000, 0.5)), ((6, 0.5), (2000, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in (e36, wide, regular_ensemble(2000, 4000)):
+                for x in (1e-300, 1e-12, 0.3, 1.0):
+                    assert ub_sb_step(x, e, 0.0) == 0.0
+                    for sb0 in (1e-300, 1e-8, 0.5, 1.0):
+                        assert 0.0 <= ub_sb_step(x, e, sb0) <= 1.0
+                sigma = ub_sb_sigma(1e-300, e)
+                assert (sigma == math.inf) == (ub_sb_step(1e-300, e, 1.0) < 1e-300)
+            for e in (e36, wide):
+                assert 0.0 < ub_sb_sigma(1e-300, e) < 1.0
 
 
 class TestTwoDimCheckStep:

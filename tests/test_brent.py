@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq as scipy_brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 import bpbounds.binary_bounds as bb_mod
-import bpbounds.search as search_mod
 from bpbounds import DegreeEnsemble, measure_threshold, regular_ensemble
-from bpbounds.brent import brentq, minimize_bounded
+from bpbounds.brent import minimize_bounded
 
 
 def _test_functions(rng, n):
@@ -23,7 +22,7 @@ def _test_functions(rng, n):
 
 
 class TestAgainstScipy:
-    # the ports must return scipy's floats, not merely close ones
+    # the port must return scipy's floats, not merely close ones
     def test_minimize_bounded(self):
         rng = np.random.default_rng(41)
         for f in _test_functions(rng, 100):
@@ -32,23 +31,6 @@ class TestAgainstScipy:
                 fit = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                       options={"xatol": xatol})
                 assert minimize_bounded(f, lo, hi, xatol) == (fit.x, fit.fun)
-
-    def test_brentq(self):
-        rng = np.random.default_rng(42)
-        signs = set()
-        for f in _test_functions(rng, 100):
-            for xtol in (1e-15, 2e-12, 1e-6):
-                try:
-                    want = scipy_brentq(f, 0.0, 1.0, xtol=xtol)
-                except ValueError:          # f(0) and f(1) share a sign
-                    want = None
-                assert brentq(f, 0.0, 1.0, xtol) == want
-                signs.add(want is None)
-        assert signs == {True, False}
-
-    def test_brentq_refuses_to_stop_short(self):
-        with pytest.raises(RuntimeError, match="converge"):
-            brentq(lambda x: x ** 7 - 0.3, 0.0, 1.0, 1e-15, maxiter=2)
 
 
 STAR_ENSEMBLES = [regular_ensemble(3, 6), regular_ensemble(4, 8), regular_ensemble(6, 12),
@@ -59,8 +41,8 @@ STAR_ENSEMBLES = [regular_ensemble(3, 6), regular_ensemble(4, 8), regular_ensemb
 
 @pytest.mark.parametrize("e", STAR_ENSEMBLES, ids=range(len(STAR_ENSEMBLES)))
 def test_cb_star_and_sb_star_equal_scipy_brent(monkeypatch, e):
-    # CB* and SB* through scipy's minimize_scalar and brentq, as they were
-    # computed before the ports, and through the ports: bit for bit
+    # CB* and SB* through scipy's minimize_scalar, as they were computed
+    # before the port, and through the port: bit for bit
     got = [measure_threshold(kind, e) for kind in ("ub-cb", "lb-cb", "ub-sb")]
     calls = []
 
@@ -69,14 +51,6 @@ def test_cb_star_and_sb_star_equal_scipy_brent(monkeypatch, e):
         calls.append("min")
         return fit.x, fit.fun
 
-    def scipy_root(f, a, b, xtol):
-        calls.append("root")
-        try:
-            return scipy_brentq(f, a, b, xtol=xtol)
-        except ValueError:
-            return None
-
     monkeypatch.setattr(bb_mod, "minimize_bounded", scipy_minimize)
-    monkeypatch.setattr(search_mod, "brentq", scipy_root)
     assert got == [measure_threshold(kind, e) for kind in ("ub-cb", "lb-cb", "ub-sb")]
-    assert {"min", "root"} <= set(calls)
+    assert calls

@@ -360,8 +360,9 @@ for argv in (("zm", "--channel", "msc:0.999,0.0005,0.0005"),
              ("threshold", "--bound", "ub-cbsb", "--family", "bsc")):
     run(*argv)
     assert not scipy_modules(), (argv, scipy_modules())
-# CB* and SB* by the stdlib Brent port, with no scipy.optimize, ub-sb's
-# expit in numpy, and BiAWGN's SB as one numpy trapezoid sum
+# CB* and SB* by the stdlib Brent minimiser port, with no scipy.optimize,
+# SB*'s sigma by Newton on the rational ub-sb step (numpy, no expit), and
+# BiAWGN's SB as one numpy trapezoid sum
 for argv in (("threshold", "--bound", "ub-cb", "--family", "bsc"),
              ("threshold", "--bound", "lb-cb", "--family", "bec"),
              ("threshold", "--bound", "ub-sb", "--family", "bsc"),

@@ -454,7 +454,8 @@ SB_STAR_BEFORE = [("3-6", regular_ensemble(3, 6), 0.26346493697477413),
 class TestSbStarRefinement:
     # Brent's refinement stops at 1e-7 of the cell end: tighter, it chased
     # rounding noise on sigma's flat minimum, and a 1-ulp change of the check
-    # stage changed how many step kernels SB* builds
+    # stage changed how many sigma evaluations SB* makes (one for the grid,
+    # the rest Brent's)
     @pytest.mark.parametrize("name, e, before", SB_STAR_BEFORE[:4],
                              ids=[c[0] for c in SB_STAR_BEFORE[:4]])
     @pytest.mark.parametrize("ulps", [0, 1, -1])
@@ -463,9 +464,9 @@ class TestSbStarRefinement:
         monkeypatch.setattr(bb_mod, "_bec_check",
                             lambda x, e: check(x, e) * (1.0 + ulps * 2.0 ** -52))
         built = []
-        step_at = search_mod.ub_sb_step_at
-        monkeypatch.setattr(search_mod, "ub_sb_step_at",
-                            lambda *args: built.append(1) or step_at(*args))
+        sigma = search_mod.ub_sb_sigma
+        monkeypatch.setattr(search_mod, "ub_sb_sigma",
+                            lambda *args: built.append(1) or sigma(*args))
         measure_threshold("ub-sb", e)
         assert len(built) == 10
 
