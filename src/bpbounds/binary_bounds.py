@@ -302,14 +302,15 @@ def ub_sb_step(sb, e: DegreeEnsemble, sb0):
     ``_ub_sb_terms``: rational in s0, with no term cap and no exp per
     channel, and increasing and concave in s0.  The binomial weights
     come from lgamma, so they neither overflow nor underflow to all-zero up
-    to ``MAX_DEGREE``; an overflowing a_j is inf, its term 0.  Scalar
-    arguments return a float, equal to the matching element of an array call.
+    to ``MAX_DEGREE``; an overflowing a_j is inf, its term 0.  They can sum
+    to 1 + 1e-15, so the result is clamped at sb0.  Scalar arguments return
+    a float, equal to the matching element of an array call.
     """
     sb, sb0 = np.asarray(sb, dtype=float), np.asarray(sb0, dtype=float)
     s = np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0)
     w, a, live = _ub_sb_terms(sb, e)
     with np.errstate(invalid="ignore"):   # s = 0 meets a = inf: masked below
-        g = np.minimum(1.0, _node_sb(s, w, a)[0])
+        g = np.minimum(s, _node_sb(s, w, a)[0])
     # a perfect channel or check output makes the node's SB 0
     out = np.where(live & (s > 0.0), g, 0.0)
     return float(out[0]) if sb.ndim == sb0.ndim == 0 else out
@@ -320,10 +321,10 @@ def ub_sb_sigma(x, e: DegreeEnsemble):
     elementwise over x in (0, 1]; +inf where F(x; 1) < x.
 
     Newton's method on G(s) = x, G(s) = s sum w / (1 + s a) the step's
-    rational form, from s = x: G increases and is concave, and G(s) <= s, so
-    x is at or below the root and each Newton step rises towards it without
-    passing it.  An entry with a root rises, by Newton's step or at least
-    one ulp, until G(s) >= x: 3-9 steps.  A scalar x returns a float."""
+    rational form, from s = x.  Where G(x) >= x, sigma is x, as F <= sb0.
+    Else x is below the root, as G increases, and G is concave, so each
+    step rises towards the root without passing it, by at least one ulp,
+    until G(s) >= x: 3-9 steps.  A scalar x returns a float."""
     x = np.asarray(x, dtype=float)
     w, a, _ = _ub_sb_terms(x, e)
     xs = s = np.atleast_1d(x)

@@ -11,6 +11,7 @@ verdicts, 4 unwritable output path, 5 symmetry violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,18 +186,20 @@ def cmd_de(args) -> int:
     return _emit(payload, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpbounds",
         description="Finite-dimensional bounds on BP decodable thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_iter=10_000, max_iter_help="recursion iteration cap"):
+    def common(p, max_iter=10_000, max_iter_help="recursion iteration cap",
+               out_help="write JSON here instead of stdout", **out):
         p.add_argument("--ensemble", help="ensemble JSON file "
                        "(default: regular (3,6))")
         p.add_argument("--max-iter", type=int, default=max_iter,
                        help=f"{max_iter_help} (default {max_iter})")
-        p.add_argument("--out", help="write JSON here instead of stdout")
+        p.add_argument("--out", help=out_help, **out)
 
     p = sub.add_parser("measures", help="noise measures of a channel spec")
     p.add_argument("--channel", required=True)
@@ -214,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("region", help="decodable-region sweep to CSV")
-    common(p)
+    common(p, out_help="write the CSV here, its overlays to OUT.overlays.json",
+           required=True)
     p.add_argument("--grid", required=True, help="NxM grid counts")
     p.add_argument("--p-star", type=float, default=None)
     p.set_defaults(func=cmd_region)
-    # --out is required for region (CSV target)
 
     p = sub.add_parser("zm", help="Z_m vector bound or stability report")
     common(p)
@@ -246,11 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "region" and not args.out:
-        print("region requires --out CSV path", file=sys.stderr)
-        return EXIT_PARSE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ChannelSpecError as exc:

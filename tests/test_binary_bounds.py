@@ -243,6 +243,16 @@ class TestUbSbStep:
                 assert ub_sb_step(x, e, sb0) / x == pytest.approx(
                     5.0 * (l2 + l3 * sb0 / 2.0), rel=1e-6)
 
+    @pytest.mark.parametrize("e, x, sb0", [
+        (DegreeEnsemble(((3, 0.5), (2000, 0.5)), ((6, 0.5), (2000, 0.5))), 0.3, 1e-300),
+        (regular_ensemble(4, 8), 0.19987196386572526, 8.554672535565615e-245),
+        (regular_ensemble(6, 12), 0.7322538337604526, 1e-300)])
+    def test_never_exceeds_the_channel_sb(self, e, x, sb0):
+        # the lgamma binomial weights sum to 1 + 1e-15 here, which put F up
+        # to 3.3e-13 (relative) above sb0; no node output exceeds its channel
+        assert ub_sb_step(x, e, sb0) <= sb0
+        assert ub_sb_step(np.array([x]), e, np.array([sb0]))[0] <= sb0
+
     def test_threshold_frozen(self, e36):
         # frozen from the scratch bisection of this recursion: 0.263465
         lo, hi = 0.0, 1.0

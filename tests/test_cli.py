@@ -243,9 +243,13 @@ class TestRegion:
                                "--p-star", "0.0837")
         assert code == 4
 
-    def test_missing_out_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "region", "--grid", "3x2")
-        assert code == 2
+    def test_missing_out_exit_2(self, capsys, tmp_path, monkeypatch):
+        # argparse refuses it, as every other parse error, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--grid", "3x2", "--p-star", "0.0837"])
+        assert exc.value.code == 2 and list(tmp_path.iterdir()) == []
+        assert "required: --out" in capsys.readouterr().err
 
 
 class TestZm:
@@ -323,6 +327,49 @@ class TestDecompose:
                                "--transform", "1,0")
         assert code == 5
         assert "symmetr" in err.lower()
+
+
+class TestParserReuse:
+    UB_CB = ["threshold", "--bound", "ub-cb", "--family", "bsc"]
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        import argparse
+
+        main(["measures", "--channel", "bec:0.5"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, *self.UB_CB)[0] == 0
+        assert built == []
+
+    def test_options_do_not_leak_between_calls(self, capsys, monkeypatch):
+        import bpbounds.cli as cli_mod
+        from bpbounds import IterationLimits, ThresholdResult
+
+        caps = []
+
+        def capture(kind, family, e, tol=None, limits=None, p_star=None):
+            caps.append(limits.max_iter)
+            return ThresholdResult("p", 0.04, 0.05, 0.045, kind, 24)
+
+        monkeypatch.setattr(cli_mod, "channel_threshold", capture)
+        assert run_cli(capsys, *self.UB_CB, "--max-iter", "3")[0] == 0
+        assert run_cli(capsys, *self.UB_CB)[0] == 0
+        assert caps == [3, IterationLimits().max_iter]
+
+    def test_parse_error_leaves_the_next_call_alone(self, capsys):
+        first = run_cli(capsys, *self.UB_CB)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(self.UB_CB + ["--tol", "zap"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *self.UB_CB) == first
 
 
 def test_console_script_installed():
