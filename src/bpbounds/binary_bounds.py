@@ -17,8 +17,9 @@ and certify decodability when the tracked measure is driven to zero:
 Every check stage is one of two kernels: ``_bec_check`` (1 - rho(1 - x),
 for ub-cb, ub-sb and the SB half of ub-cbsb) and ``_mixture_check_cb`` (the
 CB of BSC-or-perfect inputs, for the CB half of ub-cbsb and, at q = 1,
-lb-cb).  Both sum expm1/log1p forms, and the mixture's binomial weights
-come from lgamma: neither cancels at small inputs nor overflows at any degree.
+lb-cb).  Both sum expm1/log1p forms, the mixture's weights from lgamma: neither
+cancels at small inputs nor overflows at any degree.  A float takes ``math``
+(Brent's CB*, the recursions but ub-sb's), an ndarray numpy (CB*'s grid, ub-sb).
 
 The two-dimensional step output is projected back onto the feasible
 region SB <= CB <= sqrt(SB).  The projection keeps a valid bound: the true
@@ -86,9 +87,12 @@ class BoundTrajectory:
 # elementary transfer functions
 # ---------------------------------------------------------------------------
 
-def _bec_check(x: float, e: DegreeEnsemble) -> float:
-    """1 - rho(1 - x), summed as -sum rho_k expm1((k - 1) log1p(-x)): the
-    direct form cancels at small x (x = 1e-12 lost about 1e-4 of it)."""
+def _bec_check(x, e: DegreeEnsemble):
+    """1 - rho(1 - x) as -sum rho_k expm1((k - 1) log1p(-x)), by numpy for an
+    ndarray: the direct form cancels at small x (x = 1e-12 lost about 1e-4)."""
+    if isinstance(x, np.ndarray):
+        t = np.log1p(-x, out=np.full(x.shape, -math.inf), where=x < 1.0)
+        return -sum(w * np.expm1((k - 1) * t) for k, w in e.rho)
     t = math.log1p(-x) if x < 1.0 else -math.inf
     return -sum(w * math.expm1((k - 1) * t) for k, w in e.rho)
 
@@ -100,12 +104,17 @@ def _log_binomials(n: int):               # (i, n - i, log C(n, i)) for i = 1..n
                  for i in range(1, n + 1))
 
 
-def _mixture_check_cb(t: float, q: float, e: DegreeEnsemble) -> float:
+def _mixture_check_cb(t, q: float, e: DegreeEnsemble):
     """CB of a check node whose i.i.d. inputs are each a BSC of index t with
     probability q, else perfect: E sqrt(-expm1(I log1p(-t^2))) over
     I ~ Bin(k - 1, q), k ~ rho.  q = 1 is lb-cb's BSC check, t = 1 a BEC.
     t^2 underflows below 1.5e-154; there the value is t E sqrt(I) to
-    rounding, scaled exactly from t = 2^-500."""
+    rounding, scaled exactly from t = 2^-500.  An ndarray t (q = 1 only,
+    lb-cb's CB* grid) takes numpy's ufuncs."""
+    if isinstance(t, np.ndarray):
+        lt = np.log1p(-t * t, out=np.full(t.shape, -math.inf), where=t < 1.0)
+        v = sum(w * np.sqrt(-np.expm1((k - 1) * lt)) for k, w in e.rho)
+        return np.where(t < _TINY_T, t * (_mixture_check_cb(_TINY_T, q, e) / _TINY_T), v)
     if 0.0 < t < _TINY_T:
         return t * (_mixture_check_cb(_TINY_T, q, e) / _TINY_T)
     lt = math.log1p(-t * t) if t < 1.0 else -math.inf
@@ -124,25 +133,27 @@ def _mixture_check_cb(t: float, q: float, e: DegreeEnsemble) -> float:
     return out
 
 
-def ub_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
-    """One iteration of the CB upper bound: cb0 * lambda(1 - rho(1 - cb))."""
-    return min(1.0, cb0 * lambda_eval(e, _bec_check(cb, e)))
+def ub_cb_step(cb, e: DegreeEnsemble, cb0: float):
+    """One iteration of the CB upper bound, cb0 * lambda(1 - rho(1 - cb))."""
+    g = cb0 * lambda_eval(e, _bec_check(cb, e))
+    return np.minimum(g, 1.0) if isinstance(g, np.ndarray) else min(1.0, g)
 
 
-def lb_cb_step(cb: float, e: DegreeEnsemble, cb0: float) -> float:
+def lb_cb_step(cb, e: DegreeEnsemble, cb0: float):
     """One iteration of the CB lower bound: every check input a BSC of index cb."""
-    return min(1.0, cb0 * lambda_eval(e, _mixture_check_cb(cb, 1.0, e)))
+    g = cb0 * lambda_eval(e, _mixture_check_cb(cb, 1.0, e))
+    return np.minimum(g, 1.0) if isinstance(g, np.ndarray) else min(1.0, g)
 
 
-def grid_samples(values, f, lo: float):
-    """(xs, f(xs)) sorted by x: ``values`` gives f on a log grid on [lo, 1],
-    and Brent's method adds the least point of the cells around every grid
-    local minimum, to 1e-7 of the cell end (tighter, at 1e-12 or 1e-8, it
-    chased rounding noise: a 1-ulp change moved SB*'s evaluation count).
+def grid_samples(f, lo: float):
+    """(xs, f(xs)) sorted by x: f of a log grid on [lo, 1], as one ndarray, and
+    of the floats where Brent's method seeks the least point of the cells around
+    every grid local minimum, to 1e-7 of the cell end (tighter, at 1e-12 or
+    1e-8, it chased rounding noise: a 1-ulp change moved SB*'s evaluation count).
     Brent's method is ``brent.minimize_bounded``, scipy's bounded
     ``minimize_scalar`` to the bit without loading ``scipy.optimize``."""
     xs = np.geomspace(lo, 1.0, 201)
-    v = np.asarray(values(xs), dtype=float)
+    v = np.asarray(f(xs), dtype=float)
     left, right = np.append(math.inf, v[:-1]), np.append(v[1:], math.inf)
     cells = [(xs[max(i - 1, 0)], xs[min(i + 1, 200)])
              for i in np.flatnonzero(np.isfinite(v) & (v < left) & (v <= right))]
@@ -159,13 +170,16 @@ def cb_ratio_samples(kind: str, e: DegreeEnsemble):
     x <- cb0 g(x) from x0 drives x to zero iff cb0 < x / g(x) on (0, x0]."""
     step = ub_cb_step if kind == "ub-cb" else lb_cb_step
 
-    def ratio(x):
-        g = step(float(x), e, 1.0)
-        return float(x) / g if g > 0.0 else math.inf
+    def ratio(x):                 # the grid's ndarray, or Brent's float
+        g = step(x, e, 1.0)
+        if isinstance(x, np.ndarray):
+            with np.errstate(divide="ignore", over="ignore"):   # g = 0 or tiny: +inf
+                return x / g
+        return x / g if g > 0.0 else math.inf
 
     slope = lambda2(e) * (rho_prime1(e) if kind == "ub-cb" else
                           sum(w * math.sqrt(k - 1) for k, w in e.rho))
-    xs, vs = grid_samples(lambda xs: [ratio(x) for x in xs], ratio, 1e-5)
+    xs, vs = grid_samples(ratio, 1e-5)
     return xs, vs, (1.0 / slope if slope > 0.0 else math.inf)
 
 
@@ -268,8 +282,7 @@ def _ub_sb_terms(sb, e: DegreeEnsemble):
     |LLR| l, and a term of degree k with j flipped draws has weight
     w = lambda_k C(k - 1, j) p^j (1 - p)^(k - 1 - j) and a = sinh^2(L / 2)
     at L = (k - 1 - 2j) l; ``live`` is False where u is 0."""
-    x = np.minimum(np.maximum(np.atleast_1d(sb), 0.0), 1.0)
-    u = np.minimum(1.0, [_bec_check(v, e) for v in x.ravel().tolist()]).reshape(x.shape)
+    u = np.minimum(1.0, _bec_check(np.clip(np.atleast_1d(sb), 0.0, 1.0), e))
     p, l = _bsc_arrays(u)
     live = p > 0.0                        # else a perfect check output
     q = np.where(live, p, 0.5)[..., None]  # keeps the weights of dead rows finite
@@ -303,8 +316,9 @@ def ub_sb_step(sb, e: DegreeEnsemble, sb0):
     channel, and increasing and concave in s0.  The binomial weights
     come from lgamma, so they neither overflow nor underflow to all-zero up
     to ``MAX_DEGREE``; an overflowing a_j is inf, its term 0.  They can sum
-    to 1 + 1e-15, so the result is clamped at sb0.  Scalar arguments return
-    a float, equal to the matching element of an array call.
+    to 1 + 1e-15, so the result is clamped at sb0.  A scalar call (the ub-sb
+    recursion's) takes the ndarray path and returns a float, equal to the
+    matching element of an array call.
     """
     sb, sb0 = np.asarray(sb, dtype=float), np.asarray(sb0, dtype=float)
     s = np.minimum(np.maximum(np.atleast_1d(sb0), 0.0), 1.0)
@@ -334,7 +348,8 @@ def ub_sb_sigma(x, e: DegreeEnsemble):
         low = (g < xs) & root
         if not low.any():
             break
-        s = np.where(low, np.maximum(s + (xs - g) / dg, np.nextafter(s, 2.0)), s)
+        with np.errstate(divide="ignore", over="ignore"):   # only in entries that keep s
+            s = np.where(low, np.maximum(s + (xs - g) / dg, np.nextafter(s, 2.0)), s)
     out = np.where(root, np.minimum(s, 1.0), math.inf)
     return float(out[0]) if x.ndim == 0 else out
 

@@ -195,7 +195,7 @@ def _degradation_profile(m: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _ub_cb_samples(e: DegreeEnsemble):
     # built once per ensemble, not once per DE probe: a 201-point grid and
-    # Brent fits, about 1 ms, against 13 probes per threshold search
+    # Brent fits, about 0.2 ms on (3,6), against 13 probes per threshold search
     return cb_ratio_samples("ub-cb", e)
 
 

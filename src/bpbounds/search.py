@@ -33,13 +33,12 @@ DEFAULT_BISECT_STEPS = 24
 
 
 class NonMonotoneError(RuntimeError):
-    """Decodability verdicts do not straddle at the bisection bracket."""
+    """Decodability verdicts do not straddle at the probed bracket ends."""
 
-    def __init__(self, family: str, lo, hi, lo_ok: bool, hi_ok: bool):
+    def __init__(self, family: str, lo, hi, lo_ok: bool, hi_ok: bool, sb_defeated: bool = False):
         if not lo_ok and not hi_ok:
-            detail = ("no decodable parameter in the bracket; the bound "
-                      "certifies nothing for this family (ensembles with "
-                      "lambda_2 rho'(1) >= 1 defeat the SB-based recursions)")
+            detail = "no decodable parameter in the bracket; the bound certifies nothing" + (
+                " (lambda_2 rho'(1) >= 1 defeats the SB-based recursions)" if sb_defeated else "")
         elif lo_ok and hi_ok:
             detail = "the entire bracket is decodable"
         else:
@@ -118,11 +117,7 @@ def _sb_star(e: DegreeEnsemble) -> float:
         return 0.0
     lam3 = sum(w for k, w in e.lam if k == 3)
     limit = 2.0 * (1.0 - slope) / (lam3 * rho_prime1(e)) if lam3 > 0.0 else math.inf
-
-    def sigma(x):
-        return ub_sb_sigma(x, e)
-
-    _, vs = grid_samples(sigma, sigma, min(1e-5, 0.01 / rho_prime1(e) ** 2))
+    _, vs = grid_samples(lambda x: ub_sb_sigma(x, e), min(1e-5, 0.01 / rho_prime1(e) ** 2))
     return min(float(vs.min()), limit, 1.0)
 
 
@@ -212,10 +207,12 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
         star = end_star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
                            else measure_threshold(kind, e, de_config=de_config))
 
-    lo_ok = _channel_verdict(kind, family, max(lo, 1e-9), e, limits, end_star)
+    lo_probe = max(lo, 1e-9)
+    lo_ok = _channel_verdict(kind, family, lo_probe, e, limits, end_star)
     hi_ok = _channel_verdict(kind, family, hi, e, limits, end_star)
     if not lo_ok or hi_ok:
-        raise NonMonotoneError(family_name, lo, hi, lo_ok, hi_ok)
+        sb_defeated = kind in ("ub-sb", "ub-cbsb") and lambda2(e) * rho_prime1(e) >= 1.0
+        raise NonMonotoneError(family_name, lo_probe, hi, lo_ok, hi_ok, sb_defeated)
 
     steps = _steps_for(lo, hi, tol)
     lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, star),

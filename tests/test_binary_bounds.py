@@ -128,6 +128,30 @@ class TestCbSteps:
                                                                  rel=1e-12)
             assert lb_cb_step(c, e, 1.0) == pytest.approx(c * c * (2.0 - c * c), rel=1e-12)
 
+    @pytest.mark.parametrize("e", [regular_ensemble(3, 6), regular_ensemble(6, 12),
+                                   DegreeEnsemble(((2, 0.15), (3, 0.85)), ((6, 1.0),))],
+                             ids=["3-6", "6-12", "lambda-2"])
+    def test_array_call_matches_scalar_calls(self, e):
+        # CB*'s grid calls both steps on an ndarray: elementwise within a few
+        # ulps of the float path (numpy's log1p/expm1 against math's, the
+        # error scaled by the variable degree), and at x = 1e-300, where t^2
+        # underflows, lb-cb's check stage is scaled from 2^-500 as on floats
+        xs = np.array([0.0, 1e-300, 1e-160, 1e-5, 0.3, 1.0])
+        ulps = 2 * (max(k for k, _ in e.lam) - 1) + 1
+        for step in (ub_cb_step, lb_cb_step):
+            for cb0 in (1.0, 0.4):
+                got = step(xs, e, cb0)
+                assert isinstance(got, np.ndarray) and got.shape == xs.shape
+                for x, g in zip(xs.tolist(), got.tolist()):
+                    want = step(x, e, cb0)
+                    assert abs(g - want) <= ulps * math.ulp(want), (step.__name__, x, g, want)
+        tiny = np.array([1e-300, 1e-160])
+        assert _mixture_check_cb(tiny, 1.0, e).tolist() == [
+            _mixture_check_cb(t, 1.0, e) for t in tiny.tolist()]
+        if e.lam[0][0] == 2:                # lambda_2 > 0: g(1e-300) is not 0
+            assert (ub_cb_step(tiny, e, 1.0) > 0.0).all()
+            assert (lb_cb_step(tiny, e, 1.0) > 0.0).all()
+
     def test_lb_below_ub_pointwise(self, e36):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -316,9 +340,15 @@ class TestUbSbSigma:
         xs = np.geomspace(1e-7, 1.0, 20_000)
         assert ub_sb_sigma(xs, e).min() >= measure_threshold("ub-sb", e) - 1e-15
 
-    def test_vectorised_equals_scalar(self, e36):
+    @pytest.mark.parametrize("e", [regular_ensemble(3, 6), regular_ensemble(4, 8),
+                                   regular_ensemble(6, 12),
+                                   DegreeEnsemble(((2, 0.3), (3, 0.7)), ((6, 1.0),))],
+                             ids=["3-6", "4-8", "6-12", "lambda-0.3-0.7"])
+    def test_vectorised_equals_scalar(self, e):
+        # SB*'s grid and Brent's refinement both run _ub_sb_terms' ndarray
+        # check stage, so a float x gives its array element to the bit
         xs = np.geomspace(1e-6, 1.0, 50)
-        assert ub_sb_sigma(xs, e36).tolist() == [ub_sb_sigma(float(x), e36) for x in xs]
+        assert ub_sb_sigma(xs, e).tolist() == [ub_sb_sigma(float(x), e) for x in xs]
 
     def test_perfect_channel_and_overflowing_terms(self, e36):
         # sb0 = 0 gives 0; at x = 1e-300 and degree 2000 sinh^2 overflows

@@ -54,3 +54,41 @@ def test_cb_star_and_sb_star_equal_scipy_brent(monkeypatch, e):
     monkeypatch.setattr(bb_mod, "minimize_bounded", scipy_minimize)
     assert got == [measure_threshold(kind, e) for kind in ("ub-cb", "lb-cb", "ub-sb")]
     assert calls
+
+
+GRID_ENSEMBLES = STAR_ENSEMBLES + [regular_ensemble(5, 10)]
+
+
+def _ulps_allowed(e):
+    # numpy's log1p/expm1 and math's can differ by an ulp each, so the check
+    # output u differs by a few ulps; lambda(u) = sum lambda_k u^(k-1) scales
+    # a relative error by up to k - 1, and x / g rounds once more
+    return 2 * (max(k for k, _ in e.lam) - 1) + 1
+
+
+@pytest.mark.parametrize("kind", ["ub-cb", "lb-cb"])
+@pytest.mark.parametrize("e", GRID_ENSEMBLES, ids=range(len(GRID_ENSEMBLES)))
+def test_cb_ratio_grid_matches_scalar_ratio(kind, e):
+    # the 201-point grid is one ndarray call; every sample, grid or Brent's,
+    # lies within a few ulps of the scalar ratio x / g(x) at its x
+    step = bb_mod.ub_cb_step if kind == "ub-cb" else bb_mod.lb_cb_step
+    xs, vs, _ = bb_mod.cb_ratio_samples(kind, e)
+    assert xs.size > 201
+    for x, v in zip(xs.tolist(), vs.tolist()):
+        want = x / step(x, e, 1.0)
+        assert abs(v - want) <= _ulps_allowed(e) * math.ulp(want), (x, v, want)
+
+
+@pytest.mark.parametrize("e", GRID_ENSEMBLES, ids=range(len(GRID_ENSEMBLES)))
+def test_cb_star_equals_the_scalar_grid(monkeypatch, e):
+    # CB* from the ndarray grid and from a grid of per-point scalar calls:
+    # bit for bit, since the least sample is a Brent point on the float path
+    got = [measure_threshold(kind, e) for kind in ("ub-cb", "lb-cb")]
+    grid_samples = bb_mod.grid_samples
+
+    def scalar_grid(f, lo):
+        return grid_samples(lambda x: [f(v) for v in x.tolist()]
+                            if isinstance(x, np.ndarray) else f(x), lo)
+
+    monkeypatch.setattr(bb_mod, "grid_samples", scalar_grid)
+    assert got == [measure_threshold(kind, e) for kind in ("ub-cb", "lb-cb")]

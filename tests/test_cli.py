@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -167,6 +168,28 @@ class TestThreshold:
                                "--family", "bec")
         assert code == 3
         assert "threshold search failed" in err
+
+    def test_nothing_decodable_reports_the_probed_end(self, capsys):
+        # p* = 0 certifies no channel: (3,6) has lambda_2 = 0 and ub-sb-star
+        # runs no recursion, so lambda_2 rho'(1) is not why, and the low end
+        # was probed at 1e-9, not at the family's 0
+        code, out, err = run_cli(capsys, "threshold", "--bound", "ub-sb-star",
+                                 "--family", "bsc", "--p-star", "0")
+        assert code == 3 and out == ""
+        assert "certifies nothing" in err and "lambda_2" not in err
+        assert "decodable(1e-09)=False" in err and "decodable(0.0)" not in err
+
+    @pytest.mark.parametrize("bound", ["ub-cb", "lb-cb", "ub-sb"])
+    def test_degree_10000_prints_no_numpy_warning(self, capsys, tmp_path, bound):
+        # g underflows on CB*'s grid (x / g overflows to +inf), and SB*'s
+        # Newton step divides by 0 in entries it leaves as they are
+        path = tmp_path / "ens.json"
+        path.write_text('{"lambda": [[10000, 1.0]], "rho": [[10000, 1.0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "threshold", "--bound", bound,
+                                   "--family", "bsc", "--ensemble", str(path))
+        assert code == 0 and err == ""
 
     def test_ub_cbsb_past_the_exact_budget_exit_2(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

@@ -93,8 +93,9 @@ class TestChannelThreshold:
         from bpbounds import DegreeEnsemble
         e = DegreeEnsemble(((2, 0.3), (3, 0.7)), ((5, 0.4), (6, 0.6)))
         assert measure_threshold("ub-sb", e) < 1e-4
-        with pytest.raises(NonMonotoneError, match="certifies nothing"):
+        with pytest.raises(NonMonotoneError, match="certifies nothing") as exc:
             channel_threshold("ub-sb", "bsc", e)
+        assert "lambda_2 rho'(1) >= 1" in str(exc.value)
         # the CB-only bound still works there
         res = channel_threshold("ub-cb", "bec", e, tol=1e-4)
         assert 0.3 < res.value < 0.5
