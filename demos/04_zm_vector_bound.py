@@ -25,9 +25,9 @@ print("cutoff rate of u:", round(cutoff_rate(u), 5), "bits\n")
 e = regular_ensemble(3, 9)
 ch = MscChannel(np.array([0.999, 2e-4, 2e-4, 2e-4, 2e-4, 2e-4]))
 v0 = cb_vector_of(ch)
-verdict, traj = zm_iterate(v0, e)
+verdict, traj, reason = zm_iterate(v0, e)
 print(f"(3,9) over Z_6, clean channel: {verdict} "
-      f"in {traj[-1].iteration} iterations")
+      f"in {traj[-1].iteration} iterations (stopped by {reason})")
 for state in traj[:4]:
     print(f"  l={state.iteration}: max off-zero CB = {state.v.max_off_zero():.3e}")
 

@@ -3,8 +3,9 @@
 The LLR density of the messages, stored on a fixed grid, is pushed through
 check (tanh rule) and variable (sum) stages; its error probability either
 collapses or sticks.  Every run is deterministic and says which rule ended
-it: a Bhattacharyya proof through the ub-cb step, a target error
-probability, a fixed-point witness, or the iteration cap.
+it, in the reasons the bounds use: "decoded" (the Bhattacharyya parameter
+fell below where the ub-cb step drives it to 0, a proof), "witness" (a
+fixed-point witness of the bounds' recursion driver), or "max_iter".
 """
 
 from bpbounds import (Bsc, channel_threshold, de_decodable, measure_threshold,

@@ -432,51 +432,56 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble) -> No
 # the iteration driver and the threshold bisection
 # ---------------------------------------------------------------------------
 
-def run_recursion(step, measure, start, limits: IterationLimits,
-                  to_array, from_array):
-    """Iterate ``state = step(state)`` from ``start``, judged by ``measure``.
+def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_array,
+                  decoded_below: float | None = None, order=None, steady: bool = False):
+    """Iterate ``state = step(state)`` from ``start``, judged by ``measure``:
+    the one loop of every bound, Z_m (``zm_iterate``) and DE (``de_decodable``).
 
-    Returns (verdict, states, len(states) - 1, reason): "decodable" below
-    ``DECODE_EPS`` ("decoded"), "not-decodable" at a repeated state or a
-    fixed-point witness ("witness"), "inconclusive" at ``max_iter``
-    ("max_iter").  Tried, uncounted, on step 1 and every WITNESS_PERIOD-th
-    step after: s* = from_array((1 - WITNESS_MARGIN) s_n - k |s_n - s_{n-1}|), with
-    ``from_array`` projecting onto the feasible states (``to_array`` is its
-    inverse) and k = 3 r / (1 - r) for the Aitken ratio r in [0, 1) of the
-    component that moved most (3 on step 1 and for r < 0), is a witness if
-    measure(s*) > DECODE_EPS, s* <= s_n and step(s*) >= s*.  No try is made
-    while r >= 1: a run whose steps do not shrink is not settling on a
-    fixed point, and the try would cost a step for nothing.  For a monotone
-    step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular ensembles) no later
-    state falls below s*: a proof.  Otherwise (ub-cbsb with lambda_2 > 0)
-    the witness can only end a run early, lowering an inner bound's
-    threshold; it never certifies a channel.
-    Float and float-tuple states (the scalar bounds, ub-cbsb) meet
-    ``to_array`` only on witness steps; Z_m's vectors meet it every step.
+    Returns (verdict, states, len(states) - 1, reason): "decodable" once the
+    measure is below ``decoded_below`` ("decoded"; default ``DECODE_EPS``,
+    DE's is its ub-cb radius), "not-decodable" at a repeated state (compared
+    where two measures in a row are equal) or a fixed-point witness
+    ("witness"), "inconclusive" at ``max_iter`` ("max_iter").  Tried,
+    uncounted, on step 1 and every WITNESS_PERIOD-th step after: s* =
+    from_array((1 - WITNESS_MARGIN) s_n + k (s_n - s_{n-1})), ``from_array``
+    projecting onto the feasible states (``to_array`` is its inverse) and
+    k = 3 r / (1 - r) for the Aitken ratio r of the measure (3 on step 1 and
+    for r < 0), is a witness if measure(s*) >= ``decoded_below``, s* <= s_n
+    and step(s*) >= s* in ``order`` (default ``to_array``, DE's the
+    degradation profile).  No try is made while r >= 1: the run is not
+    settling.  ``steady`` (DE) also wants r > 0 and, unless the last try
+    step's r was outside (0, 1), within 5% of 1 - r of it: DE's r climbs
+    through 1 on decodable runs, and each try on the way up costs a step.
+    For a monotone step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular
+    ensembles, DE) no later state falls below s*: a proof.  Otherwise
+    (ub-cbsb with lambda_2 > 0) the witness can only end a run early,
+    lowering an inner bound's threshold; it never certifies a channel.
     """
-    plain = isinstance(start, (float, tuple))
-    states = [start]
+    decoded_below = DECODE_EPS if decoded_below is None else decoded_below
+    order = order or to_array
+    states, mus, r_last = [start], [measure(start)], -1.0
     for it in range(1, limits.max_iter + 1):
         states.append(step(states[-1]))
-        if measure(states[-1]) < DECODE_EPS:
+        mus.append(measure(states[-1]))
+        if mus[-1] < decoded_below:
             return "decodable", states, it, "decoded"
-        if (states[-1] == states[-2] if plain
-                else not (to_array(states[-1]) - to_array(states[-2])).any()):
+        if mus[-1] == mus[-2] and np.array_equal(to_array(states[-1]), to_array(states[-2])):
             return "not-decodable", states, it, "witness"
-        if it % WITNESS_PERIOD == 1:
-            cur, prev = to_array(states[-1]), to_array(states[-2])
-            delta = cur - prev
-            last = prev - to_array(states[-3]) if it > 1 else None
-            j = np.argmax(np.abs(delta))
-            r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
-            if r >= 1.0:            # not slowing down: no fixed point near
-                continue
-            k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
-            star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
-            s = to_array(star)
-            if (measure(star) > DECODE_EPS and np.all(s <= cur)
-                    and np.all(to_array(step(star)) >= s)):
-                return "not-decodable", states, it, "witness"
+        if it % WITNESS_PERIOD != 1:
+            continue
+        last = mus[-2] - mus[-3] if it > 1 else 0.0
+        r = (mus[-1] - mus[-2]) / last if last else -1.0
+        wobbly = steady and (r <= 0.0 or 0.0 < r_last < 1.0 and abs(r - r_last) > 0.05 * (1.0 - r))
+        r_last = r
+        if r >= 1.0 or wobbly:      # not settling on a fixed point
+            continue
+        k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
+        cur = to_array(states[-1])
+        star = from_array((1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2])))
+        s = order(star)
+        if (measure(star) >= decoded_below and np.all(s <= order(states[-1]))
+                and np.all(order(step(star)) >= s)):
+            return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"
 
 

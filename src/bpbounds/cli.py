@@ -133,10 +133,11 @@ def cmd_zm(args) -> int:
         return EXIT_PARSE
     vec = cb_vector_of(ch)
     if args.action == "bound":
-        verdict, traj = zm_iterate(vec, e, _limits(args))
+        verdict, traj, reason = zm_iterate(vec, e, _limits(args))
         payload = {
             "schema": "bpbounds.zm-bound/1",
             "verdict": verdict,
+            "reason": reason,
             "iterations": traj[-1].iteration,
             "final_max_off_zero": traj[-1].v.max_off_zero(),
             "initial_cb_vector": [float(x) for x in vec.v],

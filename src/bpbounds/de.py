@@ -8,7 +8,8 @@ magnitudes only, so one sparse bilinear map on outer(a, b) does a pair,
 each product's mass split linearly between its two neighbouring bins
 (nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
 The variable node is rfft, a power per lambda degree, irfft.  Channels enter
-as exact bin masses: every verdict is deterministic and names its rule.
+as exact bin masses.  A run is ``binary_bounds.run_recursion`` on densities:
+every verdict is deterministic and ends on the bounds' reasons.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binary_bounds import bisect, cb_ratio_samples
-from .channels import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bsc, BscMixture,
-                       ChannelFamily, UnsupportedChannelError)
+from .binary_bounds import (WITNESS_MARGIN, IterationLimits, bisect, cb_ratio_samples,
+                            run_recursion)
+from .channels import (BIRAYLEIGH_SIGMA_MAX, PROB_TOL, Bec, BiAwgn, BiLaplace, BiRayleigh,
+                       Bsc, BscMixture, ChannelFamily, UnsupportedChannelError)
 from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
 
 __all__ = [
@@ -34,8 +36,6 @@ LLR_MAX = 15.0
 LLR_BINS = 75                 # a grid twice as fine moves no acceptance
 DELTA = LLR_MAX / LLR_BINS    # threshold by more than 1e-3
 DE_BISECT_STEPS = 13
-WITNESS_PERIOD = 4            # a witness is tried on every 4th step ...
-WITNESS_MARGIN = 1e-9         # ... with this mass moved to LLR_MAX
 
 _K = LLR_BINS
 _MAGS = np.arange(_K + 1) * DELTA
@@ -56,8 +56,8 @@ class DeConfig:
 
 
 class DeVerdict(NamedTuple):
-    """A DE run's verdict and the rule that ended it: "bhattacharyya"
-    (decodable), "witness" or "max_iter" (not); see ``de_decodable``."""
+    """A DE run's verdict and the ``run_recursion`` reason that ended it:
+    "decoded" (decodable), "witness" or "max_iter" (not); see ``de_decodable``."""
     decodable: bool
     iterations: int
     reason: str
@@ -144,6 +144,8 @@ def rayleigh_amplitude_marginal_density(sigma: float) -> np.ndarray:
     """``channel_density`` of Rayleigh fading with the amplitude NOT observed
     (BiRayleigh observes it): each cell of a fine y grid puts its mass in the
     bin of its LLR log p(y|+1) - log p(-y|+1)."""
+    if not 0.0 < sigma <= BIRAYLEIGH_SIGMA_MAX:     # NaN fails
+        raise ValueError(f"Rayleigh sigma must lie in (0, {BIRAYLEIGH_SIGMA_MAX:g}], got {sigma}")
     s2 = sigma * sigma
     y = np.linspace(-12.0, 12.0, 24001)
     logp = _log_marginal(y, s2)
@@ -210,49 +212,36 @@ def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
     return xs[hit[0] - 1] if hit.size else math.inf
 
 
+def _witness_density(a: np.ndarray) -> np.ndarray:
+    """``a`` clipped at 0 and scaled to 1 - WITNESS_MARGIN, the margin at LLR_MAX."""
+    star = np.maximum(a, 0.0)
+    star *= (1.0 - WITNESS_MARGIN) / star.sum()
+    star[_K] += WITNESS_MARGIN
+    return star
+
+
 def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdict:
-    """Run discretized DE from ``ch``, a channel or its ``channel_density``:
-    "bhattacharyya" once the message Bhattacharyya B is below
-    ``_ub_cb_radius`` (a proof); "witness" at a repeated density or a
-    witness m* = m_n + 2r/(1 - r) (m_n - m_{n-1}), r the Aitken ratio of B,
-    tried every WITNESS_PERIOD steps once r is in (0, 1) and steady (it
-    climbs through 1 on decodable runs): m* no more degraded than m_n, T(m*)
-    no less than m*, B(m*) not below the radius.  Where T keeps the
-    degradation order that is a proof; the grid breaks it by ~2e-9 near
-    LLR_MAX.  "max_iter" once ``cfg.max_iter`` steps ran out."""
+    """Run discretized DE from ``ch``, a channel or its ``channel_density``, on
+    ``run_recursion`` with the message Bhattacharyya B as measure: "decoded"
+    once B is below ``_ub_cb_radius`` (a proof); "witness" at a repeated
+    density or a density m* no more degraded than m_n with T(m*) no less
+    degraded than m* and B(m*) not below the radius, a proof where T keeps
+    the degradation order (the grid breaks it by ~2e-9 near LLR_MAX);
+    "max_iter" once ``cfg.max_iter`` steps ran out."""
+    if isinstance(ch, np.ndarray) and not (ch.shape == (_K + 1,) and np.all(ch >= 0.0)
+                                           and abs(ch.sum() - 1.0) <= PROB_TOL):   # NaN fails
+        raise ValueError(f"a DE density is {_K + 1} finite masses >= 0 summing to 1")
     cfg = cfg or DeConfig()
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
     chan_f = np.fft.rfft(_signed(chan, n))
-    pe, bs, m, r_try = [], [float(chan @ _BHAT)], chan, -1.0
-    radius = _ub_cb_radius(bs[0], e)
-
-    def step(m):
-        return _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n)
-
-    for it in range(1, cfg.max_iter + 1):
-        new = step(m)
-        pe.append(float(new @ _PE))
-        bs.append(float(new @ _BHAT))
-        if bs[-1] < radius:
-            return DeVerdict(True, it, "bhattacharyya", tuple(pe))
-        witness = np.array_equal(new, m)
-        if it % WITNESS_PERIOD == 0 and not witness:
-            last = bs[-2] - bs[-3]
-            r = (bs[-1] - bs[-2]) / last if last else -1.0
-            if 0.0 < r < 1.0 and abs(r - r_try) <= 0.05 * (1.0 - r):
-                star = np.maximum(new + 2.0 * r / (1.0 - r) * (new - m), 0.0)
-                star *= (1.0 - WITNESS_MARGIN) / star.sum()
-                star[_K] += WITNESS_MARGIN
-                prof = _degradation_profile(star)
-                witness = bool(star @ _BHAT >= radius
-                               and np.all(prof <= _degradation_profile(new))
-                               and np.all(_degradation_profile(step(star)) >= prof))
-            r_try = r
-        if witness:
-            return DeVerdict(False, it, "witness", tuple(pe))
-        m = new
-    return DeVerdict(False, cfg.max_iter, "max_iter", tuple(pe))
+    verdict, states, its, reason = run_recursion(
+        lambda m: _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n),
+        lambda m: float(m @ _BHAT), chan, IterationLimits(cfg.max_iter),
+        lambda m: m, _witness_density, decoded_below=_ub_cb_radius(float(chan @ _BHAT), e),
+        order=_degradation_profile, steady=True)
+    return DeVerdict(verdict == "decodable", its, reason,
+                     tuple(float(m @ _PE) for m in states[1:]))
 
 
 def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,

@@ -71,16 +71,17 @@ def zm_iterate(v0: CbVector, e: DegreeEnsemble,
                limits: IterationLimits | None = None):
     """Iterate the vector bound from v = v0.
 
-    Returns (verdict, trajectory): "decodable" once max_{x != 0} v[x] <
-    ``DECODE_EPS`` (pairwise errors then vanish), "not-decodable" at a fixed-point
-    witness (a proof: the step is monotone), "inconclusive" at max_iter.
+    Returns (verdict, trajectory, reason): "decodable" once max_{x != 0}
+    v[x] < ``DECODE_EPS`` ("decoded": pairwise errors then vanish),
+    "not-decodable" at a fixed-point witness ("witness", a proof: the step is
+    monotone), "inconclusive" at max_iter ("max_iter").
     """
     if not v0.v.max() <= 1.0 + 1e-9:     # NaN fails too
         raise ValueError("initial CB vector entries must lie in [0, 1]")
-    verdict, states, _, _ = run_recursion(
+    verdict, states, _, reason = run_recursion(
         lambda v: zm_bound_step(v, v0, e), CbVector.max_off_zero, v0,
         limits or IterationLimits(), lambda v: v.v, lambda a: CbVector(np.clip(a, 0, 1)))
-    return verdict, [ZmBoundState(v, it) for it, v in enumerate(states)]
+    return verdict, [ZmBoundState(v, it) for it, v in enumerate(states)], reason
 
 
 def sufficient_stability(e: DegreeEnsemble, v: CbVector) -> bool:

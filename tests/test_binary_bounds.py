@@ -1071,24 +1071,23 @@ def _ungated_run_recursion(step, measure, start, limits, to_array, from_array):
     """The driver before the witness gate: a witness try on step 1 and every
     WITNESS_PERIOD-th step after, whatever the Aitken ratio r."""
     plain = isinstance(start, (float, tuple))
-    states = [start]
+    states, mus = [start], [measure(start)]
     for it in range(1, limits.max_iter + 1):
         states.append(step(states[-1]))
-        if measure(states[-1]) < DECODE_EPS:
+        mus.append(measure(states[-1]))
+        if mus[-1] < DECODE_EPS:
             return "decodable", states, it, "decoded"
         if (states[-1] == states[-2] if plain
                 else not (to_array(states[-1]) - to_array(states[-2])).any()):
             return "not-decodable", states, it, "witness"
         if it % WITNESS_PERIOD == 1:
-            cur, prev = to_array(states[-1]), to_array(states[-2])
-            delta = cur - prev
-            last = prev - to_array(states[-3]) if it > 1 else None
-            j = np.argmax(np.abs(delta))
-            r = delta[j] / last[j] if last is not None and last[j] != 0.0 else -1.0
+            cur = to_array(states[-1])
+            last = mus[-2] - mus[-3] if it > 1 else 0.0
+            r = (mus[-1] - mus[-2]) / last if last else -1.0
             k = 3.0 * r / (1.0 - r) if 0.0 <= r < 1.0 else 3.0
-            star = from_array((1.0 - WITNESS_MARGIN) * cur - k * np.abs(delta))
+            star = from_array((1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2])))
             s = to_array(star)
-            if (measure(star) > DECODE_EPS and np.all(s <= cur)
+            if (measure(star) >= DECODE_EPS and np.all(s <= cur)
                     and np.all(to_array(step(star)) >= s)):
                 return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"
@@ -1140,9 +1139,9 @@ class TestWitnessGate:
             starts.append(cb_vector_of(MscChannel(p)))
         got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
         monkeypatch.setattr(zm_mod, "run_recursion", _ungated_run_recursion)
-        for v0, (verdict, traj) in zip(starts, got):
-            ref_verdict, ref = zm_iterate(v0, e, self.LIMITS)
-            assert verdict == ref_verdict and len(traj) == len(ref)
+        for v0, (verdict, traj, reason) in zip(starts, got):
+            ref_verdict, ref, ref_reason = zm_iterate(v0, e, self.LIMITS)
+            assert (verdict, reason) == (ref_verdict, ref_reason) and len(traj) == len(ref)
             for a, b in zip(traj, ref):
                 assert a.iteration == b.iteration and np.array_equal(a.v.v, b.v.v)
 
@@ -1199,8 +1198,8 @@ class TestFixedPointWitness:
         got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
         monkeypatch.setattr(zm_mod, "run_recursion", _stall_rule_recursion)
         decoded = 0
-        for v0, (verdict, traj) in zip(starts, got):
-            ref_verdict, ref = zm_iterate(v0, e, self.LIMITS)
+        for v0, (verdict, traj, _) in zip(starts, got):
+            ref_verdict, ref, _ = zm_iterate(v0, e, self.LIMITS)
             if ref_verdict == "decodable":
                 decoded += 1
                 assert verdict == "decodable"

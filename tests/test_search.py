@@ -597,7 +597,7 @@ class TestDeUnprovenEnd:
 
         def decodable(ch, e, cfg):
             probes.append(ch.p)
-            return DeVerdict(ch.p < p_de, 1, "bhattacharyya", ())
+            return DeVerdict(ch.p < p_de, 1, "decoded", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
         return probes
 

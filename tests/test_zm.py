@@ -161,18 +161,18 @@ def _exact_tree_cb(p1, p5, p6):
 class TestZmIterate:
     def test_perfect_channel(self):
         e = regular_ensemble(3, 6)
-        verdict, traj = zm_iterate(CbVector(np.array([1.0, 0, 0, 0])), e)
-        assert verdict == "decodable"
+        verdict, traj, reason = zm_iterate(CbVector(np.array([1.0, 0, 0, 0])), e)
+        assert (verdict, reason) == ("decodable", "decoded")
         assert traj[-1].iteration == 1
 
     def test_m2_thresholds_match_binary(self):
         e = regular_ensemble(3, 6)
         for cb, expect in ((0.42, "decodable"), (0.44, "not-decodable")):
-            verdict, traj = zm_iterate(CbVector(np.array([1.0, cb])), e)
+            verdict, traj, reason = zm_iterate(CbVector(np.array([1.0, cb])), e)
             assert verdict == expect
             # same recursion, same stall rule: same verdict after as many steps
             binary = iterate_bound("ub-cb", NoisePair(cb=cb), e)
-            assert binary.verdict == verdict
+            assert (binary.verdict, binary.reason) == (verdict, reason)
             assert binary.iterations == traj[-1].iteration
 
     def test_nan_start_refused(self):
@@ -186,15 +186,15 @@ class TestZmIterate:
 
     def test_all_ones_fixed_point(self):
         e = regular_ensemble(3, 6)
-        verdict, _ = zm_iterate(CbVector(np.ones(6)), e)
-        assert verdict == "not-decodable"
+        verdict, _, reason = zm_iterate(CbVector(np.ones(6)), e)
+        assert (verdict, reason) == ("not-decodable", "witness")
 
     def test_m6_channel(self):
         # convolution powers scale like (sum v)^(dc-1), so the d_c = 9 bound
         # certifies only rather clean channels at m = 6
         e = regular_ensemble(3, 9)
         v0 = cb_vector_of(MscChannel(np.array([0.999, 2e-4, 2e-4, 2e-4, 2e-4, 2e-4])))
-        verdict, traj = zm_iterate(v0, e)
+        verdict, traj, _ = zm_iterate(v0, e)
         assert verdict == "decodable"
         for a, b in zip(traj[1:], traj[2:]):
             assert b.v.max_off_zero() <= a.v.max_off_zero() + 1e-12
@@ -230,7 +230,7 @@ class TestStability:
         e = DegreeEnsemble(((2, 0.5), (3, 0.5)), ((6, 1.0),))
         v0 = CbVector(np.array([1.0, 1e-3, 1e-3]))
         assert convergence_rate(e, v0) < 1.0
-        verdict, _ = zm_iterate(v0, e)
+        verdict, _, _ = zm_iterate(v0, e)
         assert verdict == "decodable"
 
     def test_unstable_channel_retains_error_under_de(self):
