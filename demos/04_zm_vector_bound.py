@@ -25,11 +25,11 @@ print("cutoff rate of u:", round(cutoff_rate(u), 5), "bits\n")
 e = regular_ensemble(3, 9)
 ch = MscChannel(np.array([0.999, 2e-4, 2e-4, 2e-4, 2e-4, 2e-4]))
 v0 = cb_vector_of(ch)
-verdict, traj, reason = zm_iterate(v0, e)
-print(f"(3,9) over Z_6, clean channel: {verdict} "
-      f"in {traj[-1].iteration} iterations (stopped by {reason})")
-for state in traj[:4]:
-    print(f"  l={state.iteration}: max off-zero CB = {state.v.max_off_zero():.3e}")
+traj = zm_iterate(v0, e)
+print(f"(3,9) over Z_6, clean channel: {traj.verdict} "
+      f"in {traj.iterations} iterations (stopped by {traj.reason})")
+for it, state in enumerate(traj.states[:4]):
+    print(f"  l={it}: max off-zero CB = {state.max_off_zero():.3e}")
 
 # stability: lambda_2 rho'(1) CB(0 -> x) against 1
 e2 = DegreeEnsemble(((2, 0.5), (3, 0.5)), ((6, 1.0),))   # lambda_2 rho'(1) = 2.5

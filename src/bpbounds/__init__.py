@@ -24,11 +24,11 @@ from .binary_bounds import (IterationLimits, BoundTrajectory, ub_cb_step,
                             ub_sb_star,
                             SequenceMapperChannel, sequence_mapper_cb,
                             sb_matched_bsc_replacement)
-from .zm import (ZmBoundState, cb_vec_convolve, cb_vec_pointwise,
-                 zm_bound_step, zm_iterate, sufficient_stability,
+from .zm import (cb_vec_convolve, cb_vec_pointwise, zm_bound_step,
+                 zm_iterate, sufficient_stability,
                  necessary_stability_violated, gfq_stability,
                  convergence_rate)
-from .de import (DeConfig, DeVerdict, channel_density,
+from .de import (DE_MAX_ITER, DeVerdict, channel_density,
                  rayleigh_amplitude_marginal_density, de_decodable, de_threshold)
 from .search import (ThresholdResult, RegionGrid, NonMonotoneError,
                      measure_threshold, channel_threshold, region_sweep)

@@ -38,6 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,11 +74,11 @@ class IterationLimits:
             raise ValueError("max_iter must be positive")
 
 
-@dataclass
-class BoundTrajectory:
-    """States of one bound run; sb entries are None for CB-only bounds."""
-    kind: str
-    states: list          # of (cb | None, sb | None)
+class BoundTrajectory(NamedTuple):
+    """States of one bound run: (cb, sb) pairs, None for the measure a
+    one-dimensional bound does not track, or CB vectors for "zm"."""
+    kind: str             # a BOUND_KINDS entry or "zm"
+    states: list          # of (cb | None, sb | None), or CbVector
     verdict: str          # "decodable" | "not-decodable" | "inconclusive"
     iterations: int
     reason: str           # "decoded" | "witness" | "max_iter"

@@ -23,7 +23,7 @@ from .channels import (CHANNEL_FAMILIES, ChannelSpecError, MscChannel,
                        UnsupportedChannelError, cb_of, cb_vector_of,
                        cutoff_rate, msc_pe, parse_channel_spec, pe_of, sb_of,
                        symmetrize, msc_decompose)
-from .de import DeConfig
+from .de import DE_MAX_ITER
 from .ensembles import DegreeEnsemble, ensemble_from_json, regular_ensemble
 from .search import (NonMonotoneError, SEARCH_BOUNDS, channel_threshold,
                      region_sweep)
@@ -133,13 +133,13 @@ def cmd_zm(args) -> int:
         return EXIT_PARSE
     vec = cb_vector_of(ch)
     if args.action == "bound":
-        verdict, traj, reason = zm_iterate(vec, e, _limits(args))
+        traj = zm_iterate(vec, e, _limits(args))
         payload = {
             "schema": "bpbounds.zm-bound/1",
-            "verdict": verdict,
-            "reason": reason,
-            "iterations": traj[-1].iteration,
-            "final_max_off_zero": traj[-1].v.max_off_zero(),
+            "verdict": traj.verdict,
+            "reason": traj.reason,
+            "iterations": traj.iterations,
+            "final_max_off_zero": traj.states[-1].max_off_zero(),
             "initial_cb_vector": [float(x) for x in vec.v],
         }
     else:
@@ -179,8 +179,7 @@ def cmd_de(args) -> int:
     if args.seed is not None or args.de_pop is not None:
         print("--seed and --de-pop have no effect: DE is deterministic", file=sys.stderr)
     e = _load_ensemble(args)
-    cfg = DeConfig(max_iter=args.max_iter)
-    result = channel_threshold("de", args.family, e, de_config=cfg)
+    result = channel_threshold("de", args.family, e, limits=_limits(args))
     payload = result.to_dict()
     payload.update({"bound": "de", "family": args.family,
                     "ensemble": args.ensemble or "regular(3,6)"})
@@ -239,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("de", help="discretized density-evolution threshold")
-    common(p, max_iter=DeConfig().max_iter,
-           max_iter_help="DE iterations per probe, DeConfig's cap")
+    common(p, max_iter=DE_MAX_ITER, max_iter_help="DE iterations per probe")
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     for flag in ("--seed", "--de-pop"):
         p.add_argument(flag, type=int, help="accepted and ignored: DE is deterministic")

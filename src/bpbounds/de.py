@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from .channels import (BIRAYLEIGH_SIGMA_MAX, PROB_TOL, Bec, BiAwgn, BiLaplace, B
 from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
 
 __all__ = [
-    "LLR_MAX", "LLR_BINS", "DeConfig", "DeVerdict", "channel_density",
+    "LLR_MAX", "LLR_BINS", "DE_MAX_ITER", "DeVerdict", "channel_density",
     "rayleigh_amplitude_marginal_density", "de_decodable", "de_threshold",
 ]
 
@@ -36,6 +35,11 @@ LLR_MAX = 15.0
 LLR_BINS = 75                 # a grid twice as fine moves no acceptance
 DELTA = LLR_MAX / LLR_BINS    # threshold by more than 1e-3
 DE_BISECT_STEPS = 13
+# a DE run's default cap: the (3,6) bsc and biawgn searches' longest probes
+# take 581 and 413 steps, but the rayleigh search on lambda = 0.25x + 0.35x^2
+# + 0.4x^7, rho = x^6 probes BiRayleigh(0.7499573945999145), which decodes
+# only at step 2,179, so it bisects on a max_iter run (ROADMAP item 11)
+DE_MAX_ITER = 2_000
 
 _K = LLR_BINS
 _MAGS = np.arange(_K + 1) * DELTA
@@ -44,15 +48,6 @@ _PE = np.where(_MAGS > 0.0, _NEG, 0.5)              # Pr(L < 0) + Pr(L = 0)/2
 _BHAT = 1.0 / np.cosh(_MAGS / 2.0)                  # E[e^(-L/2)] per bin
 _TANH = np.tanh(_MAGS / 2.0)
 _WIDTHS = np.diff(np.append(_TANH, 1.0))            # |tanh(L/2)| cells
-
-
-@dataclass(frozen=True)
-class DeConfig:
-    max_iter: int = 2000      # near-threshold probes take up to about 1,600
-
-    def __post_init__(self):
-        if self.max_iter <= 0:
-            raise ValueError("DE max_iter must be positive")
 
 
 class DeVerdict(NamedTuple):
@@ -220,34 +215,33 @@ def _witness_density(a: np.ndarray) -> np.ndarray:
     return star
 
 
-def de_decodable(ch, e: DegreeEnsemble, cfg: DeConfig | None = None) -> DeVerdict:
+def de_decodable(ch, e: DegreeEnsemble, limits: IterationLimits | None = None) -> DeVerdict:
     """Run discretized DE from ``ch``, a channel or its ``channel_density``, on
     ``run_recursion`` with the message Bhattacharyya B as measure: "decoded"
     once B is below ``_ub_cb_radius`` (a proof); "witness" at a repeated
     density or a density m* no more degraded than m_n with T(m*) no less
     degraded than m* and B(m*) not below the radius, a proof where T keeps
     the degradation order (the grid breaks it by ~2e-9 near LLR_MAX);
-    "max_iter" once ``cfg.max_iter`` steps ran out."""
+    "max_iter" once ``limits.max_iter`` steps (default DE_MAX_ITER) ran out."""
     if isinstance(ch, np.ndarray) and not (ch.shape == (_K + 1,) and np.all(ch >= 0.0)
                                            and abs(ch.sum() - 1.0) <= PROB_TOL):   # NaN fails
         raise ValueError(f"a DE density is {_K + 1} finite masses >= 0 summing to 1")
-    cfg = cfg or DeConfig()
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
     chan_f = np.fft.rfft(_signed(chan, n))
     verdict, states, its, reason = run_recursion(
         lambda m: _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n),
-        lambda m: float(m @ _BHAT), chan, IterationLimits(cfg.max_iter),
+        lambda m: float(m @ _BHAT), chan, limits or IterationLimits(DE_MAX_ITER),
         lambda m: m, _witness_density, decoded_below=_ub_cb_radius(float(chan @ _BHAT), e),
         order=_degradation_profile, steady=True)
     return DeVerdict(verdict == "decodable", its, reason,
                      tuple(float(m @ _PE) for m in states[1:]))
 
 
-def de_threshold(family: ChannelFamily, e: DegreeEnsemble, cfg: DeConfig,
+def de_threshold(family: ChannelFamily, e: DegreeEnsemble, limits: IterationLimits | None,
                  lo: float, hi: float, steps: int = DE_BISECT_STEPS):
     """(midpoint, lo, hi) after ``steps`` bisections on the DE verdict of a
     bracket the caller vouches for (lo decodable, hi not)."""
-    lo, hi = bisect(lambda t: de_decodable(family.build(t), e, cfg).decodable,
+    lo, hi = bisect(lambda t: de_decodable(family.build(t), e, limits).decodable,
                     lo, hi, steps)
     return 0.5 * (lo + hi), lo, hi

@@ -20,7 +20,6 @@ from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
                             check_cbsb_budget, grid_samples, iterate_bound,
                             ub_sb_sigma, ub_sb_star)
 from .channels import (CHANNEL_FAMILIES, NoisePair, cb_of, sb_of)
-from .de import DeConfig
 from .ensembles import DegreeEnsemble, lambda2, rho_prime1
 
 __all__ = [
@@ -122,17 +121,18 @@ def _sb_star(e: DegreeEnsemble) -> float:
 
 
 def measure_threshold(kind: str, e: DegreeEnsemble,
-                      de_config: DeConfig | None = None) -> float:
+                      limits: IterationLimits | None = None) -> float:
     """Supremum of the scalar channel measure the bound still decodes.
 
     Every kind is computed directly, with no recursion: ub-cb and lb-cb
     return CB* (for ub-cb, the exact BEC threshold), ub-sb returns SB*, and
     ub-sb-star returns 4 p*(1-p*) with p* the midpoint of DE's final bracket
-    on the BSC family.  That midpoint is an estimate, not a crossover DE
-    certified decodable, so the ub-sb-star value is not a proven inner bound.
+    on the BSC family, each DE run capped by ``limits``.  That midpoint is an
+    estimate, not a crossover DE certified decodable, so the ub-sb-star value
+    is not a proven inner bound.
     """
     if kind == "ub-sb-star":
-        return ub_sb_star(channel_threshold("de", "bsc", e, de_config=de_config).value)
+        return ub_sb_star(channel_threshold("de", "bsc", e, limits=limits).value)
     if kind in ("ub-cb", "lb-cb"):         # CB* = inf x / g(x), at most 1
         _, vs, limit = cb_ratio_samples(kind, e)
         return min(float(vs.min()), limit, 1.0)
@@ -176,7 +176,6 @@ def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
 def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
                       tol: float | None = None,
                       limits: IterationLimits | None = None,
-                      de_config: DeConfig | None = None,
                       p_star: float | None = None) -> ThresholdResult:
     """Bisect the channel-family parameter to width ``tol`` against a verdict.
 
@@ -187,11 +186,12 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     not a proven inner bound.  "lb-cb" yields an *outer* bound: parameters
     above its threshold are certainly undecodable, nothing below certified.
 
-    ub-cbsb decides a probe by ``_cbsb_verdict``, which runs the recursion,
-    under ``limits``, only between the two CB*, and at both bracket ends.  "de"
-    bisects the discretized-DE oracle only between the ub-cb and lb-cb
-    thresholds, to width (family.hi - family.lo) 2^-13 whatever ``tol``;
-    its ``iterations`` counts the DE bisection steps run.
+    ``limits`` caps the recursion that decides a probe: ub-cbsb's bound,
+    which ``_cbsb_verdict`` runs only between the two CB* and at both bracket
+    ends, or DE for "de" (default DE_MAX_ITER); ub-sb-star's DE runs at
+    DE's default.  "de" bisects the discretized-DE oracle only between the
+    ub-cb and lb-cb thresholds, to width (family.hi - family.lo) 2^-13
+    whatever ``tol``; its ``iterations`` counts the DE bisection steps run.
     """
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
@@ -199,13 +199,13 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     lo, hi = family.lo, family.hi
 
     if kind == "de":
-        return _de_channel_threshold(family, e, de_config or DeConfig())
+        return _de_channel_threshold(family, e, limits)
 
     if kind == "ub-cbsb":
         star, end_star = (measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)), None
     else:
         star = end_star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
-                           else measure_threshold(kind, e, de_config=de_config))
+                           else measure_threshold(kind, e))
 
     lo_probe = max(lo, 1e-9)
     lo_ok = _channel_verdict(kind, family, lo_probe, e, limits, end_star)
@@ -221,7 +221,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
 
 
 def _de_channel_threshold(family, e: DegreeEnsemble,
-                          cfg: DeConfig) -> ThresholdResult:
+                          limits: IterationLimits | None) -> ThresholdResult:
     """Bisect discretized DE inside the bracket the CB bounds prove: lo is the
     largest grid parameter ub-cb certifies decodable, hi the smallest that
     lb-cb proves undecodable, both found on DE's final grid, width
@@ -239,10 +239,10 @@ def _de_channel_threshold(family, e: DegreeEnsemble,
     below_lb = verdict("lb-cb")
     hi = bisect(below_lb, family.lo, family.hi, grid)[1]
     if (hi == family.hi and below_lb(hi)
-            and de_mod.de_decodable(family.build(hi), e, cfg).decodable):
+            and de_mod.de_decodable(family.build(hi), e, limits).decodable):
         raise NonMonotoneError(family.name, family.lo, hi, True, True)
     steps = _steps_for(lo, hi, width)
-    value, lo, hi = de_mod.de_threshold(family, e, cfg, lo, hi, steps)
+    value, lo, hi = de_mod.de_threshold(family, e, limits, lo, hi, steps)
     return ThresholdResult(family.param, lo, hi, value, "de", steps)
 
 

@@ -14,25 +14,17 @@ the one-dimensional CB bound there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .binary_bounds import IterationLimits, run_recursion, ub_cb_step
+from .binary_bounds import BoundTrajectory, IterationLimits, run_recursion, ub_cb_step
 from .channels import CbVector, circ_conv
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_eval, rho_prime1
 
 __all__ = [
-    "ZmBoundState", "cb_vec_convolve", "cb_vec_pointwise", "zm_bound_step",
-    "zm_iterate", "sufficient_stability", "necessary_stability_violated",
-    "gfq_stability", "convergence_rate",
+    "cb_vec_convolve", "cb_vec_pointwise", "zm_bound_step", "zm_iterate",
+    "sufficient_stability", "necessary_stability_violated", "gfq_stability",
+    "convergence_rate",
 ]
-
-
-@dataclass(frozen=True)
-class ZmBoundState:
-    v: CbVector
-    iteration: int
 
 
 def _require_same_m(u: CbVector, v: CbVector):
@@ -68,20 +60,19 @@ def zm_bound_step(v: CbVector, v0: CbVector, e: DegreeEnsemble) -> CbVector:
 
 
 def zm_iterate(v0: CbVector, e: DegreeEnsemble,
-               limits: IterationLimits | None = None):
-    """Iterate the vector bound from v = v0.
-
-    Returns (verdict, trajectory, reason): "decodable" once max_{x != 0}
+               limits: IterationLimits | None = None) -> BoundTrajectory:
+    """Iterate the vector bound from v = v0: a ``BoundTrajectory`` of kind
+    "zm" whose states are CB vectors, "decodable" once max_{x != 0}
     v[x] < ``DECODE_EPS`` ("decoded": pairwise errors then vanish),
     "not-decodable" at a fixed-point witness ("witness", a proof: the step is
     monotone), "inconclusive" at max_iter ("max_iter").
     """
     if not v0.v.max() <= 1.0 + 1e-9:     # NaN fails too
         raise ValueError("initial CB vector entries must lie in [0, 1]")
-    verdict, states, _, reason = run_recursion(
+    verdict, states, its, reason = run_recursion(
         lambda v: zm_bound_step(v, v0, e), CbVector.max_off_zero, v0,
         limits or IterationLimits(), lambda v: v.v, lambda a: CbVector(np.clip(a, 0, 1)))
-    return verdict, [ZmBoundState(v, it) for it, v in enumerate(states)], reason
+    return BoundTrajectory("zm", states, verdict, its, reason)
 
 
 def sufficient_stability(e: DegreeEnsemble, v: CbVector) -> bool:

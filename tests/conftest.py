@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from bpbounds import (DeConfig, channel_threshold,
-                      de_threshold, measure_threshold, regular_ensemble,
+from bpbounds import (channel_threshold, de_threshold, measure_threshold, regular_ensemble,
                       CHANNEL_FAMILIES, rayleigh_amplitude_marginal_density)
 from bpbounds.channels import ChannelFamily
 
@@ -62,12 +61,7 @@ def ub_cbsb_thresholds(ens36):
 
 
 @pytest.fixture(scope="session")
-def de_config():
-    return DeConfig()
-
-
-@pytest.fixture(scope="session")
-def de_thresholds(ens36, de_config):
+def de_thresholds(ens36):
     """Criterion 5: discretized-DE thresholds; brackets trimmed to
     the physically relevant range so the 13 bisection steps resolve finely."""
     brackets = {
@@ -79,7 +73,7 @@ def de_thresholds(ens36, de_config):
     t0 = time.monotonic()
     values = {}
     for fam, (lo, hi) in brackets.items():
-        value, _, _ = de_threshold(CHANNEL_FAMILIES[fam], ens36, de_config,
+        value, _, _ = de_threshold(CHANNEL_FAMILIES[fam], ens36, None,
                                    lo=lo, hi=hi)
         values[fam] = value
     values["bec_exact"] = measure_threshold("ub-cb", ens36)
@@ -87,7 +81,7 @@ def de_thresholds(ens36, de_config):
 
 
 @pytest.fixture(scope="session")
-def de_rayleigh_unobserved(ens36, de_config):
+def de_rayleigh_unobserved(ens36):
     """Criterion 5c: discretized-DE threshold of Rayleigh fading with the fading
     amplitude NOT observed, the channel the reference table's DE entry
     belongs to.  Same set-up and bracket as the observed channel in
@@ -96,5 +90,5 @@ def de_rayleigh_unobserved(ens36, de_config):
     family = ChannelFamily("rayleigh-unobserved", "sigma",
                            rayleigh_amplitude_marginal_density, 0.05, 3.0)
     t0 = time.monotonic()
-    value, _, _ = de_threshold(family, ens36, de_config, lo=0.4, hi=1.0)
+    value, _, _ = de_threshold(family, ens36, None, lo=0.4, hi=1.0)
     return {"value": value, "seconds": time.monotonic() - t0}

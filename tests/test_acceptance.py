@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from conftest import record
 
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
-                      BscMixture, CbVector, DeConfig,
+                      BscMixture, CbVector,
                       MscChannel, MscMixture, NoisePair, SequenceMapperChannel,
                       cb_of, cb_vec_convolve, cb_vector_of,
                       channel_threshold, check_node_dual, check_node_maximizer,
@@ -164,11 +164,8 @@ def test_criterion5_marginal_rayleigh_reproduces_printed_value(ens36):
     # the amplitude-unobserved channel brackets the printed 0.644 at probes
     # other than 5c's bisection
     from bpbounds import de_decodable, rayleigh_amplitude_marginal_density
-    cfg = DeConfig()
-    ok_low = de_decodable(rayleigh_amplitude_marginal_density(0.634),
-                          ens36, cfg).decodable
-    ok_high = de_decodable(rayleigh_amplitude_marginal_density(0.654),
-                           ens36, cfg).decodable
+    ok_low = de_decodable(rayleigh_amplitude_marginal_density(0.634), ens36).decodable
+    ok_high = de_decodable(rayleigh_amplitude_marginal_density(0.654), ens36).decodable
     record(f"criterion 5c': amplitude-unobserved DE decodable at 0.634: "
            f"{ok_low}, at 0.654: {ok_high} (printed value sits between)")
     assert ok_low and not ok_high

@@ -1139,11 +1139,13 @@ class TestWitnessGate:
             starts.append(cb_vector_of(MscChannel(p)))
         got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
         monkeypatch.setattr(zm_mod, "run_recursion", _ungated_run_recursion)
-        for v0, (verdict, traj, reason) in zip(starts, got):
-            ref_verdict, ref, ref_reason = zm_iterate(v0, e, self.LIMITS)
-            assert (verdict, reason) == (ref_verdict, ref_reason) and len(traj) == len(ref)
-            for a, b in zip(traj, ref):
-                assert a.iteration == b.iteration and np.array_equal(a.v.v, b.v.v)
+        for v0, traj in zip(starts, got):
+            ref = zm_iterate(v0, e, self.LIMITS)
+            assert (traj.verdict, traj.reason, traj.iterations) == \
+                (ref.verdict, ref.reason, ref.iterations)
+            assert len(traj.states) == len(ref.states)
+            for a, b in zip(traj.states, ref.states):
+                assert np.array_equal(a.v, b.v)
 
     def test_fewer_kernel_steps_on_a_long_decodable_run(self, monkeypatch, e36):
         import bpbounds.binary_bounds as bb
@@ -1198,16 +1200,16 @@ class TestFixedPointWitness:
         got = [zm_iterate(v0, e, self.LIMITS) for v0 in starts]
         monkeypatch.setattr(zm_mod, "run_recursion", _stall_rule_recursion)
         decoded = 0
-        for v0, (verdict, traj, _) in zip(starts, got):
-            ref_verdict, ref, _ = zm_iterate(v0, e, self.LIMITS)
-            if ref_verdict == "decodable":
+        for v0, traj in zip(starts, got):
+            ref = zm_iterate(v0, e, self.LIMITS)
+            if ref.verdict == "decodable":
                 decoded += 1
-                assert verdict == "decodable"
-                assert len(traj) == len(ref)
-                for a, b in zip(traj, ref):
-                    assert a.iteration == b.iteration and np.array_equal(a.v.v, b.v.v)
+                assert traj.verdict == "decodable"
+                assert traj.iterations == ref.iterations and len(traj.states) == len(ref.states)
+                for a, b in zip(traj.states, ref.states):
+                    assert np.array_equal(a.v, b.v)
             else:
-                assert verdict != "decodable"
+                assert traj.verdict != "decodable"
         assert 0 < decoded < len(starts)
 
     def test_slow_linear_approach_decodes(self):

@@ -133,20 +133,39 @@ class TestThreshold:
         assert code == 2 and out == ""
         assert "symmetric channels only" in err
 
-    def test_de_uses_de_config_iteration_cap(self, capsys, monkeypatch):
+    def test_de_caps_each_run_at_max_iter(self, capsys, monkeypatch):
         import bpbounds.cli as cli_mod
-        from bpbounds import DeConfig, ThresholdResult
+        from bpbounds import DE_MAX_ITER, ThresholdResult
 
-        configs = []
+        caps = []
 
-        def capture(kind, family, e, de_config=None):
-            configs.append(de_config)
+        def capture(kind, family, e, limits=None):
+            caps.append(limits)
             return ThresholdResult("p", 0.08, 0.09, 0.085, "de", 13)
 
         monkeypatch.setattr(cli_mod, "channel_threshold", capture)
         assert run_cli(capsys, "de", "--family", "bsc")[0] == 0
         assert run_cli(capsys, "de", "--family", "bsc", "--max-iter", "40")[0] == 0
-        assert [c.max_iter for c in configs] == [DeConfig().max_iter, 40]
+        assert [c.max_iter for c in caps] == [DE_MAX_ITER, 40]
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--bound", "ub-cbsb", "--family", "bsc"],
+        ["region", "--grid", "3x3", "--p-star", "0.0837"],
+        ["zm", "--channel", "msc:0.999,0.0005,0.0005"],
+        ["de", "--family", "bsc"]], ids=["threshold", "region", "zm", "de"])
+    def test_nonpositive_max_iter_is_refused(self, capsys, monkeypatch, tmp_path,
+                                             command, max_iter):
+        import bpbounds.de as de_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DE run started")
+
+        monkeypatch.setattr(de_mod, "de_decodable", refuse)
+        code, _, err = run_cli(capsys, *command, "--max-iter", max_iter,
+                               "--out", str(tmp_path / "out"))
+        assert code == 2 and "max_iter must be positive" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_de_is_not_a_threshold_bound(self, capsys):
         # `bpbounds de` is the one DE route; threshold's --max-iter and --tol

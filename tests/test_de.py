@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 import bpbounds.de as de_mod
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
-                      BscMixture, CHANNEL_FAMILIES, DegreeEnsemble, DeConfig,
-                      DeVerdict, cb_of, channel_density, channel_threshold,
+                      BscMixture, CHANNEL_FAMILIES, DE_MAX_ITER, DegreeEnsemble,
+                      DeVerdict, IterationLimits, cb_of, channel_density, channel_threshold,
                       de_decodable, de_threshold, measure_threshold,
                       rayleigh_amplitude_marginal_density, regular_ensemble,
                       rho_eval)
@@ -237,7 +237,7 @@ class TestStopRules:
         assert (got.decodable, got.reason) == (False, "witness") and got.iterations < 20
 
     def test_max_iter(self, e36):
-        got = de_decodable(Bsc(0.0841), e36, DeConfig(max_iter=7))
+        got = de_decodable(Bsc(0.0841), e36, IterationLimits(7))
         assert got == DeVerdict(False, 7, "max_iter", got.pe) and len(got.pe) == 7
 
     def test_bec_just_above_the_exact_threshold_is_not_decodable(self, e36):
@@ -279,7 +279,7 @@ class TestStopRules:
 
         monkeypatch.setattr(de_mod, "cb_ratio_samples", counted)
         de_mod._ub_cb_samples.cache_clear()
-        de_threshold(CHANNEL_FAMILIES["bsc"], e36, DeConfig(), lo=0.07, hi=0.1, steps=3)
+        de_threshold(CHANNEL_FAMILIES["bsc"], e36, None, lo=0.07, hi=0.1, steps=3)
         assert builds == [("ub-cb", e36)]
 
     def test_deterministic(self, e36):
@@ -302,11 +302,11 @@ class TestStopRules:
         assert all(v.reason == "witness" for v in verdicts)
         monkeypatch.setattr(bb, "WITNESS_PERIOD", 10 ** 9)
         for t, v in zip(probes, verdicts):
-            long = de_decodable(fam.build(t), e, DeConfig(max_iter=3000))
+            long = de_decodable(fam.build(t), e, IterationLimits(3000))
             assert not long.decodable, t
 
 
-def _ref_de_decodable(ch, e, cfg, target_pe=1e-5):
+def _ref_de_decodable(ch, e, limits, target_pe=1e-5):
     """``de_decodable`` as its own loop, before it ran on ``run_recursion``:
     tries on steps 4, 8, ... once the Aitken ratio r of B is in (0, 1) and
     steady, a witness m_n + 2r/(1 - r) (m_n - m_{n-1}); decodable also once Pe
@@ -321,7 +321,7 @@ def _ref_de_decodable(ch, e, cfg, target_pe=1e-5):
     def step(m):
         return de_mod._variable_stage(rho_eval(e, m, de_mod._check_product), chan_f, e, n)
 
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, limits.max_iter + 1):
         new = step(m)
         pe.append(pe_of_density(new))
         bs.append(bhattacharyya(new))
@@ -344,7 +344,7 @@ def _ref_de_decodable(ch, e, cfg, target_pe=1e-5):
         if witness:
             return DeVerdict(False, it, "witness", tuple(pe))
         m = new
-    return DeVerdict(False, cfg.max_iter, "max_iter", tuple(pe))
+    return DeVerdict(False, limits.max_iter, "max_iter", tuple(pe))
 
 
 @pytest.mark.parametrize("family", ["bsc", "biawgn", "bec", "bilc", "rayleigh"])
@@ -357,9 +357,9 @@ def test_stop_rule_matches_the_target_pe_rule(monkeypatch, family, e):
     # a witness, and no run newly ends on max_iter
     runs = []
 
-    def both(ch, e, cfg=None):
-        got = de_decodable(ch, e, cfg)
-        runs.append((got, _ref_de_decodable(ch, e, cfg or DeConfig())))
+    def both(ch, e, limits=None):
+        got = de_decodable(ch, e, limits)
+        runs.append((got, _ref_de_decodable(ch, e, limits or IterationLimits(DE_MAX_ITER))))
         return got
 
     monkeypatch.setattr(de_mod, "de_decodable", both)
@@ -420,7 +420,7 @@ class TestMonotonicity:
 
 class TestDeThreshold:
     def test_bec_agrees_with_exact_recursion(self, e36):
-        value, lo, hi = de_threshold(CHANNEL_FAMILIES["bec"], e36, DeConfig(),
+        value, lo, hi = de_threshold(CHANNEL_FAMILIES["bec"], e36, None,
                                      lo=0.3, hi=0.6)
         assert value == pytest.approx(measure_threshold("ub-cb", e36), abs=0.005)
 
@@ -432,12 +432,12 @@ class TestDeThreshold:
         # exercises several degrees on both node sides
         e = DegreeEnsemble(((2, 0.4), (3, 0.6)), ((5, 0.5), (6, 0.5)))
         exact = measure_threshold("ub-cb", e)
-        value, _, _ = de_threshold(CHANNEL_FAMILIES["bec"], e, DeConfig(),
+        value, _, _ = de_threshold(CHANNEL_FAMILIES["bec"], e, None,
                                    lo=exact - 0.1, hi=exact + 0.1)
         assert value == pytest.approx(exact, abs=0.005)
 
     def test_bracket_semantics(self, e36):
-        value, lo, hi = de_threshold(CHANNEL_FAMILIES["bsc"], e36, DeConfig(),
+        value, lo, hi = de_threshold(CHANNEL_FAMILIES["bsc"], e36, None,
                                      lo=0.04, hi=0.14)
         assert lo <= value <= hi
         assert hi - lo == pytest.approx(0.10 * 2 ** -13, abs=1e-9)
@@ -446,7 +446,7 @@ class TestDeThreshold:
         # the CB lower-bound recursion yields an outer threshold: channels
         # decodable in reality must sit below it
         lb_star = measure_threshold("lb-cb", e36)
-        p_de, _, _ = de_threshold(CHANNEL_FAMILIES["bsc"], e36, DeConfig(),
+        p_de, _, _ = de_threshold(CHANNEL_FAMILIES["bsc"], e36, None,
                                   lo=0.04, hi=0.14)
         assert 2 * math.sqrt(p_de * (1 - p_de)) <= lb_star + 0.01
 
@@ -455,8 +455,8 @@ class TestDeThreshold:
         # unobserved Rayleigh channel does
         fam = dataclasses.replace(CHANNEL_FAMILIES["bsc"],
                                   build=lambda p: channel_density(Bsc(p)))
-        assert de_threshold(fam, e36, DeConfig(), 0.04, 0.14) == \
-            de_threshold(CHANNEL_FAMILIES["bsc"], e36, DeConfig(), 0.04, 0.14)
+        assert de_threshold(fam, e36, None, 0.04, 0.14) == \
+            de_threshold(CHANNEL_FAMILIES["bsc"], e36, None, 0.04, 0.14)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import bpbounds.binary_bounds as bb_mod
 import bpbounds.channels as channels_mod
 import bpbounds.de as de_mod
 import bpbounds.search as search_mod
-from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeConfig, DeVerdict,
+from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeVerdict,
                       IterationLimits, NoisePair, NonMonotoneError, cb_of,
                       channel_threshold, iterate_bound, measure_threshold,
                       regular_ensemble, region_sweep, sb_of)
@@ -31,7 +31,7 @@ class TestMeasureThreshold:
         assert measure_threshold("ub-sb", e36) == pytest.approx(0.263465, abs=1e-4)
 
     def test_ub_sb_star_runs_de(self, e36):
-        star = measure_threshold("ub-sb-star", e36, de_config=DeConfig())
+        star = measure_threshold("ub-sb-star", e36)
         assert star == pytest.approx(0.3068, abs=0.02)
 
     def test_unknown_kind(self, e36):
@@ -99,6 +99,9 @@ class TestChannelThreshold:
         # the CB-only bound still works there
         res = channel_threshold("ub-cb", "bec", e, tol=1e-4)
         assert 0.3 < res.value < 0.5
+        # and so does ub-cbsb, whose recursion decodes channels above CB*
+        cb_only = channel_threshold("ub-cb", "bsc", e, tol=1e-2)
+        assert channel_threshold("ub-cbsb", "bsc", e, tol=1e-2).lo > cb_only.hi
 
     def test_ub_cbsb_refused_past_the_exact_budget(self):
         # the two-dimensional bound refuses lambda degree 28 on its first probe
@@ -541,9 +544,9 @@ def de_probes(monkeypatch):
         seen["probes"].append(dataclasses.astuple(ch)[0])
         return decodable(ch, *args, **kwargs)
 
-    def spy_threshold(family, e, cfg, lo, hi, steps):
+    def spy_threshold(family, e, limits, lo, hi, steps):
         seen["brackets"].append((lo, hi))
-        return threshold(family, e, cfg, lo, hi, steps)
+        return threshold(family, e, limits, lo, hi, steps)
 
     def refuse(*args, **kwargs):
         raise AssertionError("sb_of was called")
@@ -558,14 +561,14 @@ def de_probes(monkeypatch):
 class TestDeBracket:
     # channel_threshold("de") bisects DE only inside [lo, hi], lo certified
     # by ub-cb and hi excluded by lb-cb, at the 13-step width of the family
-    CFG = DeConfig(max_iter=200)
+    LIMITS = IterationLimits(200)
 
     @pytest.mark.parametrize("name, e, family", DE_BRACKET_CASES,
                              ids=[f"{c[0]}-{c[2]}" for c in DE_BRACKET_CASES])
     def test_probes_stay_inside_the_cb_bracket(self, de_probes, name, e, family):
         fam = CHANNEL_FAMILIES[family]
         width = (fam.hi - fam.lo) * 2.0 ** -13
-        res = channel_threshold("de", family, e, de_config=self.CFG)
+        res = channel_threshold("de", family, e, limits=self.LIMITS)
         [(lo, hi)] = de_probes["brackets"]
         ub, lb = measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)
         assert cb_of(fam.build(lo)) < ub <= cb_of(fam.build(lo + width))
@@ -577,11 +580,37 @@ class TestDeBracket:
         assert res.hi - res.lo <= width * (1.0 + 1e-12)
 
     def test_ub_sb_star_runs_de_inside_the_bracket(self, e36, de_probes):
-        star = measure_threshold("ub-sb-star", e36, de_config=self.CFG)
+        star = measure_threshold("ub-sb-star", e36, limits=self.LIMITS)
         assert star == pytest.approx(0.3068, abs=0.02)
         [(lo, hi)] = de_probes["brackets"]
         assert 0.048 < lo < 0.049 and 0.122 < hi < 0.123
         assert all(lo < t < hi for t in de_probes["probes"])
+
+
+class TestDeRunCaps:
+    # a search's limits cap DE's runs for "de" and for measure_threshold's
+    # p*, while channel_threshold("ub-sb-star") runs DE at DE's default
+    @pytest.fixture
+    def caps(self, monkeypatch):
+        seen = []
+
+        def decodable(ch, e, limits=None):
+            seen.append(limits)
+            return DeVerdict(ch.p < 0.084, 1, "decoded", ())
+        monkeypatch.setattr(de_mod, "de_decodable", decodable)
+        return seen
+
+    def test_de_search_passes_its_limits(self, e36, caps):
+        channel_threshold("de", "bsc", e36, limits=IterationLimits(3))
+        assert caps and all(c == IterationLimits(3) for c in caps)
+
+    def test_measure_threshold_passes_its_limits(self, e36, caps):
+        measure_threshold("ub-sb-star", e36, limits=IterationLimits(3))
+        assert caps and all(c == IterationLimits(3) for c in caps)
+
+    def test_ub_sb_star_search_runs_de_at_its_default(self, e36, caps):
+        channel_threshold("ub-sb-star", "bsc", e36, tol=1e-2, limits=IterationLimits(3))
+        assert caps and all(c is None for c in caps)
 
 
 class TestDeUnprovenEnd:
@@ -595,7 +624,7 @@ class TestDeUnprovenEnd:
     def stub_de(self, monkeypatch, p_de):
         probes = []
 
-        def decodable(ch, e, cfg):
+        def decodable(ch, e, limits):
             probes.append(ch.p)
             return DeVerdict(ch.p < p_de, 1, "decoded", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)

@@ -1,15 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bpbounds import (Bsc, CbVector, DeConfig, DegreeEnsemble,
+from bpbounds import (Bsc, CbVector, DegreeEnsemble, IterationLimits,
                       MscChannel, NoisePair, cb_vec_convolve,
                       cb_vec_pointwise, cb_vector_of, convergence_rate,
                       de_decodable, gfq_stability, iterate_bound,
                       necessary_stability_violated, regular_ensemble,
                       sufficient_stability, ub_cb_step, zm_bound_step,
-                      zm_iterate)
+                      parse_channel_spec, zm_iterate)
+from bpbounds.cli import main
 
 
 V6A = CbVector(np.array([1, 0.5, 0, 0, 0, 0.5]))
@@ -161,19 +163,19 @@ def _exact_tree_cb(p1, p5, p6):
 class TestZmIterate:
     def test_perfect_channel(self):
         e = regular_ensemble(3, 6)
-        verdict, traj, reason = zm_iterate(CbVector(np.array([1.0, 0, 0, 0])), e)
-        assert (verdict, reason) == ("decodable", "decoded")
-        assert traj[-1].iteration == 1
+        traj = zm_iterate(CbVector(np.array([1.0, 0, 0, 0])), e)
+        assert (traj.kind, traj.verdict, traj.reason) == ("zm", "decodable", "decoded")
+        assert traj.iterations == 1
 
     def test_m2_thresholds_match_binary(self):
         e = regular_ensemble(3, 6)
         for cb, expect in ((0.42, "decodable"), (0.44, "not-decodable")):
-            verdict, traj, reason = zm_iterate(CbVector(np.array([1.0, cb])), e)
-            assert verdict == expect
+            traj = zm_iterate(CbVector(np.array([1.0, cb])), e)
+            assert traj.verdict == expect
             # same recursion, same stall rule: same verdict after as many steps
             binary = iterate_bound("ub-cb", NoisePair(cb=cb), e)
-            assert (binary.verdict, binary.reason) == (verdict, reason)
-            assert binary.iterations == traj[-1].iteration
+            assert (binary.verdict, binary.reason) == (traj.verdict, traj.reason)
+            assert binary.iterations == traj.iterations
 
     def test_nan_start_refused(self):
         # a NaN entry past CbVector's own checks (which refuse it) must not
@@ -186,18 +188,33 @@ class TestZmIterate:
 
     def test_all_ones_fixed_point(self):
         e = regular_ensemble(3, 6)
-        verdict, _, reason = zm_iterate(CbVector(np.ones(6)), e)
-        assert (verdict, reason) == ("not-decodable", "witness")
+        traj = zm_iterate(CbVector(np.ones(6)), e)
+        assert (traj.verdict, traj.reason) == ("not-decodable", "witness")
 
     def test_m6_channel(self):
         # convolution powers scale like (sum v)^(dc-1), so the d_c = 9 bound
         # certifies only rather clean channels at m = 6
         e = regular_ensemble(3, 9)
         v0 = cb_vector_of(MscChannel(np.array([0.999, 2e-4, 2e-4, 2e-4, 2e-4, 2e-4])))
-        verdict, traj, _ = zm_iterate(v0, e)
-        assert verdict == "decodable"
-        for a, b in zip(traj[1:], traj[2:]):
-            assert b.v.max_off_zero() <= a.v.max_off_zero() + 1e-12
+        traj = zm_iterate(v0, e)
+        assert traj.verdict == "decodable"
+        for a, b in zip(traj.states[1:], traj.states[2:]):
+            assert b.max_off_zero() <= a.max_off_zero() + 1e-12
+
+    @pytest.mark.parametrize("spec, max_iter, reason, iterations", [
+        ("msc:0.999,0.0005,0.0005", 10_000, "decoded", 3),
+        ("msc:0.99,0.005,0.005", 10_000, "witness", 5),
+        ("msc:0.999,0.0005,0.0005", 2, "max_iter", 2),
+    ])
+    def test_iterations_count_the_steps(self, capsys, spec, max_iter, reason, iterations):
+        # the run record's count is its steps, and the CLI prints that count
+        traj = zm_iterate(cb_vector_of(parse_channel_spec(spec)), regular_ensemble(3, 6),
+                          IterationLimits(max_iter))
+        assert (traj.reason, traj.iterations) == (reason, iterations)
+        assert traj.iterations == len(traj.states) - 1
+        assert main(["zm", "--channel", spec, "--max-iter", str(max_iter)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["reason"], printed["iterations"]) == (reason, traj.iterations)
 
 
 class TestStability:
@@ -230,8 +247,7 @@ class TestStability:
         e = DegreeEnsemble(((2, 0.5), (3, 0.5)), ((6, 1.0),))
         v0 = CbVector(np.array([1.0, 1e-3, 1e-3]))
         assert convergence_rate(e, v0) < 1.0
-        verdict, _, _ = zm_iterate(v0, e)
-        assert verdict == "decodable"
+        assert zm_iterate(v0, e).verdict == "decodable"
 
     def test_unstable_channel_retains_error_under_de(self):
         # m = 2: necessary condition clearly violated => DE stays in error
@@ -240,7 +256,7 @@ class TestStability:
         from bpbounds import cb_of
         v = CbVector(np.array([1.0, cb_of(ch)]))
         assert necessary_stability_violated(e, v)
-        assert not de_decodable(ch, e, DeConfig(max_iter=200)).decodable
+        assert not de_decodable(ch, e, IterationLimits(200)).decodable
 
 
 class TestGfqStability:
