@@ -139,21 +139,26 @@ class Bnsc:
             raise ValueError("BNSC requires p01 + p10 <= 1 (relabel outputs)")
 
 
+def _weighted_atoms(atoms) -> tuple:
+    """Mixture (weight, atom) pairs, the weights checked and renormalized."""
+    atoms = tuple((float(w), a) for w, a in atoms)
+    if not atoms:
+        raise ValueError("mixture needs at least one atom")
+    total = sum(w for w, _ in atoms)
+    if any(not w >= -PROB_TOL for w, _ in atoms) or not abs(total - 1.0) <= PROB_TOL:
+        raise ValueError("mixture weights must be nonnegative and sum to 1")
+    return tuple((w / total, a) for w, a in atoms)
+
+
 @dataclass(frozen=True)
 class BscMixture:
     """Finite mixture of BSCs; the mixture label is receiver side information."""
     atoms: tuple  # of (weight, crossover p)
 
     def __post_init__(self):
-        atoms = tuple((float(w), float(p)) for w, p in self.atoms)
-        if not atoms:
-            raise ValueError("mixture needs at least one atom")
-        total = sum(w for w, _ in atoms)
-        if any(not w >= -PROB_TOL for w, _ in atoms) or not abs(total - 1.0) <= PROB_TOL:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
+        atoms = tuple((w, float(p)) for w, p in _weighted_atoms(self.atoms))
         if any(not 0.0 <= p <= 0.5 for _, p in atoms):
             raise ValueError("mixture crossovers must lie in [0, 1/2]")
-        atoms = tuple((w / total, p) for w, p in atoms)
         object.__setattr__(self, "atoms", atoms)
 
 
@@ -226,16 +231,10 @@ class MscMixture:
     atoms: tuple  # of (weight, MscChannel)
 
     def __post_init__(self):
-        atoms = tuple((float(w), ch) for w, ch in self.atoms)
-        if not atoms:
-            raise ValueError("mixture needs at least one atom")
-        m = atoms[0][1].m
-        if any(ch.m != m for _, ch in atoms):
+        atoms = _weighted_atoms(self.atoms)
+        if any(ch.m != atoms[0][1].m for _, ch in atoms):
             raise ValueError("all atoms must share the alphabet size")
-        total = sum(w for w, _ in atoms)
-        if any(not w >= -PROB_TOL for w, _ in atoms) or not abs(total - 1.0) <= PROB_TOL:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "atoms", tuple((w / total, ch) for w, ch in atoms))
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def m(self) -> int:
@@ -290,6 +289,8 @@ def cb_of(ch: BinaryChannel) -> float:
         return ch.eps
     if isinstance(ch, (BiAwgn, BiRayleigh)) and ch.sigma ** 2 == 0.0:
         return 0.0      # sigma^2 underflowed: the noise-free limit
+    if isinstance(ch, BiLaplace) and 1.0 / ch.lam == math.inf:
+        return 0.0      # 1/lam overflowed: the noise-free limit, not inf * 0
     if isinstance(ch, BiAwgn):
         return math.exp(-1.0 / (2.0 * ch.sigma ** 2))
     if isinstance(ch, BiLaplace):
@@ -324,6 +325,8 @@ def sb_of(ch: BinaryChannel) -> float:
         return ch.eps
     if isinstance(ch, (BiAwgn, BiRayleigh)) and ch.sigma ** 2 == 0.0:
         return 0.0      # sigma^2 underflowed: the noise-free limit
+    if isinstance(ch, BiLaplace) and 1.0 / ch.lam == math.inf:
+        return 0.0      # 1/lam overflowed: the noise-free limit, not inf * 0
     if isinstance(ch, BiAwgn):
         a, t = min(ch.sigma, 1.0), _AWGN_NODES
         val = float((np.exp(-0.5 * (a * t) ** 2) / np.cosh(a / ch.sigma * t)).sum())
@@ -544,67 +547,60 @@ def symmetrize(cond: np.ndarray) -> MscMixture:
 #             | "mix:" atom (";" atom)*
 #   atom     := "(" FLOAT "," FLOAT ")"
 
-def _parse_float(text: str, pos: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ChannelSpecError(f"expected a number for {what}, got {text!r}", pos)
+def _numbers(parts, pos: int, names) -> list:
+    """The numbers in ``parts``, comma-separated text that starts at ``pos``;
+    ``names[i]`` names the i-th one in the error a bad number raises."""
+    values = []
+    for part, what in zip(parts, names):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ChannelSpecError(f"expected a number for {what}, got {part!r}", pos) from None
+        pos += len(part) + 1
+    return values
+
+
+_ONE_NUMBER_HEADS = {"bsc": (Bsc, "crossover"), "bec": (Bec, "erasure probability"),
+                     "biawgn": (BiAwgn, "sigma"), "bilc": (BiLaplace, "scale"),
+                     "rayleigh": (BiRayleigh, "sigma")}
 
 
 def parse_channel_spec(spec: str):
     """Parse a channel spec string into a channel object.
 
-    Raises ChannelSpecError with the offending position on malformed input,
-    and ValueError when parameters are out of range.
+    Raises ChannelSpecError with the offending position on malformed input
+    and on parameters out of range.
     """
     if ":" not in spec:
         raise ChannelSpecError("missing ':' separator", len(spec))
     head, _, rest = spec.partition(":")
-    body_pos = len(head) + 1
+    body_pos, parts = len(head) + 1, rest.split(",")
     try:
-        if head == "bsc":
-            return Bsc(_parse_float(rest, body_pos, "crossover"))
-        if head == "bec":
-            return Bec(_parse_float(rest, body_pos, "erasure probability"))
-        if head == "biawgn":
-            return BiAwgn(_parse_float(rest, body_pos, "sigma"))
-        if head == "bilc":
-            return BiLaplace(_parse_float(rest, body_pos, "scale"))
-        if head == "rayleigh":
-            return BiRayleigh(_parse_float(rest, body_pos, "sigma"))
+        if head in _ONE_NUMBER_HEADS:
+            build, what = _ONE_NUMBER_HEADS[head]
+            return build(*_numbers([rest], body_pos, [what]))
         if head == "bnsc":
-            parts = rest.split(",")
             if len(parts) != 2:
                 raise ChannelSpecError("bnsc needs exactly two parameters", body_pos)
-            return Bnsc(_parse_float(parts[0], body_pos, "p01"),
-                        _parse_float(parts[1], body_pos + len(parts[0]) + 1, "p10"))
+            return Bnsc(*_numbers(parts, body_pos, ["p01", "p10"]))
         if head == "msc":
-            parts = rest.split(",")
             if len(parts) < 2:
                 raise ChannelSpecError("msc needs at least two entries", body_pos)
-            vals = []
-            pos = body_pos
-            for part in parts:
-                vals.append(_parse_float(part, pos, "msc entry"))
-                pos += len(part) + 1
-            return MscChannel(np.array(vals))
+            return MscChannel(np.array(_numbers(parts, body_pos, ["msc entry"] * len(parts))))
         if head == "mix":
-            atoms = []
-            pos = body_pos
+            atoms, pos = [], body_pos
             for part in rest.split(";"):
                 if not (part.startswith("(") and part.endswith(")")):
                     raise ChannelSpecError("mixture atom must look like (w,p)", pos)
                 inner = part[1:-1].split(",")
                 if len(inner) != 2:
                     raise ChannelSpecError("mixture atom needs (weight, crossover)", pos)
-                w = _parse_float(inner[0], pos + 1, "weight")
-                p = _parse_float(inner[1], pos + 2 + len(inner[0]), "crossover")
-                atoms.append((w, p))
+                atoms.append(_numbers(inner, pos + 1, ["weight", "crossover"]))
                 pos += len(part) + 1
             return BscMixture(tuple(atoms))
+    except ChannelSpecError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ChannelSpecError):
-            raise
         raise ChannelSpecError(str(exc), body_pos)
     raise ChannelSpecError(f"unknown channel kind {head!r}", 0)
 

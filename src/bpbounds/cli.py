@@ -37,17 +37,22 @@ EXIT_UNWRITABLE = 4
 EXIT_NOT_SYMMETRIC = 5
 
 
+def _write(path: str, write) -> int:
+    """Open ``path`` and hand it to ``write``; an unwritable path is exit 4."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_UNWRITABLE
+    return EXIT_OK
+
+
 def _emit(payload: dict, out_path: str | None) -> int:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
-    else:
-        print(text)
+        return _write(out_path, lambda fh: fh.write(text + "\n"))
+    print(text)
     return EXIT_OK
 
 
@@ -94,6 +99,8 @@ def cmd_measures(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.bound == "de" and (args.seed is not None or args.de_pop is not None):
+        print("--seed and --de-pop have no effect: DE is deterministic", file=sys.stderr)
     e = _load_ensemble(args)
     result = channel_threshold(args.bound, args.family, e, tol=args.tol,
                                limits=_limits(args), p_star=args.p_star)
@@ -108,29 +115,22 @@ def cmd_region(args) -> int:
     try:
         n_cb, n_sb = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
-        print(f"--grid expects NxM, got {args.grid!r}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"--grid expects NxM, got {args.grid!r}") from None
     grid = region_sweep(e, n_cb, n_sb, limits=_limits(args), p_star=args.p_star)
-    try:
-        with open(args.out, "w") as fh:
-            grid.to_csv(fh)
-        sidecar = args.out + ".overlays.json"
-        with open(sidecar, "w") as fh:
-            fh.write(grid.overlays_json() + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    print(f"wrote {len(grid.points)} grid points to {args.out} "
-          f"(overlays in {sidecar})")
-    return EXIT_OK
+    sidecar = args.out + ".overlays.json"
+    code = (_write(args.out, grid.to_csv)
+            or _write(sidecar, lambda fh: fh.write(grid.overlays_json() + "\n")))
+    if code == EXIT_OK:
+        print(f"wrote {len(grid.points)} grid points to {args.out} "
+              f"(overlays in {sidecar})")
+    return code
 
 
 def cmd_zm(args) -> int:
     e = _load_ensemble(args)
     ch = parse_channel_spec(args.channel)
     if not isinstance(ch, (MscChannel, MscMixture)):
-        print("zm expects an msc: channel spec", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("zm expects an msc: channel spec")
     vec = cb_vector_of(ch)
     if args.action == "bound":
         traj = zm_iterate(vec, e, _limits(args))
@@ -154,15 +154,17 @@ def cmd_zm(args) -> int:
 
 def cmd_decompose(args) -> int:
     with open(args.matrix) as fh:
-        rows = json.load(fh)
-    cond = np.asarray(rows, dtype=float)
+        try:
+            cond = np.asarray(json.load(fh), dtype=float)
+        except TypeError:           # a JSON object where a number belongs
+            cond = None
+    if cond is None or cond.ndim != 2:
+        raise ValueError(f"{args.matrix} must hold a JSON list of rows of numbers")
     if args.symmetrize:
         mix = symmetrize(cond)
     else:
         if args.transform is None:
-            print("--transform is required unless --symmetrize is given",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("--transform is required unless --symmetrize is given")
         transform = [int(v) for v in args.transform.split(",")]
         mix = msc_decompose(cond, transform)
     payload = {
@@ -172,17 +174,6 @@ def cmd_decompose(args) -> int:
                   for w, ch in mix.atoms],
         "cb_vector": [float(x) for x in cb_vector_of(mix).v],
     }
-    return _emit(payload, args.out)
-
-
-def cmd_de(args) -> int:
-    if args.seed is not None or args.de_pop is not None:
-        print("--seed and --de-pop have no effect: DE is deterministic", file=sys.stderr)
-    e = _load_ensemble(args)
-    result = channel_threshold("de", args.family, e, limits=_limits(args))
-    payload = result.to_dict()
-    payload.update({"bound": "de", "family": args.family,
-                    "ensemble": args.ensemble or "regular(3,6)"})
     return _emit(payload, args.out)
 
 
@@ -242,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     for flag in ("--seed", "--de-pop"):
         p.add_argument(flag, type=int, help="accepted and ignored: DE is deterministic")
-    p.set_defaults(func=cmd_de)
+    p.set_defaults(func=cmd_threshold, bound="de", tol=None, p_star=None)
 
     return parser
 

@@ -7,6 +7,7 @@ of degree k, and lambda(x) = sum_k lambda_k x^(k-1), likewise rho.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -21,7 +22,20 @@ JSON_MASS_TOL = 1e-9
 MAX_DEGREE = 10_000     # enumeration kernels elsewhere need bounded degree
 
 
-def _validated_pairs(pairs, side: str):
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)    # JSON's true is an int
+
+
+def _validated_pairs(pairs, side: str, tol: float = MASS_TOL):
+    try:
+        pairs = [(k, w) for k, w in pairs]
+    except (TypeError, ValueError):
+        raise ValueError(f"{side} must be a list of (degree, mass) pairs") from None
+    if not all(_real(k) and (isinstance(k, numbers.Integral) or float(k).is_integer())
+               for k, _ in pairs):
+        raise ValueError(f"{side} degrees must be integers")
+    if not all(_real(w) for _, w in pairs):
+        raise ValueError(f"{side} masses must be numbers")
     pairs = tuple((int(k), float(w)) for k, w in pairs)
     if not pairs:
         raise ValueError(f"{side} distribution is empty")
@@ -35,9 +49,9 @@ def _validated_pairs(pairs, side: str):
     if any(not w >= 0.0 for _, w in pairs):      # NaN fails too
         raise ValueError(f"{side} masses must be nonnegative numbers")
     total = sum(w for _, w in pairs)
-    if not abs(total - 1.0) <= MASS_TOL:
-        raise ValueError(f"{side} masses must sum to 1 within {MASS_TOL}")
-    return tuple(sorted((k, w / total) for k, w in pairs))
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"{side} masses sum to {total}, expected 1 +- {tol}")
+    return tuple((k, w / total) for k, w in pairs)
 
 
 @dataclass(frozen=True)
@@ -47,8 +61,8 @@ class DegreeEnsemble:
     rho: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _validated_pairs(self.lam, "lambda"))
-        object.__setattr__(self, "rho", _validated_pairs(self.rho, "rho"))
+        object.__setattr__(self, "lam", tuple(sorted(_validated_pairs(self.lam, "lambda"))))
+        object.__setattr__(self, "rho", tuple(sorted(_validated_pairs(self.rho, "rho"))))
 
 
 def regular_ensemble(dv: int, dc: int) -> DegreeEnsemble:
@@ -95,15 +109,10 @@ def design_rate(e: DegreeEnsemble) -> float:
 def ensemble_from_json(text: str) -> DegreeEnsemble:
     """Parse {"lambda": [[deg, mass], ...], "rho": [...]}; masses to 1 +- 1e-9."""
     data = json.loads(text)
-    for side in ("lambda", "rho"):
-        if side not in data:
-            raise ValueError(f"ensemble JSON is missing the {side!r} key")
-        total = sum(w for _, w in data[side])
-        if not abs(total - 1.0) <= JSON_MASS_TOL:
-            raise ValueError(f"{side} masses sum to {total}, expected 1 +- {JSON_MASS_TOL}")
-        data[side] = [(k, w / total) for k, w in data[side]]
-    return DegreeEnsemble(tuple(map(tuple, data["lambda"])),
-                          tuple(map(tuple, data["rho"])))
+    if not (isinstance(data, dict) and {"lambda", "rho"} <= data.keys()):
+        raise ValueError("ensemble JSON must be an object with 'lambda' and 'rho' keys")
+    return DegreeEnsemble(_validated_pairs(data["lambda"], "lambda", JSON_MASS_TOL),
+                          _validated_pairs(data["rho"], "rho", JSON_MASS_TOL))
 
 
 def ensemble_to_json(e: DegreeEnsemble) -> str:

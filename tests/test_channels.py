@@ -37,6 +37,15 @@ class TestCbOf:
         # quadrature oracle agreed with the closed form to 1e-15
         assert cb_of(BiLaplace(0.5221)) == pytest.approx(0.4294049827, abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_bilaplace_past_one_over_lam_overflow(self, lam):
+        # 1/lam overflows and (1 + lam)/lam e^(-1/lam) was inf * 0 = NaN
+        assert cb_of(BiLaplace(lam)) == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.05, 1.0, 3.0])
+    def test_bilaplace_closed_form_unchanged(self, lam):
+        assert cb_of(BiLaplace(lam)) == (1.0 + lam) / lam * math.exp(-1.0 / lam)
+
     def test_mixture_average(self):
         mix = BscMixture(((0.25, 0.0), (0.75, 0.5)))
         assert cb_of(mix) == pytest.approx(0.75)
@@ -640,3 +649,62 @@ class TestParseChannelSpec:
     def test_out_of_range_is_spec_error(self):
         with pytest.raises(ChannelSpecError):
             parse_channel_spec("bsc:0.9")
+
+    @pytest.mark.parametrize("spec,want", [
+        ("bsc:0.1", Bsc(0.1)), ("bec:0.5", Bec(0.5)), ("biawgn:0.8", BiAwgn(0.8)),
+        ("bilc:0.6", BiLaplace(0.6)), ("rayleigh:0.7", BiRayleigh(0.7)),
+        ("bsc:nan", None), ("bnsc:0.1,0.2", Bnsc(0.1, 0.2)),
+        ("mix:(0.4,0.1);(0.6,0.3)", BscMixture(((0.4, 0.1), (0.6, 0.3)))),
+        ("mix:(1,0.25)", BscMixture(((1.0, 0.25),))),
+    ])
+    def test_result_objects(self, spec, want):
+        if want is None:        # bsc:nan: NaN fails the range check
+            with pytest.raises(ChannelSpecError):
+                parse_channel_spec(spec)
+            return
+        got = parse_channel_spec(spec)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("spec,p", [
+        ("msc:0.5,0.3,0.2", [0.5, 0.3, 0.2]), ("msc:1,0", [1.0, 0.0]),
+        ("msc:0.999," + ",".join(["0.0005"] * 2), [0.999, 0.0005, 0.0005]),
+    ])
+    def test_msc_result_objects(self, spec, p):
+        got = parse_channel_spec(spec)
+        assert type(got) is MscChannel
+        assert np.array_equal(got.p, MscChannel(np.array(p)).p)
+
+    @pytest.mark.parametrize("spec,message,position", [
+        ("bsc:oops", "expected a number for crossover, got 'oops'", 4),
+        ("bec:", "expected a number for erasure probability, got ''", 4),
+        ("biawgn:1,2", "expected a number for sigma, got '1,2'", 7),
+        ("bilc:x", "expected a number for scale, got 'x'", 5),
+        ("rayleigh:-", "expected a number for sigma, got '-'", 9),
+        ("bsc:0.9", "BSC crossover must lie in [0, 1/2], got 0.9", 4),
+        ("bilc:0", "BiLaplace scale must be positive and finite, got 0.0", 5),
+        ("bnsc:x,0.2", "expected a number for p01, got 'x'", 5),
+        ("bnsc:0.1,y", "expected a number for p10, got 'y'", 9),
+        ("bnsc:0.1", "bnsc needs exactly two parameters", 5),
+        ("bnsc:0.1,0.2,0.3", "bnsc needs exactly two parameters", 5),
+        ("bnsc:0.7,0.7", "BNSC requires p01 + p10 <= 1 (relabel outputs)", 5),
+        ("msc:0.5,zz,0.5", "expected a number for msc entry, got 'zz'", 8),
+        ("msc:0.5,0.3,zz", "expected a number for msc entry, got 'zz'", 12),
+        ("msc:1.0", "msc needs at least two entries", 4),
+        ("msc:0.5,0.4", "entries must be nonnegative and sum to 1 within 1e-12", 4),
+        ("mix:(x,0.1)", "expected a number for weight, got 'x'", 5),
+        ("mix:(0.4,0.1);(0.6,q)", "expected a number for crossover, got 'q'", 19),
+        ("mix:(0.4,0.1);0.5,0.1", "mixture atom must look like (w,p)", 14),
+        ("mix:0.5,0.1", "mixture atom must look like (w,p)", 4),
+        ("mix:(0.5)", "mixture atom needs (weight, crossover)", 4),
+        ("mix:(0.4,0.1);(0.6)", "mixture atom needs (weight, crossover)", 14),
+        ("mix:(0.5,0.1)", "mixture weights must be nonnegative and sum to 1", 4),
+        ("mix:(1,0.7)", "mixture crossovers must lie in [0, 1/2]", 4),
+        ("nope:1", "unknown channel kind 'nope'", 0),
+        ("bsc0.1", "missing ':' separator", 6),
+    ])
+    def test_error_messages_and_positions(self, spec, message, position):
+        with pytest.raises(ChannelSpecError) as err:
+            parse_channel_spec(spec)
+        assert type(err.value) is ChannelSpecError and isinstance(err.value, ValueError)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position

@@ -48,6 +48,14 @@ class TestMeasures:
         assert code == 0
         assert json.loads(out)["sb"] == 0.0
 
+    @pytest.mark.parametrize("spec", ["bilc:1e-310", "bilc:5e-324"])
+    def test_laplace_scale_past_one_over_lam_overflow(self, capsys, spec):
+        # cb printed NaN, which is not JSON, beside measures_consistent false
+        code, out, _ = run_cli(capsys, "measures", "--channel", spec)
+        assert code == 0 and '"cb": 0.0' in out
+        data = json.loads(out, parse_constant=pytest.fail)
+        assert data["sb"] == 0.0 and data["measures_consistent"] is True
+
     @pytest.mark.parametrize("spec", ["rayleigh:1e-170", "biawgn:1e-170"])
     def test_sigma_squared_underflow(self, capsys, spec):
         code, out, _ = run_cli(capsys, "measures", "--channel", spec)
@@ -139,7 +147,7 @@ class TestThreshold:
 
         caps = []
 
-        def capture(kind, family, e, limits=None):
+        def capture(kind, family, e, tol=None, limits=None, p_star=None):
             caps.append(limits)
             return ThresholdResult("p", 0.08, 0.09, 0.085, "de", 13)
 
@@ -233,6 +241,27 @@ class TestThreshold:
         code, out, err = run_cli(capsys, "threshold", "--bound", "ub-cb",
                                  "--family", "bec", "--ensemble", str(path))
         assert code == 2 and out == "" and "lambda masses" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"lambda": [[3.5, 1.0]], "rho": [[6, 1.0]]}',
+        '{"lambda": [["3", 1.0]], "rho": [[6, 1.0]]}',
+        '{"lambda": [[3, true]], "rho": [[6, 1.0]]}',
+        '{"lambda": [[3, "1.0"]], "rho": [[6, 1.0]]}',
+        '{"lambda": [[3, 1.0]], "rho": 5}',
+        '{"lambda": [[1e400, 1.0]], "rho": [[6, 1.0]]}',
+        '"lambda, rho"',
+    ], ids=["degree-3.5", "degree-str", "mass-bool", "mass-str", "rho-int",
+            "degree-inf", "bare-str"])
+    def test_malformed_ensemble_is_refused(self, capsys, tmp_path, text):
+        # 3.5 ran as degree 3, "3" and true were accepted, and the rest ended
+        # in a TypeError or OverflowError traceback
+        path, out_path = tmp_path / "ens.json", tmp_path / "out.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "threshold", "--bound", "ub-cb",
+                                 "--family", "bsc", "--ensemble", str(path),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_custom_ensemble_file(self, capsys, tmp_path):
         path = tmp_path / "ens.json"
@@ -361,6 +390,15 @@ class TestDecompose:
                                  "--symmetrize")
         assert code == 2 and out == ""
         assert "sum to 1" in err
+
+    @pytest.mark.parametrize("flag", ["--symmetrize", "--transform=1,0"])
+    def test_json_object_is_refused(self, capsys, tmp_path, flag):
+        # np.asarray raised a TypeError traceback
+        path = tmp_path / "m.json"
+        path.write_text('{"a": 1}')
+        code, out, err = run_cli(capsys, "decompose", "--matrix", str(path), flag)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "rows of numbers" in err
 
     def test_asymmetric_exit_5(self, capsys, tmp_path):
         path = tmp_path / "m.json"

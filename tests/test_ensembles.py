@@ -85,6 +85,22 @@ def test_validation():
         DegreeEnsemble(((20_000, 1.0),), ((6, 1.0),))   # degree cap
 
 
+@pytest.mark.parametrize("lam", [((3.5, 1.0),), (("3", 1.0),), ((3, True),),
+                                 ((True, 1.0),), ((3, "1.0"),), ((float("inf"), 1.0),),
+                                 (3,), 5, ((3, 1.0, 0.0),)])
+def test_malformed_pairs_refused(lam):
+    # 3.5 ran as degree 3, and "3", "1.0" and a True mass were taken as
+    # numbers; inf and sides that are not pairs raised OverflowError or TypeError
+    with pytest.raises(ValueError):
+        DegreeEnsemble(lam, ((6, 1.0),))
+
+
+def test_integral_degrees_accepted():
+    want = regular_ensemble(3, 6)
+    assert DegreeEnsemble(((3.0, 1.0),), ((np.int64(6), np.float64(1.0)),)) == want
+    assert type(DegreeEnsemble(((np.int32(3), 1),), ((6, 1),)).lam[0][0]) is int
+
+
 @pytest.mark.parametrize("build", [
     lambda: DegreeEnsemble(((3, float("nan")),), ((6, 1.0),)),
     lambda: DegreeEnsemble(((3, 1.0),), ((5, 0.5), (6, float("nan")))),
