@@ -23,12 +23,12 @@ for p in (0.07, 0.083, 0.085, 0.09):
           f"(stopped by {run.reason}); pe: {shown} ... {run.pe[-1]:.4f}")
 
 # the bounds bound BP: ub-cb certifies every p below its threshold, lb-cb
-# proves every p above its own undecodable, so DE bisects only in between
+# proves every p above its own undecodable, so a probe runs DE only in between
 ub = channel_threshold("ub-cb", "bsc", e, tol=1e-5).value
 lb = channel_threshold("lb-cb", "bsc", e, tol=1e-5).value
 de = channel_threshold("de", "bsc", e)
 print(f"\nub-cb and lb-cb bracket the BSC threshold: [{ub:.4f}, {lb:.4f}]")
 print(f"DE BSC threshold inside it: {de.value:.5f} "
-      f"({de.iterations} DE probes, final bracket [{de.lo:.5f}, {de.hi:.5f}])")
+      f"({de.iterations} bisection steps, final bracket [{de.lo:.5f}, {de.hi:.5f}])")
 print("that crossover feeds the non-iterative bound: any symmetric channel")
 print(f"with SB <= 4 p* (1-p*) = {ub_sb_star(de.value):.4f} is decodable too.")

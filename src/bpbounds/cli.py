@@ -24,7 +24,7 @@ from .channels import (CHANNEL_FAMILIES, ChannelSpecError, MscChannel,
                        cutoff_rate, msc_pe, parse_channel_spec, pe_of, sb_of,
                        symmetrize, msc_decompose)
 from .de import DE_MAX_ITER
-from .ensembles import DegreeEnsemble, ensemble_from_json, regular_ensemble
+from .ensembles import DegreeEnsemble, ensemble_from_json, real_number, regular_ensemble
 from .search import (NonMonotoneError, SEARCH_BOUNDS, channel_threshold,
                      region_sweep)
 from .zm import (convergence_rate, necessary_stability_violated,
@@ -154,12 +154,12 @@ def cmd_zm(args) -> int:
 
 def cmd_decompose(args) -> int:
     with open(args.matrix) as fh:
-        try:
-            cond = np.asarray(json.load(fh), dtype=float)
-        except TypeError:           # a JSON object where a number belongs
-            cond = None
-    if cond is None or cond.ndim != 2:
+        rows = json.load(fh)
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and len(r) == len(rows[0]) and all(map(real_number, r))
+            for r in rows)):
         raise ValueError(f"{args.matrix} must hold a JSON list of rows of numbers")
+    cond = np.asarray(rows, dtype=float)
     if args.symmetrize:
         mix = symmetrize(cond)
     else:
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-dimensional bounds on BP decodable thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_iter=10_000, max_iter_help="recursion iteration cap",
+    def common(p, max_iter_help, max_iter=IterationLimits().max_iter,
                out_help="write JSON here instead of stdout", **out):
         p.add_argument("--ensemble", help="ensemble JSON file "
                        "(default: regular (3,6))")
@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("threshold", help="bisect a channel family against a bound")
-    common(p)
+    common(p, "iterations of each ub-cbsb recursion a probe runs; ub-cb, lb-cb, "
+           "ub-sb and ub-sb-star run none, and ub-sb-star's DE runs at DE's own cap")
     p.add_argument("--bound", required=True, choices=[b for b in SEARCH_BOUNDS if b != "de"])
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     p.add_argument("--tol", type=float, default=None,
@@ -208,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("region", help="decodable-region sweep to CSV")
-    common(p, out_help="write the CSV here, its overlays to OUT.overlays.json",
-           required=True)
+    common(p, "iterations of each ub-cbsb recursion a grid point runs",
+           out_help="write the CSV here, its overlays to OUT.overlays.json", required=True)
     p.add_argument("--grid", required=True, help="NxM grid counts")
     p.add_argument("--p-star", type=float, default=None)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("zm", help="Z_m vector bound or stability report")
-    common(p)
+    common(p, "iterations of the Z_m vector bound that --action bound runs")
     p.add_argument("--channel", required=True, help="msc:... spec")
     p.add_argument("--action", choices=("bound", "stability"), default="bound")
     p.set_defaults(func=cmd_zm)
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("de", help="discretized density-evolution threshold")
-    common(p, max_iter=DE_MAX_ITER, max_iter_help="DE iterations per probe")
+    common(p, "iterations of each DE run a probe makes", max_iter=DE_MAX_ITER)
     p.add_argument("--family", required=True, choices=sorted(CHANNEL_FAMILIES))
     for flag in ("--seed", "--de-pop"):
         p.add_argument(flag, type=int, help="accepted and ignored: DE is deterministic")

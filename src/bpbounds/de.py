@@ -36,9 +36,9 @@ LLR_BINS = 75                 # a grid twice as fine moves no acceptance
 DELTA = LLR_MAX / LLR_BINS    # threshold by more than 1e-3
 DE_BISECT_STEPS = 13
 # a DE run's default cap: the (3,6) bsc and biawgn searches' longest probes
-# take 581 and 413 steps, but the rayleigh search on lambda = 0.25x + 0.35x^2
-# + 0.4x^7, rho = x^6 probes BiRayleigh(0.7499573945999145), which decodes
-# only at step 2,179, so it bisects on a max_iter run (ROADMAP item 11)
+# take 473 and 266 steps, but on lambda = 0.25x + 0.35x^2 + 0.4x^7, rho = x^6
+# BiRayleigh(0.7499573945999145) decodes only at step 2,179: a probe that
+# close to the threshold bisects on a max_iter run (ROADMAP item 11)
 DE_MAX_ITER = 2_000
 
 _K = LLR_BINS

@@ -22,8 +22,9 @@ JSON_MASS_TOL = 1e-9
 MAX_DEGREE = 10_000     # enumeration kernels elsewhere need bounded degree
 
 
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)    # JSON's true is an int
+def real_number(x) -> bool:
+    """Not a string or a bool (JSON's true is an int): ensemble and matrix entries."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _validated_pairs(pairs, side: str, tol: float = MASS_TOL):
@@ -31,10 +32,10 @@ def _validated_pairs(pairs, side: str, tol: float = MASS_TOL):
         pairs = [(k, w) for k, w in pairs]
     except (TypeError, ValueError):
         raise ValueError(f"{side} must be a list of (degree, mass) pairs") from None
-    if not all(_real(k) and (isinstance(k, numbers.Integral) or float(k).is_integer())
+    if not all(real_number(k) and (isinstance(k, numbers.Integral) or float(k).is_integer())
                for k, _ in pairs):
         raise ValueError(f"{side} degrees must be integers")
-    if not all(_real(w) for _, w in pairs):
+    if not all(real_number(w) for _, w in pairs):
         raise ValueError(f"{side} masses must be numbers")
     pairs = tuple((int(k), float(w)) for k, w in pairs)
     if not pairs:

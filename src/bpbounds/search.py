@@ -2,9 +2,8 @@
 
 Bisection assumes the decodability verdict is monotone in the channel
 parameter (every supported family's noise measures increase with it); the
-assumption is checked at the initial bracket (for the deterministic
-discretized DE, which runs only inside the bracket the CB bounds prove, at
-an end no CB bound proves) and a violation raises ``NonMonotoneError``.
+assumption is checked at the family's two ends, which take the same verdict
+as every other probe, and a violation raises ``NonMonotoneError``.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import de as de_mod
 from .binary_bounds import (IterationLimits, bisect, cb_ratio_samples,
@@ -85,10 +82,12 @@ class RegionGrid:
                           sort_keys=True)
 
 
-def _steps_for(lo: float, hi: float, tol: float | None) -> int:
-    """Fewest halvings (at most 60) that bring [lo, hi] to width tol or less."""
+def _steps_for(lo: float, hi: float, tol: float | None, kind: str) -> int:
+    """Fewest halvings (at most 60) that bring [lo, hi] to width tol or less;
+    with tol None, DE_BISECT_STEPS for "de" (each probe a DE run) and
+    DEFAULT_BISECT_STEPS for every other kind."""
     if tol is None:
-        return DEFAULT_BISECT_STEPS
+        return de_mod.DE_BISECT_STEPS if kind == "de" else DEFAULT_BISECT_STEPS
     if not tol > 0:                 # NaN fails too
         raise ValueError("tol must be positive")
     steps = 0
@@ -141,27 +140,30 @@ def measure_threshold(kind: str, e: DegreeEnsemble,
     raise ValueError(f"measure_threshold does not support kind {kind!r}")
 
 
-def _cbsb_verdict(cb: float, sb, e: DegreeEnsemble,
-                  limits: IterationLimits | None, stars) -> tuple[bool, int, str]:
-    """(decodable, iterations, reason) of ub-cbsb at (cb, sb()); ``sb`` is
-    called only if the recursion runs (a channel's SB can cost a quadrature).
+def _cbsb_verdict(cb: float, run, stars) -> tuple[bool, int, str]:
+    """(decodable, iterations, reason) of a channel or region point whose CB
+    is ``cb``: BP's band verdict, shared by ub-cbsb and DE.
 
     ``stars`` = (CB* of ub-cb, CB* of lb-cb) settles cb below the first as
-    decodable ("ub-cb-star": the recursion's CB is dominated by ub-cb's and
-    its SB is at most its CB) and cb at or above the second as not
-    ("lb-cb-star": BP itself fails there).  Otherwise, or with ``stars``
-    None, ``iterate_bound`` runs under ``limits``."""
-    if stars is not None:
-        if cb < stars[0]:
-            return True, 0, "ub-cb-star"
-        if cb >= stars[1]:
-            return False, 0, "lb-cb-star"
-    traj = iterate_bound("ub-cbsb", NoisePair(cb=cb, sb=sb()), e, limits)
+    decodable ("ub-cb-star": ub-cb's recursion decodes there, and its CB
+    dominates ub-cbsb's and BP's) and cb at or above the second as not
+    ("lb-cb-star": BP itself fails there).  Only in between is ``run()``
+    called: the ub-cbsb recursion or a DE run, returning the same triple."""
+    if cb < stars[0]:
+        return True, 0, "ub-cb-star"
+    if cb >= stars[1]:
+        return False, 0, "lb-cb-star"
+    return run()
+
+
+def _cbsb_run(cb: float, sb: float, e: DegreeEnsemble,
+              limits: IterationLimits | None) -> tuple[bool, int, str]:
+    traj = iterate_bound("ub-cbsb", NoisePair(cb=cb, sb=sb), e, limits)
     return traj.verdict == "decodable", traj.iterations, traj.reason
 
 
 def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
-                     limits: IterationLimits | None, star: float | None) -> bool:
+                     limits: IterationLimits | None, star) -> bool:
     ch = family.build(theta)
     # the channel's closed-form measure against the measure threshold
     if kind in ("ub-cb", "lb-cb"):
@@ -170,7 +172,10 @@ def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
         return sb_of(ch) < star
     if kind == "ub-sb-star":
         return sb_of(ch) <= star
-    return _cbsb_verdict(cb_of(ch), lambda: sb_of(ch), e, limits, star)[0]
+    cb = cb_of(ch)
+    if kind == "de":
+        return _cbsb_verdict(cb, lambda: de_mod.de_decodable(ch, e, limits)[:3], star)[0]
+    return _cbsb_verdict(cb, lambda: _cbsb_run(cb, sb_of(ch), e, limits), star)[0]
 
 
 def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
@@ -185,65 +190,39 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     an estimate, not a certified decodable crossover, so that threshold is
     not a proven inner bound.  "lb-cb" yields an *outer* bound: parameters
     above its threshold are certainly undecodable, nothing below certified.
+    "ub-cbsb" and "de" take ``_cbsb_verdict``'s band verdict at every probe,
+    the family's ends included: CB* settles the channel where it can, and
+    only between ub-cb's and lb-cb's CB* does the ub-cbsb recursion or a DE
+    run decide.
 
-    ``limits`` caps the recursion that decides a probe: ub-cbsb's bound,
-    which ``_cbsb_verdict`` runs only between the two CB* and at both bracket
-    ends, or DE for "de" (default DE_MAX_ITER); ub-sb-star's DE runs at
-    DE's default.  "de" bisects the discretized-DE oracle only between the
-    ub-cb and lb-cb thresholds, to width (family.hi - family.lo) 2^-13
-    whatever ``tol``; its ``iterations`` counts the DE bisection steps run.
+    ``limits`` caps that recursion or DE run (DE's default DE_MAX_ITER);
+    ub-sb-star's DE runs at DE's default.  ``tol`` None bisects
+    DE_BISECT_STEPS (13) times for "de" and DEFAULT_BISECT_STEPS (24) for
+    every other kind; ``iterations`` counts the bisection steps.
     """
     if kind not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {SEARCH_BOUNDS}")
     family = CHANNEL_FAMILIES[family_name]
     lo, hi = family.lo, family.hi
-
-    if kind == "de":
-        return _de_channel_threshold(family, e, limits)
-
-    if kind == "ub-cbsb":
-        star, end_star = (measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)), None
+    if kind in ("ub-cbsb", "de"):
+        star = (measure_threshold("ub-cb", e), measure_threshold("lb-cb", e))
+    elif kind == "ub-sb-star" and p_star is not None:
+        star = ub_sb_star(p_star)
     else:
-        star = end_star = (ub_sb_star(p_star) if kind == "ub-sb-star" and p_star is not None
-                           else measure_threshold(kind, e))
+        star = measure_threshold(kind, e)
+
+    def decodable(t):
+        return _channel_verdict(kind, family, t, e, limits, star)
 
     lo_probe = max(lo, 1e-9)
-    lo_ok = _channel_verdict(kind, family, lo_probe, e, limits, end_star)
-    hi_ok = _channel_verdict(kind, family, hi, e, limits, end_star)
+    lo_ok, hi_ok = decodable(lo_probe), decodable(hi)
     if not lo_ok or hi_ok:
         sb_defeated = kind in ("ub-sb", "ub-cbsb") and lambda2(e) * rho_prime1(e) >= 1.0
         raise NonMonotoneError(family_name, lo_probe, hi, lo_ok, hi_ok, sb_defeated)
 
-    steps = _steps_for(lo, hi, tol)
-    lo, hi = bisect(lambda t: _channel_verdict(kind, family, t, e, limits, star),
-                    lo, hi, steps)
+    steps = _steps_for(lo, hi, tol, kind)
+    lo, hi = bisect(decodable, lo, hi, steps)
     return ThresholdResult(family.param, lo, hi, 0.5 * (lo + hi), kind, steps)
-
-
-def _de_channel_threshold(family, e: DegreeEnsemble,
-                          limits: IterationLimits | None) -> ThresholdResult:
-    """Bisect discretized DE inside the bracket the CB bounds prove: lo is the
-    largest grid parameter ub-cb certifies decodable, hi the smallest that
-    lb-cb proves undecodable, both found on DE's final grid, width
-    (family.hi - family.lo) 2^-DE_BISECT_STEPS.  An end no bound proves is
-    the family's own: family.lo is taken as decodable, family.hi gets one DE
-    probe, and a decodable verdict there raises NonMonotoneError."""
-    grid = de_mod.DE_BISECT_STEPS
-    width = (family.hi - family.lo) * 2.0 ** -grid
-
-    def verdict(kind):
-        star = measure_threshold(kind, e)
-        return lambda t: _channel_verdict(kind, family, t, e, None, star)
-
-    lo = bisect(verdict("ub-cb"), family.lo, family.hi, grid)[0]
-    below_lb = verdict("lb-cb")
-    hi = bisect(below_lb, family.lo, family.hi, grid)[1]
-    if (hi == family.hi and below_lb(hi)
-            and de_mod.de_decodable(family.build(hi), e, limits).decodable):
-        raise NonMonotoneError(family.name, family.lo, hi, True, True)
-    steps = _steps_for(lo, hi, width)
-    value, lo, hi = de_mod.de_threshold(family, e, limits, lo, hi, steps)
-    return ThresholdResult(family.param, lo, hi, value, "de", steps)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +248,12 @@ def region_sweep(e: DegreeEnsemble, n_cb: int, n_sb: int,
         cb = i / (n_cb - 1)
         for j in range(n_sb):
             sb = cb * cb + (cb - cb * cb) * j / (n_sb - 1)
-            points.append((cb, sb, *_cbsb_verdict(cb, lambda: sb, e, limits, stars)))
-
-    if p_star is None:
-        p_star = channel_threshold("de", "bsc", e).value
+            points.append((cb, sb, *_cbsb_verdict(cb, lambda: _cbsb_run(cb, sb, e, limits),
+                                                  stars)))
     overlays = {
         "ub_cb": stars[0],
         "ub_sb": measure_threshold("ub-sb", e),
-        "ub_sb_star": ub_sb_star(p_star),
+        "ub_sb_star": (ub_sb_star(p_star) if p_star is not None
+                       else measure_threshold("ub-sb-star", e)),
     }
     return RegionGrid(points=points, overlays=overlays)

@@ -175,6 +175,22 @@ class TestThreshold:
         assert code == 2 and "max_iter must be positive" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, caps", [
+        ("threshold", "ub-cbsb recursion"), ("region", "ub-cbsb recursion"),
+        ("de", "DE run"), ("zm", "Z_m vector bound")])
+    def test_max_iter_help_names_what_it_caps(self, capsys, monkeypatch, command, caps):
+        monkeypatch.setenv("COLUMNS", "1000")       # no wrap inside a name
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        [line] = [x for x in capsys.readouterr().out.splitlines() if "--max-iter MAX_ITER " in x]
+        assert caps in line
+
+    @pytest.mark.parametrize("bound", ["ub-cb", "lb-cb", "ub-sb"])
+    def test_max_iter_does_not_move_the_direct_bounds(self, capsys, bound):
+        # their thresholds run no recursion
+        argv = ["threshold", "--bound", bound, "--family", "bsc"]
+        assert run_cli(capsys, *argv, "--max-iter", "1") == run_cli(capsys, *argv)
+
     def test_de_is_not_a_threshold_bound(self, capsys):
         # `bpbounds de` is the one DE route; threshold's --max-iter and --tol
         # meant nothing to DE
@@ -400,6 +416,25 @@ class TestDecompose:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "rows of numbers" in err
 
+    @pytest.mark.parametrize("matrix, flag", [
+        ('[["0.5", "0.5"], ["0.5", "0.5"]]', "--symmetrize"),
+        ('[[true, false], [false, true]]', "--transform=1,0"),
+        ('[[0.9, "0.1"], [0.1, 0.9]]', "--transform=1,0"),
+        ('[[0.9, 0.1], [0.1]]', "--transform=1,0"),
+    ], ids=["strings", "booleans", "one-string", "ragged"])
+    def test_entries_must_be_json_numbers(self, capsys, tmp_path, matrix, flag):
+        # np.asarray(..., dtype=float) parsed "0.5" and true, and both ran;
+        # the rule is the ensembles' (a JSON number, not a string or a bool)
+        path = tmp_path / "m.json"
+        path.write_text(matrix)
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "decompose", "--matrix", str(path), flag,
+                                 "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "rows of numbers" in err
+        assert not out_path.exists()
+
     def test_asymmetric_exit_5(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[[0.9, 0.1], [0.2, 0.8]]")
@@ -514,9 +549,9 @@ def test_scipy_is_loaded_only_by_the_commands_that_use_it():
     proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # DE on its grid, as before scipy was loaded lazily
+    # DE's 13-step bisection of [0, 0.5] under the CB* band verdict
     assert json.loads(proc.stdout) == {
         "bound": "de", "ensemble": "regular(3,6)", "family": "bsc",
-        "hi": 0.08412396907806396, "iterations": 11, "lo": 0.08408784866333008,
+        "hi": 0.0841064453125, "iterations": 13, "lo": 0.08404541015625,
         "parameter": "p", "schema": "bpbounds.threshold/1", "source": "de",
-        "value": 0.08410590887069702}
+        "value": 0.084075927734375}

@@ -81,7 +81,11 @@ class TestChannelThreshold:
 
     def test_non_monotone_raises(self, e36, monkeypatch):
         # a decode epsilon above 1 declares even the noisy bracket end
-        # decodable; the bracket check must refuse to bisect that
+        # decodable; the bracket check must refuse to bisect that.  The end
+        # eps = 0.5 lies between the two CB* (0.429 and 0.655), so the
+        # recursion, not CB*, decides it
+        monkeypatch.setitem(CHANNEL_FAMILIES, "bec",
+                            dataclasses.replace(CHANNEL_FAMILIES["bec"], hi=0.5))
         monkeypatch.setattr(bb_mod, "DECODE_EPS", 2.0)
         with pytest.raises(NonMonotoneError, match="entire bracket"):
             channel_threshold("ub-cbsb", "bec", e36)
@@ -154,16 +158,15 @@ class TestUbCbsbSearch:
         assert res.lo < 0.4294398144 < res.hi
 
     def test_cb_star_decisions_agree_with_the_recursion(self, e36, cbsb_probes):
-        # every interior probe CB* decides gets the same verdict from a
-        # recursion run to a conclusion; the bracket ends always recurse
+        # every probe CB* decides, the family's ends included, gets the same
+        # verdict from a recursion run to a conclusion
         for family in sorted(TABLE_36_CBSB):
             channel_threshold("ub-cbsb", family, e36, tol=2e-4)
         channel_threshold("ub-cbsb", "bec", e36)
         decided = set()
+        ends = 0
         for family, t, star, verdict in cbsb_probes:
-            if t in (family.hi, max(family.lo, 1e-9)):
-                assert star is None
-                continue
+            ends += t in (family.hi, max(family.lo, 1e-9))
             ch = family.build(t)
             cb = cb_of(ch)
             if star[0] <= cb < star[1]:
@@ -173,6 +176,56 @@ class TestUbCbsbSearch:
             assert traj.verdict == ("decodable" if verdict else "not-decodable"), (family, t)
             decided.add(verdict)
         assert decided == {True, False}
+        assert ends == 2 * 6
+
+
+class TestBandVerdict:
+    # ub-cbsb and DE share one verdict: CB* settles a channel outside the
+    # band [CB*(ub-cb), CB*(lb-cb)), and only inside it does a run decide
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recursion or DE run started")
+        monkeypatch.setattr(search_mod, "iterate_bound", refuse)
+        monkeypatch.setattr(de_mod, "de_decodable", refuse)
+
+    @pytest.mark.parametrize("kind", ["ub-cbsb", "de"])
+    @pytest.mark.parametrize("p, verdict", [(0.01, True), (0.048, True),
+                                            (0.123, False), (0.5, False)])
+    def test_star_settled_probe_runs_nothing(self, e36, no_runs, kind, p, verdict):
+        stars = (measure_threshold("ub-cb", e36), measure_threshold("lb-cb", e36))
+        assert _channel_verdict(kind, CHANNEL_FAMILIES["bsc"], p, e36, None, stars) is verdict
+
+    @pytest.mark.parametrize("family", sorted(TABLE_36_CBSB))
+    def test_ub_cbsb_search_runs_no_recursion_at_star_settled_ends(
+            self, e36, monkeypatch, family):
+        starts = []
+        iterate = search_mod.iterate_bound
+
+        def spy(kind, start, *args):
+            starts.append(start.cb)
+            return iterate(kind, start, *args)
+        monkeypatch.setattr(search_mod, "iterate_bound", spy)
+        channel_threshold("ub-cbsb", family, e36, tol=2e-4)
+        fam = CHANNEL_FAMILIES[family]
+        ub, lb = measure_threshold("ub-cb", e36), measure_threshold("lb-cb", e36)
+        end_cbs = [cb_of(fam.build(t)) for t in (max(fam.lo, 1e-9), fam.hi)]
+        assert all(not ub <= cb < lb for cb in end_cbs)
+        assert starts and all(ub <= cb < lb for cb in starts)
+        assert not set(end_cbs) & set(starts)
+
+    @pytest.fixture
+    def stub_de(self, monkeypatch):
+        def decodable(ch, e, limits=None):
+            return DeVerdict(ch.p < 0.084, 1, "decoded", ())
+        monkeypatch.setattr(de_mod, "de_decodable", decodable)
+
+    @pytest.mark.parametrize("tol, steps", [(None, 13), (1e-3, 9), (1e-6, 19)])
+    def test_de_search_honours_tol(self, e36, stub_de, tol, steps):
+        res = channel_threshold("de", "bsc", e36, tol=tol)
+        assert res.iterations == steps
+        assert res.hi - res.lo == 0.5 * 2.0 ** -steps
+        assert res.lo < 0.084 <= res.hi
 
 
 class TestStepsFor:
@@ -180,7 +233,7 @@ class TestStepsFor:
         (2e-5, 16), (1e-4, 14), (2e-4, 13), (5e-4, 11), (1.0, 0), (3.0, 0)])
     def test_fewest_halvings_that_meet_tol(self, tol, steps):
         from bpbounds.search import _steps_for
-        assert _steps_for(0.0, 1.0, tol) == steps
+        assert _steps_for(0.0, 1.0, tol, "ub-cb") == steps
         assert 2.0 ** -steps <= tol
         assert steps == 0 or tol < 2.0 ** (1 - steps)     # one fewer would not do
 
@@ -188,7 +241,7 @@ class TestStepsFor:
     def test_non_positive_tol_refused(self, tol):
         from bpbounds.search import _steps_for
         with pytest.raises(ValueError, match="tol must be positive"):
-            _steps_for(0.0, 1.0, tol)
+            _steps_for(0.0, 1.0, tol, "ub-cb")
 
     def test_bracket_meets_tol(self, e36):
         res = channel_threshold("ub-cb", "bec", e36, tol=1e-4)
@@ -522,7 +575,10 @@ class TestVerdictMonotonicity:
         e = regular_ensemble(*ens)
         t1, t2 = sorted((centre * math.exp(u1), centre * math.exp(u2)))
         fam = CHANNEL_FAMILIES[family]
-        star = measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb", "ub-sb") else None
+        # ub-cbsb with stars (0, inf): no CB* settles a probe, the recursion
+        # decides each one
+        star = (measure_threshold(kind, e) if kind in ("ub-cb", "lb-cb", "ub-sb")
+                else (0.0, math.inf))
         if _channel_verdict(kind, fam, t2, e, None, star):
             assert _channel_verdict(kind, fam, t1, e, None, star)
 
@@ -535,56 +591,46 @@ DE_BRACKET_CASES = ([("3-6", regular_ensemble(3, 6), fam)
 
 @pytest.fixture
 def de_probes(monkeypatch):
-    """Parameters of every DE run and every bracket handed to
-    ``de_threshold``; any ``sb_of`` call fails the test."""
-    seen = {"probes": [], "brackets": []}
-    decodable, threshold = de_mod.de_decodable, de_mod.de_threshold
+    """Parameters of every DE run; any ``sb_of`` call fails the test."""
+    probes = []
+    decodable = de_mod.de_decodable
 
     def spy_decodable(ch, *args, **kwargs):
-        seen["probes"].append(dataclasses.astuple(ch)[0])
+        probes.append(dataclasses.astuple(ch)[0])
         return decodable(ch, *args, **kwargs)
-
-    def spy_threshold(family, e, limits, lo, hi, steps):
-        seen["brackets"].append((lo, hi))
-        return threshold(family, e, limits, lo, hi, steps)
 
     def refuse(*args, **kwargs):
         raise AssertionError("sb_of was called")
 
     monkeypatch.setattr(de_mod, "de_decodable", spy_decodable)
-    monkeypatch.setattr(de_mod, "de_threshold", spy_threshold)
     monkeypatch.setattr(search_mod, "sb_of", refuse)
     monkeypatch.setattr(channels_mod, "sb_of", refuse)
-    return seen
+    return probes
 
 
 class TestDeBracket:
-    # channel_threshold("de") bisects DE only inside [lo, hi], lo certified
-    # by ub-cb and hi excluded by lb-cb, at the 13-step width of the family
+    # channel_threshold("de") takes ub-cbsb's band verdict: DE runs only on
+    # channels whose CB lies between ub-cb's and lb-cb's CB*, and the bracket
+    # is DE_BISECT_STEPS = 13 halvings of the family's range
     LIMITS = IterationLimits(200)
 
     @pytest.mark.parametrize("name, e, family", DE_BRACKET_CASES,
                              ids=[f"{c[0]}-{c[2]}" for c in DE_BRACKET_CASES])
-    def test_probes_stay_inside_the_cb_bracket(self, de_probes, name, e, family):
+    def test_probes_stay_inside_the_cb_band(self, de_probes, name, e, family):
         fam = CHANNEL_FAMILIES[family]
-        width = (fam.hi - fam.lo) * 2.0 ** -13
         res = channel_threshold("de", family, e, limits=self.LIMITS)
-        [(lo, hi)] = de_probes["brackets"]
         ub, lb = measure_threshold("ub-cb", e), measure_threshold("lb-cb", e)
-        assert cb_of(fam.build(lo)) < ub <= cb_of(fam.build(lo + width))
-        assert cb_of(fam.build(hi - width)) < lb <= cb_of(fam.build(hi))
-        probes = de_probes["probes"]
-        assert all(lo < t < hi for t in probes)
-        assert len(probes) == res.iterations <= 11
-        assert lo <= res.lo <= res.value <= res.hi <= hi
-        assert res.hi - res.lo <= width * (1.0 + 1e-12)
+        assert de_probes and all(ub <= cb_of(fam.build(t)) < lb for t in de_probes)
+        assert len(de_probes) <= 11
+        assert res.iterations == 13
+        assert res.hi - res.lo == pytest.approx((fam.hi - fam.lo) * 2.0 ** -13, rel=1e-12)
+        assert cb_of(fam.build(res.lo)) < lb and ub <= cb_of(fam.build(res.hi))
 
-    def test_ub_sb_star_runs_de_inside_the_bracket(self, e36, de_probes):
+    def test_ub_sb_star_runs_de_inside_the_band(self, e36, de_probes):
         star = measure_threshold("ub-sb-star", e36, limits=self.LIMITS)
         assert star == pytest.approx(0.3068, abs=0.02)
-        [(lo, hi)] = de_probes["brackets"]
-        assert 0.048 < lo < 0.049 and 0.122 < hi < 0.123
-        assert all(lo < t < hi for t in de_probes["probes"])
+        # the bsc ub-cb and lb-cb thresholds are 0.0484 and 0.1223
+        assert de_probes and all(0.048 < p < 0.123 for p in de_probes)
 
 
 class TestDeRunCaps:
@@ -614,8 +660,8 @@ class TestDeRunCaps:
 
 
 class TestDeUnprovenEnd:
-    # on p in [0, 0.06] lb-cb excludes no parameter, so family.hi is
-    # unproven and gets one DE probe before the bisection
+    # on p in [0, 0.06] lb-cb excludes no parameter, so family.hi lies in
+    # the band and takes a DE run, as any probe there does
     @pytest.fixture
     def short_bsc(self, monkeypatch):
         monkeypatch.setitem(CHANNEL_FAMILIES, "bsc",
@@ -641,4 +687,7 @@ class TestDeUnprovenEnd:
         res = channel_threshold("de", "bsc", e36)
         assert probes[0] == 0.06 and res.hi <= 0.06
         assert res.lo < 0.055 <= res.hi
-        assert len(probes) == res.iterations + 1
+        assert res.iterations == 13
+        assert res.hi - res.lo == pytest.approx(0.06 * 2.0 ** -13, rel=1e-9)
+        # below the bsc ub-cb threshold 0.0484 CB* settles a probe, no DE runs
+        assert len(probes) < res.iterations + 1 and all(p > 0.048 for p in probes)
