@@ -4,9 +4,9 @@ Trans. IT 2001; Chung, Forney, Richardson & Urbanke, IEEE Comm. Lett. 2001).
 A symmetric LLR density given X = 0, a(-l) = e^-l a(l), is stored by
 magnitude: masses m_k on |L| = k DELTA, the mass at kD split 1 : e^-kD
 between +kD and -kD.  A check output's magnitude depends on the input
-magnitudes only, so one sparse bilinear map on outer(a, b) does a pair,
-each product's mass split linearly between its two neighbouring bins
-(nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
+magnitudes only, at most a few bins below the smaller: one banded matrix
+does every pair, each product's mass split linearly between its neighbouring
+bins (nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
 The variable node is rfft, a power per lambda degree, irfft.  Channels enter
 as exact bin masses.  A run is ``binary_bounds.run_recursion`` on densities:
 every verdict is deterministic and ends on the bounds' reasons.
@@ -99,9 +99,9 @@ def channel_density(ch) -> np.ndarray:
     if isinstance(ch, Bec):
         return _atoms([0.0, math.inf], [ch.eps, 1.0 - ch.eps])
     if isinstance(ch, BiAwgn):
-        from scipy.special import ndtr
         mu = 2.0 / ch.sigma ** 2            # LLR ~ N(mu, 2 mu)
-        return _cells(lambda x: ndtr((x - mu) / math.sqrt(2.0 * mu)))
+        s = 2.0 * math.sqrt(mu)             # at x = -+inf, erfc gives 0 and 2
+        return _cells(lambda x: np.array([0.5 * math.erfc((mu - t) / s) for t in x.tolist()]))
     if isinstance(ch, BiLaplace):
         # atoms 1/2 and e^-2u/2 at +-2u, u = 1/lam, and on (-2u, 2u) a cell
         # (a, b) gets e^-u (e^(b/2) - e^(a/2)) / 2
@@ -150,20 +150,30 @@ def rayleigh_amplitude_marginal_density(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _check_matrix():
-    """(K+1) x (K+1)^2 csr_matrix from outer(a, b) to the check output's masses."""
-    from scipy.sparse import csr_matrix
-    v = (2.0 / DELTA) * np.arctanh(np.outer(_TANH, _TANH).ravel())
-    lo, hi, w_lo, w_hi = _split(v, 1.0)
-    cols = np.arange(v.size)
-    return csr_matrix((np.concatenate((w_lo, w_hi)),
-                       (np.concatenate((lo, hi)), np.concatenate((cols, cols)))),
-                      shape=(_K + 1, v.size))
+def _check_bands() -> np.ndarray:
+    """W: row d (K+1) + i, column j >= i is pair (i, j)'s share at bin i - d, diagonal halved."""
+    i, j = np.triu_indices(_K + 1)
+    lo, hi, w_lo, w_hi = _split((2.0 / DELTA) * np.arctanh(_TANH[i] * _TANH[j]),
+                                np.where(i == j, 0.5, 1.0))
+    nz = np.concatenate((w_lo, w_hi)) != 0.0        # both shares; v = i leaves 0 at i + 1
+    d, i, j, w = (np.concatenate(x)[nz] for x in ((i - lo, i - hi), (i, i), (j, j), (w_lo, w_hi)))
+    assert np.all((0 <= d) & (d <= i)), "a check share above its smaller input or below bin 0"
+    bands = np.zeros((d.max() + 1, _K + 1, _K + 1))   # D bands, as many as the shares need
+    np.add.at(bands, (d, i, j), w)
+    bands.flags.writeable = False
+    return bands.reshape(-1, _K + 1)
 
 
 def _check_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The check output's masses for inputs with masses a and b."""
-    return _check_matrix() @ (a[:, None] * b).ravel()
+    """a (W b) + b (W a) by one GEMM, or 2a (W a) by one GEMV for a square (``rho_eval``
+    passes a twice).  In rows of K + 2, band d's bin i >= d falls in column i - d."""
+    w = _check_bands()
+    if a is b:
+        z = (2.0 * a) * (w @ a).reshape(-1, _K + 1)
+    else:
+        wa, wb = (np.array((a, b)) @ w.T).reshape(2, -1, _K + 1)
+        z = a * wb + b * wa
+    return np.concatenate((z.ravel(), np.zeros(len(z)))).reshape(-1, _K + 2)[:, :_K + 1].sum(0)
 
 
 def _signed(m: np.ndarray, n: int) -> np.ndarray:
@@ -176,10 +186,10 @@ def _signed(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
-    cf = np.fft.rfft(_signed(c, n))
-    s = np.fft.irfft(chan_f * lambda_eval(e, cf), n)
-    m = np.concatenate(([s[0]], s[1:_K] + s[n - 1:n - _K:-1], [s[_K:n - _K + 1].sum()]))
-    np.maximum(m, 0.0, out=m)                   # FFT rounding
+    s = np.fft.irfft(chan_f * lambda_eval(e, np.fft.rfft(_signed(c, n))), n)
+    s[1:_K] += s[n - 1:n - _K:-1]               # fold in place
+    s[_K] = s[_K:n - _K + 1].sum()
+    m = np.maximum(s[:_K + 1], 0.0)             # FFT rounding
     return m / m.sum()
 
 

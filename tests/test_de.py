@@ -1,10 +1,15 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 import bpbounds.de as de_mod
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
@@ -13,7 +18,7 @@ from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
                       de_decodable, de_threshold, measure_threshold,
                       rayleigh_amplitude_marginal_density, regular_ensemble,
                       rho_eval)
-from bpbounds.channels import UnsupportedChannelError
+from bpbounds.channels import BIAWGN_SIGMA_MAX, UnsupportedChannelError
 from bpbounds.de import DELTA, LLR_BINS, LLR_MAX
 
 
@@ -104,6 +109,16 @@ class TestChannelDensities:
         with pytest.raises(UnsupportedChannelError):
             channel_density(Bnsc(0.0, 0.2))
 
+    @pytest.mark.parametrize("sigma", [1e-3, 0.88, 1.5, BIAWGN_SIGMA_MAX])
+    def test_biawgn_cells_match_scipy_ndtr(self, sigma):
+        # the CDF by the stdlib's erfc, as it was by ndtr: a mass is the
+        # difference of two CDF values in [0, 1], each within one ulp of 1.0
+        # (at most 0.75 ulp, at sigma = 1.5)
+        mu = 2.0 / sigma ** 2
+        want = de_mod._cells(lambda x: ndtr((x - mu) / math.sqrt(2.0 * mu)))
+        np.testing.assert_allclose(channel_density(BiAwgn(sigma)), want,
+                                   rtol=0.0, atol=np.spacing(1.0))
+
     @pytest.mark.parametrize("sigma", [0.4, 0.644, 1.0, 2.5])
     def test_marginal_rayleigh_closed_form_matches_quadrature(self, sigma):
         # p(y | +1) = int_0^inf 2a e^(-a^2) N(y; a, sigma^2) da
@@ -127,18 +142,91 @@ class TestChannelDensities:
 
 def _ref_check_stage(m, e):
     """The check stage as it was before ``rho_eval`` took it over."""
-    cmat = de_mod._check_matrix()
     squares, out = [m], np.zeros_like(m)
     for k, w in e.rho:
         n, i, acc = k - 1, 0, None
         while n:
             if i == len(squares):
-                squares.append(cmat @ (squares[-1][:, None] * squares[-1]).ravel())
+                squares.append(de_mod._check_product(squares[-1], squares[-1]))
             if n & 1:
-                acc = squares[i] if acc is None else cmat @ (acc[:, None] * squares[i]).ravel()
+                acc = squares[i] if acc is None else de_mod._check_product(acc, squares[i])
             n, i = n >> 1, i + 1
         out += w * acc
     return out
+
+
+def _ref_check_product(a, b):
+    """The check output from its definition: every pair (i, j) puts a_i b_j at
+    v = (2 / DELTA) atanh(t_i t_j), t_k = tanh(k DELTA / 2), split linearly
+    between floor(v) and the bin above it."""
+    t = np.tanh(np.arange(LLR_BINS + 1) * DELTA / 2.0)
+    v = (2.0 / DELTA) * np.arctanh(np.outer(t, t))
+    lo = np.floor(v).astype(np.intp)
+    out = np.zeros(LLR_BINS + 1)
+    np.add.at(out, lo, np.outer(a, b) * (1.0 - (v - lo)))
+    np.add.at(out, np.minimum(lo + 1, LLR_BINS), np.outer(a, b) * (v - lo))
+    return out
+
+
+class TestCheckKernel:
+    # a bin sums up to 5 x 76 nonnegative terms, in another order than the
+    # reference's: 16 ulps was the most in 600 random products
+    RTOL = 32 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 5.0])
+    def test_matches_the_definition(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        for _ in range(10):
+            a, b = rng.dirichlet(np.full(LLR_BINS + 1, alpha), size=2)
+            for x, y in ((a, b), (b, a), (a, a)):
+                np.testing.assert_allclose(de_mod._check_product(x, y), _ref_check_product(x, y),
+                                           rtol=self.RTOL, atol=0.0)
+
+    def test_mass_is_kept(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            a, b = rng.dirichlet(np.full(LLR_BINS + 1, 0.3), size=2) * rng.uniform(0.1, 1.0, (2, 1))
+            for x, y in ((a, b), (a, a)):
+                assert abs(de_mod._check_product(x, y).sum() - x.sum() * y.sum()) <= 1e-15
+
+    def test_bands_hold_every_share_below_the_smaller_input(self):
+        w = de_mod._check_bands().reshape(-1, LLR_BINS + 1, LLR_BINS + 1)
+        d, i, j = np.nonzero(w)
+        assert np.all(j >= i) and np.all(d <= i)
+        assert not w.flags.writeable
+
+    def test_rho_eval_squares_reach_the_kernel_as_one_object(self, e36, monkeypatch):
+        # rho = x^5: x * x, x^2 * x^2, then x * x^4
+        calls, kernel = [], de_mod._check_product
+        def spy(a, b):
+            calls.append(a is b)
+            return kernel(a, b)
+        monkeypatch.setattr(de_mod, "_check_product", spy)
+        got = de_decodable(Bsc(0.07), e36)
+        assert calls == [True, True, False] * got.iterations
+
+
+_BLAS_THREADS_RUN = """
+import json
+from bpbounds import DegreeEnsemble, channel_threshold, de_decodable, regular_ensemble, Bsc
+x7 = DegreeEnsemble(((2, 0.25), (3, 0.35), (8, 0.4)), ((7, 1.0),))
+out = [(r.lo, r.hi) for r in (channel_threshold("de", f, e) for f, e in (
+    ("bsc", regular_ensemble(3, 6)), ("biawgn", regular_ensemble(3, 6)), ("bsc", x7)))]
+print(json.dumps([out, de_decodable(Bsc(0.0841), regular_ensemble(3, 6))]))
+"""
+
+
+def test_de_is_bit_identical_under_one_and_two_blas_threads():
+    # the check kernel is a GEMV or a GEMM; a BLAS that split one sum across
+    # threads would move the densities' last bits, and with them witness steps
+    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(de_mod.__file__)),
+                                         os.environ.get("PYTHONPATH"))))
+    runs = [subprocess.run([sys.executable, "-c", _BLAS_THREADS_RUN], capture_output=True,
+                           text=True, check=True, env={**os.environ, "PYTHONPATH": path,
+                                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])[0][0] == [0.08404541015625, 0.0841064453125]
 
 
 class TestRefusedInput:
@@ -416,7 +504,7 @@ class TestMonotonicity:
             b = (1.0 - t) * a
             b[0] += t
         elif kind == "check":
-            b = de_mod._check_matrix() @ np.outer(a, rng.dirichlet(np.full(LLR_BINS + 1, 0.3))).ravel()
+            b = de_mod._check_product(a, rng.dirichlet(np.full(LLR_BINS + 1, 0.3)))
         else:
             a, b = channel_density(Bsc(t * rng.uniform())), channel_density(Bsc(t))
         prof = de_mod._degradation_profile
