@@ -434,7 +434,8 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble) -> No
 # ---------------------------------------------------------------------------
 
 def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_array,
-                  decoded_below: float | None = None, order=None, steady: bool = False):
+                  decoded_below: float | None = None, order=None, steady: bool = False,
+                  retry=None, ceiling=math.inf):
     """Iterate ``state = step(state)`` from ``start``, judged by ``measure``:
     the one loop of every bound, Z_m (``zm_iterate``) and DE (``de_decodable``).
 
@@ -453,6 +454,7 @@ def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_
     settling.  ``steady`` (DE) also wants r > 0 and, unless the last try
     step's r was outside (0, 1), within 5% of 1 - r of it: DE's r climbs
     through 1 on decodable runs, and each try on the way up costs a step.
+    DE's ``retry`` projects s* again if it fails; witnesses lie below ``ceiling``.
     For a monotone step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular
     ensembles, DE) no later state falls below s*: a proof.  Otherwise
     (ub-cbsb with lambda_2 > 0) the witness can only end a run early,
@@ -466,7 +468,8 @@ def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_
         mus.append(measure(states[-1]))
         if mus[-1] < decoded_below:
             return "decodable", states, it, "decoded"
-        if mus[-1] == mus[-2] and np.array_equal(to_array(states[-1]), to_array(states[-2])):
+        if (mus[-1] == mus[-2] and np.array_equal(to_array(states[-1]), to_array(states[-2]))
+                and np.all(order(states[-1]) <= ceiling)):
             return "not-decodable", states, it, "witness"
         if it % WITNESS_PERIOD != 1:
             continue
@@ -478,11 +481,12 @@ def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_
             continue
         k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
         cur = to_array(states[-1])
-        star = from_array((1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2])))
-        s = order(star)
-        if (measure(star) >= decoded_below and np.all(s <= order(states[-1]))
-                and np.all(order(step(star)) >= s)):
-            return "not-decodable", states, it, "witness"
+        x = (1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2]))
+        for star in (project(x) for project in (from_array, retry) if project):
+            s = order(star)
+            if (measure(star) >= decoded_below and np.all(s <= order(states[-1]))
+                    and np.all(s <= ceiling) and np.all(order(step(star)) >= s)):
+                return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -117,12 +118,13 @@ def cmd_region(args) -> int:
     except ValueError:
         raise ValueError(f"--grid expects NxM, got {args.grid!r}") from None
     grid = region_sweep(e, n_cb, n_sb, limits=_limits(args), p_star=args.p_star)
-    sidecar = args.out + ".overlays.json"
-    code = (_write(args.out, grid.to_csv)
-            or _write(sidecar, lambda fh: fh.write(grid.overlays_json() + "\n")))
+    regular = os.path.isfile(args.out) or not os.path.exists(args.out)
+    sidecar = args.out + ".overlays.json" if regular else "the next line: not a regular file"
+    code = _write(args.out, grid.to_csv) or (
+        _write(sidecar, lambda fh: fh.write(grid.overlays_json() + "\n")) if regular else EXIT_OK)
     if code == EXIT_OK:
-        print(f"wrote {len(grid.points)} grid points to {args.out} "
-              f"(overlays in {sidecar})")
+        print(f"wrote {len(grid.points)} grid points to {args.out} (overlays in {sidecar})"
+              + ("" if regular else "\n" + grid.overlays_json()))
     return code
 
 

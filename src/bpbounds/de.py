@@ -9,7 +9,9 @@ does every pair, each product's mass split linearly between its neighbouring
 bins (nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
 The variable node is rfft, a power per lambda degree, irfft.  Channels enter
 as exact bin masses.  A run is ``binary_bounds.run_recursion`` on densities:
-every verdict is deterministic and ends on the bounds' reasons.
+every verdict is deterministic and ends on the bounds' reasons.  A search's
+runs start warm from its failing end (``search_verdict``): sound as DE keeps
+degradation (Modern Coding Theory, ch. 4), and the grid's T does up to ~2e-9.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ LLR_MAX = 15.0
 LLR_BINS = 75                 # a grid twice as fine moves no acceptance
 DELTA = LLR_MAX / LLR_BINS    # threshold by more than 1e-3
 DE_BISECT_STEPS = 13
-# a DE run's default cap: the (3,6) bsc and biawgn searches' longest probes
-# take 473 and 266 steps, but on lambda = 0.25x + 0.35x^2 + 0.4x^7, rho = x^6
-# BiRayleigh(0.7499573945999145) decodes only at step 2,179: a probe that
-# close to the threshold bisects on a max_iter run (ROADMAP item 11)
+# a DE run's default cap: the (3,6) bsc and biawgn searches' longest probes take
+# 173 and 243 steps; a probe nearer its threshold can need more (ROADMAP item 11)
 DE_MAX_ITER = 2_000
 
 _K = LLR_BINS
@@ -194,9 +194,10 @@ def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
 
 
 def _degradation_profile(m: np.ndarray) -> np.ndarray:
-    """Integrals from each bin to 1 of the CDF in |tanh(L/2)|: b is degraded
-    from a iff profile(b) >= profile(a) (Modern Coding Theory, ch. 4)."""
-    return np.cumsum((np.cumsum(m) * _WIDTHS)[::-1])[::-1]
+    """Integrals from each bin to 1 of the CDF (1 less the mass above) in
+    |tanh(L/2)|: b is degraded from a iff profile(b) >= profile(a) (ch. 4)."""
+    cdf = 1.0 - np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
+    return np.cumsum((cdf * _WIDTHS)[::-1])[::-1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -217,41 +218,55 @@ def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
     return xs[hit[0] - 1] if hit.size else math.inf
 
 
-def _witness_density(a: np.ndarray) -> np.ndarray:
-    """``a`` clipped at 0 and scaled to 1 - WITNESS_MARGIN, the margin at LLR_MAX."""
+def _witness_density(a: np.ndarray, margin: float = WITNESS_MARGIN) -> np.ndarray:
+    """``a`` clipped at 0 and scaled to 1 - margin, the margin at LLR_MAX."""
     star = np.maximum(a, 0.0)
-    star *= (1.0 - WITNESS_MARGIN) / star.sum()
-    star[_K] += WITNESS_MARGIN
+    star *= (1.0 - margin) / star.sum()
+    star[_K] += margin
     return star
 
 
-def de_decodable(ch, e: DegreeEnsemble, limits: IterationLimits | None = None) -> DeVerdict:
+def de_decodable(ch, e: DegreeEnsemble, limits: IterationLimits | None = None,
+                 warm: list | None = None) -> DeVerdict:
     """Run discretized DE from ``ch``, a channel or its ``channel_density``, on
     ``run_recursion`` with the message Bhattacharyya B as measure: "decoded"
     once B is below ``_ub_cb_radius`` (a proof); "witness" at a repeated
-    density or a density m* no more degraded than m_n with T(m*) no less
-    degraded than m* and B(m*) not below the radius, a proof where T keeps
-    the degradation order (the grid breaks it by ~2e-9 near LLR_MAX);
-    "max_iter" once ``limits.max_iter`` steps (default DE_MAX_ITER) ran out."""
+    density or a density m* (1e-9 of its mass at LLR_MAX, or if that fails
+    1e-4) no more degraded than m_n with T(m*) no less degraded than m* and
+    B(m*) not below the radius, a proof where T keeps the degradation order
+    (the grid breaks it by ~2e-9 near LLR_MAX); "max_iter" once
+    ``limits.max_iter`` steps (default DE_MAX_ITER) ran out.  ``warm``: ``search_verdict``."""
     if isinstance(ch, np.ndarray) and not (ch.shape == (_K + 1,) and np.all(ch >= 0.0)
                                            and abs(ch.sum() - 1.0) <= PROB_TOL):   # NaN fails
         raise ValueError(f"a DE density is {_K + 1} finite masses >= 0 summing to 1")
     chan = ch if isinstance(ch, np.ndarray) else channel_density(ch)
     n = 1 << (2 * _K * max(k for k, _ in e.lam)).bit_length()
     chan_f = np.fft.rfft(_signed(chan, n))
+    top = _degradation_profile(chan)
+    start = warm[0] if warm and np.all(_degradation_profile(warm[0]) <= top) else chan
     verdict, states, its, reason = run_recursion(
         lambda m: _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n),
-        lambda m: float(m @ _BHAT), chan, limits or IterationLimits(DE_MAX_ITER),
+        lambda m: float(m @ _BHAT), start, limits or IterationLimits(DE_MAX_ITER),
         lambda m: m, _witness_density, decoded_below=_ub_cb_radius(float(chan @ _BHAT), e),
-        order=_degradation_profile, steady=True)
+        order=_degradation_profile, steady=True, ceiling=math.inf if start is chan else top,
+        retry=lambda a: _witness_density(a, 1e-4))
+    if warm is not None and verdict != "decodable":
+        warm[:] = states[-1:]
     return DeVerdict(verdict == "decodable", its, reason,
                      tuple(float(m @ _PE) for m in states[1:]))
+
+
+def search_verdict(family: ChannelFamily, e: DegreeEnsemble, limits, settle=lambda t: None):
+    """theta -> decodable for bisection (each probe below every failing one before
+    it): ``settle(theta)``, else DE from the last failing run's final density if
+    below the channel (BiRayleigh's can lie 5e-9 above), a witness below it too."""
+    warm = []
+    return lambda t: (settle(t) or de_decodable(family.build(t), e, limits, warm))[0]
 
 
 def de_threshold(family: ChannelFamily, e: DegreeEnsemble, limits: IterationLimits | None,
                  lo: float, hi: float, steps: int = DE_BISECT_STEPS):
     """(midpoint, lo, hi) after ``steps`` bisections on the DE verdict of a
     bracket the caller vouches for (lo decodable, hi not)."""
-    lo, hi = bisect(lambda t: de_decodable(family.build(t), e, limits).decodable,
-                    lo, hi, steps)
+    lo, hi = bisect(search_verdict(family, e, limits), lo, hi, steps)
     return 0.5 * (lo + hi), lo, hi

@@ -148,7 +148,7 @@ def _cbsb_verdict(cb: float, run, stars) -> tuple[bool, int, str]:
     decodable ("ub-cb-star": ub-cb's recursion decodes there, and its CB
     dominates ub-cbsb's and BP's) and cb at or above the second as not
     ("lb-cb-star": BP itself fails there).  Only in between is ``run()``
-    called: the ub-cbsb recursion or a DE run, returning the same triple."""
+    called: the ub-cbsb recursion, returning the same triple, or None for DE."""
     if cb < stars[0]:
         return True, 0, "ub-cb-star"
     if cb >= stars[1]:
@@ -173,8 +173,6 @@ def _channel_verdict(kind: str, family, theta: float, e: DegreeEnsemble,
     if kind == "ub-sb-star":
         return sb_of(ch) <= star
     cb = cb_of(ch)
-    if kind == "de":
-        return _cbsb_verdict(cb, lambda: de_mod.de_decodable(ch, e, limits)[:3], star)[0]
     return _cbsb_verdict(cb, lambda: _cbsb_run(cb, sb_of(ch), e, limits), star)[0]
 
 
@@ -193,7 +191,7 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     "ub-cbsb" and "de" take ``_cbsb_verdict``'s band verdict at every probe,
     the family's ends included: CB* settles the channel where it can, and
     only between ub-cb's and lb-cb's CB* does the ub-cbsb recursion or a DE
-    run decide.
+    run decide (DE's warm, with two witnesses, as in ``de.search_verdict``).
 
     ``limits`` caps that recursion or DE run (DE's default DE_MAX_ITER);
     ub-sb-star's DE runs at DE's default.  ``tol`` None bisects
@@ -211,11 +209,12 @@ def channel_threshold(kind: str, family_name: str, e: DegreeEnsemble,
     else:
         star = measure_threshold(kind, e)
 
-    def decodable(t):
-        return _channel_verdict(kind, family, t, e, limits, star)
+    decodable = (de_mod.search_verdict(family, e, limits, lambda t: _cbsb_verdict(
+        cb_of(family.build(t)), lambda: None, star)) if kind == "de"
+        else lambda t: _channel_verdict(kind, family, t, e, limits, star))
 
     lo_probe = max(lo, 1e-9)
-    lo_ok, hi_ok = decodable(lo_probe), decodable(hi)
+    hi_ok, lo_ok = decodable(hi), decodable(lo_probe)      # DE warm-starts downward
     if not lo_ok or hi_ok:
         sb_defeated = kind in ("ub-sb", "ub-cbsb") and lambda2(e) * rho_prime1(e) >= 1.0
         raise NonMonotoneError(family_name, lo_probe, hi, lo_ok, hi_ok, sb_defeated)

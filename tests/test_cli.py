@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -301,6 +302,18 @@ class TestRegion:
         assert sidecar["ub_cb"] == pytest.approx(0.4294, abs=1e-3)
         assert sidecar["ub_sb"] == pytest.approx(0.2635, abs=1e-3)
         assert sidecar["ub_sb_star"] == pytest.approx(0.3068, abs=1e-3)
+
+    def test_non_regular_out_prints_overlays(self, capsys, tmp_path):
+        # a CSV sent to a device gets no sidecar file beside it: the
+        # overlays go to stdout, and the message says so
+        out_path = tmp_path / "region.csv"
+        out_path.symlink_to(os.devnull)
+        code, out, _ = run_cli(capsys, "region", "--grid", "4x3",
+                               "--out", str(out_path), "--p-star", "0.0837")
+        assert code == 0 and list(tmp_path.iterdir()) == [out_path]
+        message, overlays = out.strip().splitlines()
+        assert "not a regular file" in message
+        assert json.loads(overlays)["ub_sb_star"] == pytest.approx(0.3068, abs=1e-3)
 
     def test_deterministic_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

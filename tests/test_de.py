@@ -440,14 +440,17 @@ def _ref_de_decodable(ch, e, limits, target_pe=1e-5):
                                DegreeEnsemble(((2, 0.25), (3, 0.35), (8, 0.4)), ((7, 1.0),))],
                          ids=["36", "irregular-x7"])
 def test_stop_rule_matches_the_target_pe_rule(monkeypatch, family, e):
-    # every probe of a threshold search keeps the old loop's verdict and Pe
-    # trajectory; a decodable one also its iteration count, a witness stays
-    # a witness, and no run newly ends on max_iter
+    # every probe of a threshold search keeps the old loop's verdict, a
+    # witness stays a witness, and no run newly ends on max_iter; a probe
+    # that ran cold (not from its bracket's failing end) also keeps the Pe
+    # trajectory, and a decodable one its iteration count
     runs = []
 
-    def both(ch, e, limits=None):
-        got = de_decodable(ch, e, limits)
-        runs.append((got, _ref_de_decodable(ch, e, limits or IterationLimits(DE_MAX_ITER))))
+    def both(ch, e, limits=None, warm=None):
+        cold = not warm
+        got = de_decodable(ch, e, limits, warm)
+        runs.append((got, _ref_de_decodable(ch, e, limits or IterationLimits(DE_MAX_ITER)),
+                     cold))
         return got
 
     monkeypatch.setattr(de_mod, "de_decodable", both)
@@ -458,15 +461,81 @@ def test_stop_rule_matches_the_target_pe_rule(monkeypatch, family, e):
         de_threshold(CHANNEL_FAMILIES[family], e, None,
                      channel_threshold("ub-cb", family, e).lo,
                      channel_threshold("lb-cb", family, e).hi)
-    assert len(runs) >= 10
-    for got, ref in runs:
-        n = min(got.iterations, ref.iterations)
+    assert len(runs) >= 10 and any(cold for _, _, cold in runs)
+    for got, ref, cold in runs:
+        n = min(got.iterations, ref.iterations) if cold else 0
         assert got.decodable == ref.decodable and got.pe[:n] == ref.pe[:n]
         if ref.decodable:
-            assert (got.reason, got.iterations) == ("decoded", ref.iterations)
+            assert got.reason == "decoded" and (not cold or got.iterations == ref.iterations)
         if ref.reason == "witness":
             assert got.reason == "witness"
         assert got.reason != "max_iter" or ref.reason == "max_iter"
+
+
+class TestWarmStart:
+    # a search's DE run at theta starts from the final density of a failing
+    # run at a larger theta: sound if the channel densities are ordered along
+    # the family and a warm witness lies below the probe's own channel
+    @pytest.mark.parametrize("family", ["bsc", "biawgn", "bilc", "rayleigh", "bec"])
+    def test_channel_density_is_ordered_along_the_family(self, family):
+        fam = CHANNEL_FAMILIES[family]
+        prof = [de_mod._degradation_profile(channel_density(fam.build(t)))
+                for t in np.linspace(fam.lo, fam.hi, 400)]
+        assert min(float(np.min(b - a)) for a, b in zip(prof, prof[1:])) >= -1e-15
+
+    def test_warm_witness_above_the_channel_is_refused(self, e36, monkeypatch):
+        # half of each step's output erased: the step's fixed point is more
+        # degraded than the channel.  A cold run, whose witness needs no
+        # check against the channel, ends on it; a run started warm from the
+        # channel itself differs only by that check, and finds no witness
+        stage = de_mod._variable_stage
+
+        def half_erased(*args):
+            m = 0.5 * stage(*args)
+            m[0] += 0.5
+            return m
+        monkeypatch.setattr(de_mod, "_variable_stage", half_erased)
+        ch = Bsc(0.05)
+        chan, final = channel_density(ch), []
+        cold = de_decodable(ch, e36, IterationLimits(200), final)
+        assert cold.reason == "witness"
+        prof = de_mod._degradation_profile
+        assert np.any(prof(final[0]) > prof(chan))
+        got = de_decodable(ch, e36, IterationLimits(200), [chan])
+        assert (got.decodable, got.reason) == (False, "max_iter")
+
+    def test_warm_start_above_the_channel_is_not_taken(self, e36):
+        # the final density of a failing run at p = 0.2 is not below
+        # Bsc(0.02)'s channel near LLR 0: that run starts cold
+        final = []
+        assert not de_decodable(Bsc(0.2), e36, None, final).decodable
+        prof = de_mod._degradation_profile
+        assert np.any(prof(final[0]) > prof(channel_density(Bsc(0.02))))
+        assert de_decodable(Bsc(0.02), e36, None, final) == de_decodable(Bsc(0.02), e36)
+
+    def test_warm_and_cold_verdicts_agree(self, monkeypatch):
+        # every DE probe of each search, and probes descending through its
+        # final bracket's neighbourhood on one search verdict, run warm and
+        # then cold: no warm verdict differs from its cold one
+        runs = []
+        decodable = de_mod.de_decodable
+
+        def both(ch, e, limits=None, warm=None):
+            got = decodable(ch, e, limits, warm)
+            if warm:
+                runs.append((ch, got.decodable, decodable(ch, e, limits).decodable))
+            return got
+
+        monkeypatch.setattr(de_mod, "de_decodable", both)
+        for e in (regular_ensemble(3, 6), regular_ensemble(4, 8), IRREGULAR):
+            for family in ("bsc", "biawgn", "bilc", "rayleigh", "bec"):
+                res = channel_threshold("de", family, e)
+                verdict = de_mod.search_verdict(CHANNEL_FAMILIES[family], e, None)
+                width = res.hi - res.lo
+                for t in res.hi + width * np.array([4.0, 1.5, 0.5, -0.25, -0.5, -1.5, -3.0]):
+                    verdict(float(t))
+        assert len(runs) >= 200, len(runs)
+        assert [(ch, warm) for ch, warm, cold in runs if warm != cold] == []
 
 
 class TestMonotonicity:

@@ -189,12 +189,20 @@ class TestBandVerdict:
         monkeypatch.setattr(search_mod, "iterate_bound", refuse)
         monkeypatch.setattr(de_mod, "de_decodable", refuse)
 
-    @pytest.mark.parametrize("kind", ["ub-cbsb", "de"])
     @pytest.mark.parametrize("p, verdict", [(0.01, True), (0.048, True),
                                             (0.123, False), (0.5, False)])
-    def test_star_settled_probe_runs_nothing(self, e36, no_runs, kind, p, verdict):
+    def test_star_settled_probe_runs_nothing(self, e36, no_runs, p, verdict):
         stars = (measure_threshold("ub-cb", e36), measure_threshold("lb-cb", e36))
-        assert _channel_verdict(kind, CHANNEL_FAMILIES["bsc"], p, e36, None, stars) is verdict
+        assert _channel_verdict("ub-cbsb", CHANNEL_FAMILIES["bsc"], p, e36, None, stars) \
+            is verdict
+
+    def test_de_search_in_an_empty_band_runs_nothing(self, e36, no_runs, monkeypatch):
+        # both CB* at Bsc(0.07)'s CB: CB* settles every probe of the DE
+        # search, the family's ends included, and no DE run starts
+        cb = cb_of(CHANNEL_FAMILIES["bsc"].build(0.07))
+        monkeypatch.setattr(search_mod, "measure_threshold", lambda kind, e: cb)
+        res = channel_threshold("de", "bsc", e36)
+        assert res.lo < 0.07 <= res.hi and res.iterations == 13
 
     @pytest.mark.parametrize("family", sorted(TABLE_36_CBSB))
     def test_ub_cbsb_search_runs_no_recursion_at_star_settled_ends(
@@ -216,7 +224,7 @@ class TestBandVerdict:
 
     @pytest.fixture
     def stub_de(self, monkeypatch):
-        def decodable(ch, e, limits=None):
+        def decodable(ch, e, limits=None, warm=None):
             return DeVerdict(ch.p < 0.084, 1, "decoded", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
 
@@ -633,6 +641,25 @@ class TestDeBracket:
         assert de_probes and all(0.048 < p < 0.123 for p in de_probes)
 
 
+class TestDeSearchEnds:
+    # the (3,6) bilc search's hi probe ran to max_iter (2,000 steps) when
+    # every DE run started cold from its channel; started warm from the
+    # bracket's failing end, it ends on a witness, and the bracket holds
+    def test_bilc_search_ends_no_probe_on_max_iter(self, e36, monkeypatch):
+        runs = []
+        decodable = de_mod.de_decodable
+
+        def spy(ch, *args):
+            runs.append((ch.lam, decodable(ch, *args)))
+            return runs[-1][1]
+        monkeypatch.setattr(de_mod, "de_decodable", spy)
+        res = channel_threshold("de", "bilc", e36)
+        assert (res.lo, res.hi) == (0.652099609375, 0.652459716796875)
+        assert runs and all(v.reason != "max_iter" for _, v in runs)
+        assert [v.reason for lam, v in runs if lam == res.hi] == ["witness"]
+        assert sum(v.iterations for _, v in runs) < de_mod.DE_MAX_ITER
+
+
 class TestDeRunCaps:
     # a search's limits cap DE's runs for "de" and for measure_threshold's
     # p*, while channel_threshold("ub-sb-star") runs DE at DE's default
@@ -640,7 +667,7 @@ class TestDeRunCaps:
     def caps(self, monkeypatch):
         seen = []
 
-        def decodable(ch, e, limits=None):
+        def decodable(ch, e, limits=None, warm=None):
             seen.append(limits)
             return DeVerdict(ch.p < 0.084, 1, "decoded", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
@@ -670,7 +697,7 @@ class TestDeUnprovenEnd:
     def stub_de(self, monkeypatch, p_de):
         probes = []
 
-        def decodable(ch, e, limits):
+        def decodable(ch, e, limits, warm):
             probes.append(ch.p)
             return DeVerdict(ch.p < p_de, 1, "decoded", ())
         monkeypatch.setattr(de_mod, "de_decodable", decodable)
