@@ -6,12 +6,13 @@ magnitude: masses m_k on |L| = k DELTA, the mass at kD split 1 : e^-kD
 between +kD and -kD.  A check output's magnitude depends on the input
 magnitudes only, at most a few bins below the smaller: one banded matrix
 does every pair, each product's mass split linearly between its neighbouring
-bins (nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852).
-The variable node is rfft, a power per lambda degree, irfft.  Channels enter
-as exact bin masses.  A run is ``binary_bounds.run_recursion`` on densities:
-every verdict is deterministic and ends on the bounds' reasons.  A search's
-runs start warm from its failing end (``search_verdict``): sound as DE keeps
-degradation (Modern Coding Theory, ch. 4), and the grid's T does up to ~2e-9.
+bins (nearest-bin rounding moved the (3,6) BSC threshold from 0.0841 to 0.0852),
+its bands summed into their bins by one bincount.  The variable node is rfft,
+a power per lambda degree, irfft, folded onto magnitudes by one bincount.
+Channels enter as exact bin masses.  A run is ``binary_bounds.run_recursion``
+on densities: every verdict is deterministic and ends on the bounds' reasons.
+A search's runs start warm from its failing end (``search_verdict``): sound as
+DE keeps degradation (Modern Coding Theory, ch. 4), and the grid's T does up to ~2e-9.
 """
 
 from __future__ import annotations
@@ -47,7 +48,18 @@ _NEG = 1.0 / (1.0 + np.exp(_MAGS))                  # share of m_k at -kD
 _PE = np.where(_MAGS > 0.0, _NEG, 0.5)              # Pr(L < 0) + Pr(L = 0)/2
 _BHAT = 1.0 / np.cosh(_MAGS / 2.0)                  # E[e^(-L/2)] per bin
 _TANH = np.tanh(_MAGS / 2.0)
-_WIDTHS = np.diff(np.append(_TANH, 1.0))            # |tanh(L/2)| cells
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# _signed's scatter: L = jD at index j (mod n) takes m_|j| times its sign's share
+_AT, _OF, _SHARE = map(_frozen, (np.r_[0:_K + 1, -_K:0], np.r_[0:_K + 1, _K:0:-1],
+                                 np.r_[1.0, 1.0 - _NEG[1:], _NEG[:0:-1]]))
+# the degradation profile is C - A m in |tanh(L/2)|: C_k = 1 - t_k, A_kj = max(t_j - t_k, 0)
+_PROFILE_C, _PROFILE_A = map(_frozen, (1.0 - _TANH, np.maximum(_TANH - _TANH[:, None], 0.0)))
 
 
 class DeVerdict(NamedTuple):
@@ -77,9 +89,7 @@ def _atoms(mags, weights) -> np.ndarray:
 
 def _magnitudes(signed: np.ndarray) -> np.ndarray:
     """Fold masses on L = -K D .. K D into magnitudes."""
-    m = signed[_K:].copy()
-    m[1:] += signed[_K - 1::-1]
-    return m
+    return np.bincount(np.abs(np.arange(-_K, _K + 1)), signed)
 
 
 def _cells(cdf) -> np.ndarray:
@@ -150,8 +160,9 @@ def rayleigh_amplitude_marginal_density(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _check_bands() -> np.ndarray:
-    """W: row d (K+1) + i, column j >= i is pair (i, j)'s share at bin i - d, diagonal halved."""
+def _check_bands() -> tuple[np.ndarray, np.ndarray]:
+    """W: row d (K+1) + i, column j >= i is pair (i, j)'s share at bin i - d, diagonal halved;
+    and each row's bin i - d (rows i < d are 0, sent to bin 0)."""
     i, j = np.triu_indices(_K + 1)
     lo, hi, w_lo, w_hi = _split((2.0 / DELTA) * np.arctanh(_TANH[i] * _TANH[j]),
                                 np.where(i == j, 0.5, 1.0))
@@ -160,44 +171,45 @@ def _check_bands() -> np.ndarray:
     assert np.all((0 <= d) & (d <= i)), "a check share above its smaller input or below bin 0"
     bands = np.zeros((d.max() + 1, _K + 1, _K + 1))   # D bands, as many as the shares need
     np.add.at(bands, (d, i, j), w)
-    bands.flags.writeable = False
-    return bands.reshape(-1, _K + 1)
+    d, i = np.divmod(np.arange(bands.size // (_K + 1)), _K + 1)
+    return _frozen(bands).reshape(-1, _K + 1), _frozen(np.maximum(i - d, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_bins(n: int) -> np.ndarray:
+    """Magnitude bin of FFT index j, L = jD mod n: min(|L|, LLR_MAX) / D."""
+    return _frozen(np.minimum(np.minimum(np.arange(n), np.arange(n, 0, -1)), _K))
 
 
 def _check_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (W b) + b (W a) by one GEMM, or 2a (W a) by one GEMV for a square (``rho_eval``
-    passes a twice).  In rows of K + 2, band d's bin i >= d falls in column i - d."""
-    w = _check_bands()
+    passes a twice), its D bands summed into their bins by one bincount."""
+    w, bins = _check_bands()
     if a is b:
         z = (2.0 * a) * (w @ a).reshape(-1, _K + 1)
     else:
         wa, wb = (np.array((a, b)) @ w.T).reshape(2, -1, _K + 1)
         z = a * wb + b * wa
-    return np.concatenate((z.ravel(), np.zeros(len(z)))).reshape(-1, _K + 2)[:, :_K + 1].sum(0)
+    return np.bincount(bins, z.ravel())
 
 
 def _signed(m: np.ndarray, n: int) -> np.ndarray:
     """Masses on L = jD at index j mod n: every degree's sum lands at 0."""
     s = np.zeros(n)
-    s[:_K + 1] = m * (1.0 - _NEG)
-    s[0] = m[0]
-    s[n - _K:] = (m[1:] * _NEG[1:])[::-1]
+    s[_AT] = m[_OF] * _SHARE
     return s
 
 
 def _variable_stage(c, chan_f, e: DegreeEnsemble, n: int) -> np.ndarray:
     s = np.fft.irfft(chan_f * lambda_eval(e, np.fft.rfft(_signed(c, n))), n)
-    s[1:_K] += s[n - 1:n - _K:-1]               # fold in place
-    s[_K] = s[_K:n - _K + 1].sum()
-    m = np.maximum(s[:_K + 1], 0.0)             # FFT rounding
+    m = np.maximum(np.bincount(_fold_bins(n), s), 0.0)      # FFT rounding
     return m / m.sum()
 
 
 def _degradation_profile(m: np.ndarray) -> np.ndarray:
     """Integrals from each bin to 1 of the CDF (1 less the mass above) in
     |tanh(L/2)|: b is degraded from a iff profile(b) >= profile(a) (ch. 4)."""
-    cdf = 1.0 - np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
-    return np.cumsum((cdf * _WIDTHS)[::-1])[::-1]
+    return _PROFILE_C - _PROFILE_A @ m
 
 
 @functools.lru_cache(maxsize=16)

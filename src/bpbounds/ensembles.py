@@ -6,6 +6,7 @@ of degree k, and lambda(x) = sum_k lambda_k x^(k-1), likewise rho.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import operator
@@ -72,14 +73,14 @@ def regular_ensemble(dv: int, dc: int) -> DegreeEnsemble:
 
 
 def lambda_eval(e: DegreeEnsemble, x):
-    return sum(w * x ** (k - 1) for k, w in e.lam)
+    return functools.reduce(operator.add, (w * x ** (k - 1) for k, w in e.lam))
 
 
 def rho_eval(e: DegreeEnsemble, x, mul=operator.mul):
     """rho(x) = sum_k rho_k x^(k-1), the power taken under ``mul``: the
     check-node product of scalars, of Z_m CB vectors (``circ_conv``) or of
     DE densities.  Repeated squaring, the squares shared across degrees."""
-    squares, out = [x], 0.0
+    squares, terms = [x], []
     for k, w in e.rho:
         n, i, acc = k - 1, 0, None
         while n:
@@ -88,8 +89,8 @@ def rho_eval(e: DegreeEnsemble, x, mul=operator.mul):
             if n & 1:
                 acc = squares[i] if acc is None else mul(acc, squares[i])
             n, i = n >> 1, i + 1
-        out = out + w * acc
-    return out
+        terms.append(w * acc)
+    return functools.reduce(operator.add, terms)
 
 
 def lambda2(e: DegreeEnsemble) -> float:

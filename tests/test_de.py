@@ -15,7 +15,7 @@ import bpbounds.de as de_mod
 from bpbounds import (Bec, BiAwgn, BiLaplace, BiRayleigh, Bnsc, Bsc,
                       BscMixture, CHANNEL_FAMILIES, DE_MAX_ITER, DegreeEnsemble,
                       DeVerdict, IterationLimits, cb_of, channel_density, channel_threshold,
-                      de_decodable, de_threshold, measure_threshold,
+                      de_decodable, de_threshold, lambda_eval, measure_threshold,
                       rayleigh_amplitude_marginal_density, regular_ensemble,
                       rho_eval)
 from bpbounds.channels import BIAWGN_SIGMA_MAX, UnsupportedChannelError
@@ -28,6 +28,7 @@ def e36():
 
 
 IRREGULAR = DegreeEnsemble(((2, 0.3), (3, 0.7)), ((6, 1.0),))   # lambda_2 rho'(1) = 1.5
+X7 = DegreeEnsemble(((2, 0.25), (3, 0.35), (8, 0.4)), ((7, 1.0),))   # lambda up to x^7
 
 
 def pe_of_density(m):
@@ -190,10 +191,15 @@ class TestCheckKernel:
                 assert abs(de_mod._check_product(x, y).sum() - x.sum() * y.sum()) <= 1e-15
 
     def test_bands_hold_every_share_below_the_smaller_input(self):
-        w = de_mod._check_bands().reshape(-1, LLR_BINS + 1, LLR_BINS + 1)
+        w = de_mod._check_bands()[0].reshape(-1, LLR_BINS + 1, LLR_BINS + 1)
         d, i, j = np.nonzero(w)
         assert np.all(j >= i) and np.all(d <= i)
         assert not w.flags.writeable
+
+    def test_cached_indices_and_matrices_are_read_only(self):
+        arrays = (de_mod._check_bands()[1], de_mod._fold_bins(512), de_mod._AT, de_mod._OF,
+                  de_mod._SHARE, de_mod._PROFILE_A, de_mod._PROFILE_C)
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_rho_eval_squares_reach_the_kernel_as_one_object(self, e36, monkeypatch):
         # rho = x^5: x * x, x^2 * x^2, then x * x^4
@@ -204,6 +210,65 @@ class TestCheckKernel:
         monkeypatch.setattr(de_mod, "_check_product", spy)
         got = de_decodable(Bsc(0.07), e36)
         assert calls == [True, True, False] * got.iterations
+
+
+def _ref_signed(m, n):
+    """``_signed`` as slices: bin k's share 1 / (1 + e^-kD) at +kD, the rest at -kD."""
+    s = np.zeros(n)
+    s[:LLR_BINS + 1] = m * (1.0 - de_mod._NEG)
+    s[0] = m[0]
+    s[n - LLR_BINS:] = (m[1:] * de_mod._NEG[1:])[::-1]
+    return s
+
+
+def _ref_variable_stage(c, chan_f, e, n):
+    """The variable stage with its irfft output folded by slices: index n - k
+    onto bin k, and everything from K to n - K onto bin K."""
+    s = np.fft.irfft(chan_f * lambda_eval(e, np.fft.rfft(_ref_signed(c, n))), n)
+    s[1:LLR_BINS] += s[n - 1:n - LLR_BINS:-1]
+    s[LLR_BINS] = s[LLR_BINS:n - LLR_BINS + 1].sum()
+    m = np.maximum(s[:LLR_BINS + 1], 0.0)
+    return m / m.sum()
+
+
+def _ref_degradation_profile(m):
+    """The profile by its definition: from each bin up, the integral of the
+    CDF (1 less the mass above) over the |tanh(L/2)| cells."""
+    widths = np.diff(np.append(np.tanh(np.arange(LLR_BINS + 1) * DELTA / 2.0), 1.0))
+    cdf = 1.0 - np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
+    return np.cumsum((cdf * widths)[::-1])[::-1]
+
+
+class TestStepKernels:
+    # bin K sums n - 2K + 1 terms in order, the reference pairwise, and the
+    # normalization carries that to every bin: 16 eps was the most in 5400 stages
+    RTOL = 32 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("dv, n", [(3, 512), (4, 1024), (8, 2048)])
+    def test_variable_stage_matches_the_slice_fold(self, dv, n):
+        e = regular_ensemble(dv, 2 * dv)
+        assert 1 << (2 * LLR_BINS * dv).bit_length() == n
+        rng = np.random.default_rng(dv)
+        for ch in (Bsc(0.08), BiAwgn(0.9), BiLaplace(0.6), Bec(0.4)):
+            chan = channel_density(ch)
+            assert np.array_equal(de_mod._signed(chan, n), _ref_signed(chan, n))
+            chan_f = np.fft.rfft(de_mod._signed(chan, n))
+            for c in [chan, *rng.dirichlet(np.full(LLR_BINS + 1, 0.3), size=20)]:
+                np.testing.assert_allclose(de_mod._variable_stage(c, chan_f, e, n),
+                                           _ref_variable_stage(c, chan_f, e, n),
+                                           rtol=self.RTOL, atol=0.0)
+
+    def test_degradation_profile_matches_its_definition(self):
+        rng = np.random.default_rng(7)
+        top, erased = np.zeros(LLR_BINS + 1), np.zeros(LLR_BINS + 1)
+        top[-1] = erased[0] = 1.0
+        heavy_top = rng.dirichlet(np.full(LLR_BINS + 1, 0.3)) * 0.1
+        heavy_top[-1] += 0.9
+        densities = [top, erased, heavy_top, *rng.dirichlet(np.full(LLR_BINS + 1, 0.05), size=20),
+                     *rng.dirichlet(np.full(LLR_BINS + 1, 2.0), size=20)]
+        for m in densities:
+            np.testing.assert_allclose(de_mod._degradation_profile(m), _ref_degradation_profile(m),
+                                       rtol=0.0, atol=1e-15)
 
 
 _BLAS_THREADS_RUN = """
@@ -436,9 +501,7 @@ def _ref_de_decodable(ch, e, limits, target_pe=1e-5):
 
 
 @pytest.mark.parametrize("family", ["bsc", "biawgn", "bec", "bilc", "rayleigh"])
-@pytest.mark.parametrize("e", [regular_ensemble(3, 6),
-                               DegreeEnsemble(((2, 0.25), (3, 0.35), (8, 0.4)), ((7, 1.0),))],
-                         ids=["36", "irregular-x7"])
+@pytest.mark.parametrize("e", [regular_ensemble(3, 6), X7], ids=["36", "irregular-x7"])
 def test_stop_rule_matches_the_target_pe_rule(monkeypatch, family, e):
     # every probe of a threshold search keeps the old loop's verdict, a
     # witness stays a witness, and no run newly ends on max_iter; a probe
@@ -612,6 +675,32 @@ class TestDeThreshold:
         p_de, _, _ = de_threshold(CHANNEL_FAMILIES["bsc"], e36, None,
                                   lo=0.04, hi=0.14)
         assert 2 * math.sqrt(p_de * (1 - p_de)) <= lb_star + 0.01
+
+    @pytest.mark.parametrize("family, e, lo, hi", [
+        ("bsc", regular_ensemble(4, 8), 0.0767822265625, 0.07684326171875),
+        ("biawgn", regular_ensemble(4, 8), 0.8386352539062498, 0.8389953613281249),
+        ("bsc", X7, 0.0968017578125, 0.09686279296875),
+        ("biawgn", X7, 0.9272216796875, 0.927581787109375)],
+        ids=["bsc-48", "biawgn-48", "bsc-x7", "biawgn-x7"])
+    def test_default_bracket_is_pinned(self, family, e, lo, hi):
+        # bit for bit, as CI pins the five (3,6) brackets: these run the
+        # variable stage at n = 1024 and 2048
+        res = channel_threshold("de", family, e)
+        assert (res.lo, res.hi) == (lo, hi)
+
+    def test_default_36_searches_take_at_most_3433_steps(self, e36, monkeypatch):
+        # README's figure, witness steps included, so that a faster step
+        # cannot hide more work; at most, as last bits can move a step count
+        steps, stage = [], de_mod._variable_stage
+
+        def counted(*args):
+            steps.append(1)
+            return stage(*args)
+
+        monkeypatch.setattr(de_mod, "_variable_stage", counted)
+        for family in ("bsc", "biawgn", "bilc", "rayleigh", "bec"):
+            channel_threshold("de", family, e36)
+        assert len(steps) <= 3433
 
     def test_density_builder_family(self, e36):
         # a family may build bin masses directly, as the amplitude-
