@@ -45,7 +45,7 @@ import numpy as np
 from .brent import minimize_bounded
 from .channels import BscMixture, NoisePair
 from .ensembles import DegreeEnsemble, lambda2, lambda_eval, rho_prime1
-from .extremal import AtomicBscFamily, _upper_atoms
+from .extremal import AtomicBscFamily, _normalised, _upper_atoms
 
 __all__ = [
     "BOUND_KINDS", "IterationLimits", "BoundTrajectory",
@@ -223,19 +223,16 @@ def _draw_terms(outs, n):
     return log_coef + counts @ np.log(q), counts @ l
 
 
-def _outcomes(atoms, total: float = 1.0):
-    """(probability, LLR) outcomes of one draw from the (weight, a) ``atoms``
-    as two arrays (q, l): weights over ``total``, indices clipped to [0, 1],
-    zero weights dropped, as ``_normalised`` does; a no-op on a family's."""
-    flat = np.array([x for w, a in atoms if w > 0.0
-                     for o in _bsc_outcomes(w / total, min(max(a, 0.0), 1.0)) for x in o])
+def _outcomes(atoms):
+    """(probability, LLR) outcomes of one draw from the ``_normalised``
+    (weight, a) ``atoms`` as two arrays (q, l)."""
+    flat = np.array([x for w, a in atoms for o in _bsc_outcomes(w, a) for x in o])
     return flat[0::2], flat[1::2]
 
 
 def _upper_outcomes(cb: float, sb: float):
-    """``_outcomes`` of dP**'s atoms ``_upper_atoms(cb, sb)``, normalised."""
-    atoms = _upper_atoms(cb, sb)
-    return _outcomes(atoms, sum(w for w, _ in atoms))
+    """``_outcomes`` of dP**'s atoms ``_upper_atoms(cb, sb)``."""
+    return _outcomes(_normalised(_upper_atoms(cb, sb)))
 
 
 def _sb_of_draws(first, outs, n: int) -> float:
@@ -435,7 +432,7 @@ def two_dim_var_step(pair0: NoisePair, pair: NoisePair, e: DegreeEnsemble) -> No
 
 def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_array,
                   decoded_below: float | None = None, order=None, steady: bool = False,
-                  retry=None, ceiling=math.inf):
+                  ceiling=math.inf):
     """Iterate ``state = step(state)`` from ``start``, judged by ``measure``:
     the one loop of every bound, Z_m (``zm_iterate``) and DE (``de_decodable``).
 
@@ -454,11 +451,11 @@ def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_
     settling.  ``steady`` (DE) also wants r > 0 and, unless the last try
     step's r was outside (0, 1), within 5% of 1 - r of it: DE's r climbs
     through 1 on decodable runs, and each try on the way up costs a step.
-    DE's ``retry`` projects s* again if it fails; witnesses lie below ``ceiling``.
-    For a monotone step (ub-cb, lb-cb, ub-sb, Z_m, ub-cbsb on regular
-    ensembles, DE) no later state falls below s*: a proof.  Otherwise
-    (ub-cbsb with lambda_2 > 0) the witness can only end a run early,
-    lowering an inner bound's threshold; it never certifies a channel.
+    Witnesses lie below ``ceiling``.  For a monotone step (ub-cb, lb-cb,
+    ub-sb, Z_m, DE) no later state falls below s*: a proof.  ub-cbsb's step
+    is not monotone, on regular ensembles too, so there the witness can only
+    end a run early, lowering an inner bound's threshold; it never certifies
+    a channel.
     """
     decoded_below = DECODE_EPS if decoded_below is None else decoded_below
     order = order or to_array
@@ -481,12 +478,11 @@ def run_recursion(step, measure, start, limits: IterationLimits, to_array, from_
             continue
         k = 3.0 * r / (1.0 - r) if r >= 0.0 else 3.0
         cur = to_array(states[-1])
-        x = (1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2]))
-        for star in (project(x) for project in (from_array, retry) if project):
-            s = order(star)
-            if (measure(star) >= decoded_below and np.all(s <= order(states[-1]))
-                    and np.all(s <= ceiling) and np.all(order(step(star)) >= s)):
-                return "not-decodable", states, it, "witness"
+        star = from_array((1.0 - WITNESS_MARGIN) * cur + k * (cur - to_array(states[-2])))
+        s = order(star)
+        if (measure(star) >= decoded_below and np.all(s <= order(states[-1]))
+                and np.all(s <= ceiling) and np.all(order(step(star)) >= s)):
+            return "not-decodable", states, it, "witness"
     return "inconclusive", states, limits.max_iter, "max_iter"
 
 

@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binary_bounds import (WITNESS_MARGIN, IterationLimits, bisect, cb_ratio_samples,
-                            run_recursion)
+from .binary_bounds import IterationLimits, bisect, cb_ratio_samples, run_recursion
 from .channels import (BIRAYLEIGH_SIGMA_MAX, PROB_TOL, Bec, BiAwgn, BiLaplace, BiRayleigh,
                        Bsc, BscMixture, ChannelFamily, UnsupportedChannelError)
 from .ensembles import DegreeEnsemble, lambda_eval, rho_eval
@@ -41,6 +40,7 @@ DE_BISECT_STEPS = 13
 # a DE run's default cap: the (3,6) bsc and biawgn searches' longest probes take
 # 173 and 243 steps; a probe nearer its threshold can need more (ROADMAP item 11)
 DE_MAX_ITER = 2_000
+WITNESS_MASS = 1e-4          # a witness candidate's mass moved to LLR_MAX
 
 _K = LLR_BINS
 _MAGS = np.arange(_K + 1) * DELTA
@@ -230,11 +230,11 @@ def _ub_cb_radius(cb0: float, e: DegreeEnsemble) -> float:
     return xs[hit[0] - 1] if hit.size else math.inf
 
 
-def _witness_density(a: np.ndarray, margin: float = WITNESS_MARGIN) -> np.ndarray:
-    """``a`` clipped at 0 and scaled to 1 - margin, the margin at LLR_MAX."""
+def _witness_density(a: np.ndarray) -> np.ndarray:
+    """``a`` clipped at 0 and scaled to 1 - WITNESS_MASS, that mass at LLR_MAX."""
     star = np.maximum(a, 0.0)
-    star *= (1.0 - margin) / star.sum()
-    star[_K] += margin
+    star *= (1.0 - WITNESS_MASS) / star.sum()
+    star[_K] += WITNESS_MASS
     return star
 
 
@@ -243,9 +243,9 @@ def de_decodable(ch, e: DegreeEnsemble, limits: IterationLimits | None = None,
     """Run discretized DE from ``ch``, a channel or its ``channel_density``, on
     ``run_recursion`` with the message Bhattacharyya B as measure: "decoded"
     once B is below ``_ub_cb_radius`` (a proof); "witness" at a repeated
-    density or a density m* (1e-9 of its mass at LLR_MAX, or if that fails
-    1e-4) no more degraded than m_n with T(m*) no less degraded than m* and
-    B(m*) not below the radius, a proof where T keeps the degradation order
+    density or a density m* (``WITNESS_MASS`` of its mass at LLR_MAX) no more
+    degraded than m_n with T(m*) no less degraded than m* and B(m*) not
+    below the radius, a proof where T keeps the degradation order
     (the grid breaks it by ~2e-9 near LLR_MAX); "max_iter" once
     ``limits.max_iter`` steps (default DE_MAX_ITER) ran out.  ``warm``: ``search_verdict``."""
     if isinstance(ch, np.ndarray) and not (ch.shape == (_K + 1,) and np.all(ch >= 0.0)
@@ -260,8 +260,7 @@ def de_decodable(ch, e: DegreeEnsemble, limits: IterationLimits | None = None,
         lambda m: _variable_stage(rho_eval(e, m, _check_product), chan_f, e, n),
         lambda m: float(m @ _BHAT), start, limits or IterationLimits(DE_MAX_ITER),
         lambda m: m, _witness_density, decoded_below=_ub_cb_radius(float(chan @ _BHAT), e),
-        order=_degradation_profile, steady=True, ceiling=math.inf if start is chan else top,
-        retry=lambda a: _witness_density(a, 1e-4))
+        order=_degradation_profile, steady=True, ceiling=math.inf if start is chan else top)
     if warm is not None and verdict != "decodable":
         warm[:] = states[-1:]
     return DeVerdict(verdict == "decodable", its, reason,

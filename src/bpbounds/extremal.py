@@ -62,8 +62,8 @@ class AtomicBscFamily:
 def _normalised(atoms) -> tuple:
     """Weights over their total, indices clipped to [0, 1], zero weights
     dropped: the family's atoms, and the ub-cbsb kernel's (unvalidated)."""
-    total = sum(w for w, _ in atoms)
-    return tuple((w / total, min(max(a, 0.0), 1.0)) for w, a in atoms if w > 0.0)
+    total = sum([w for w, _ in atoms])
+    return tuple([(w / total, min(max(a, 0.0), 1.0)) for w, a in atoms if w > 0.0])
 
 
 def check_transfer(a, b):

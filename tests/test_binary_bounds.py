@@ -1256,8 +1256,11 @@ class TestFixedPointWitness:
     @settings(max_examples=60, deadline=None)
     @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
            shrink=st.floats(0.0, 1.0))
+    @example(fracs=[0.03125, 0.0, 0.03125, 0.5, 0.0, 1.0], shrink=1.0).via(
+        "(3,6): (0.03125, 0.01611328125) <= (0.03125, 0.03125) steps to SB 3.291e-4 > 3.123e-4")
     def test_ub_cbsb_step_monotone_on_regular_ensembles(self, dv, fracs, shrink):
-        # the witness is a proof where the step is monotone componentwise
+        # the witness would be a proof if the step were monotone componentwise;
+        # the pinned pair shows it is not at dv = 3 (ROADMAP item 9)
         e = regular_ensemble(dv, 2 * dv)
         cb0, s0, cb_a, sa, cb_up, sb_up = fracs
         sb0 = cb0 * cb0 + s0 * (cb0 - cb0 * cb0)
@@ -1274,3 +1277,36 @@ class TestFixedPointWitness:
         out_a, out_b = step(cb_a, sb_a), step(cb_b, sb_b)
         assert out_a.cb <= out_b.cb + 1e-12
         assert out_a.sb <= out_b.sb + 1e-12
+
+
+_BSC = BscMixture(((1.0, 0.1),))
+_WORDS0, _WORDS1 = ((1.0, (0,)),), ((1.0, (1,)),)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: two_dim_check_step(NoisePair(cb=0.5), regular_ensemble(3, 6)),
+     "two_dim_check_step needs a full NoisePair"),
+    (lambda: phi_variable_sb(AtomicBscFamily(((1.0, 0.5),)), AtomicBscFamily(((1.0, 0.5),)), -1),
+     "d_minus_1 must be >= 0"),
+    (lambda: two_dim_var_step(NoisePair(0.5, 0.3), NoisePair(cb=0.5), regular_ensemble(3, 6)),
+     "two_dim_var_step needs full NoisePairs"),
+    (lambda: iterate_bound("ub-cbsb", NoisePair(cb=0.5), regular_ensemble(3, 6)),
+     "ub-cbsb needs a full NoisePair start"),
+    (lambda: iterate_bound("ub-sb", NoisePair(cb=0.5), regular_ensemble(3, 6)),
+     "ub-sb needs start.sb"),
+    (lambda: SequenceMapperChannel(1.0, _WORDS0, _WORDS1, (_BSC,)),
+     "prior0 must lie strictly inside"),
+    (lambda: SequenceMapperChannel(0.5, ((1.0, ()),), ((1.0, ()),), ()),
+     "need between 1 and 12 coordinates"),
+    (lambda: SequenceMapperChannel(0.5, _WORDS0, _WORDS1,
+                                   (BscMixture(((0.25, 0.1),) * 3 + ((0.25, 0.2),)),)),
+     "coordinate mixtures may have at most 3 atoms"),
+    (lambda: SequenceMapperChannel(0.5, ((0.5, (0,)),), _WORDS1, (_BSC,)),
+     "branch probabilities must sum to 1"),
+    (lambda: SequenceMapperChannel(0.5, _WORDS0, ((1.0, (1, 1)),), (_BSC,)),
+     "every word must have one bit per coordinate"),
+], ids=["check-step-pair", "d-minus-1", "var-step-pairs", "ub-cbsb-start", "ub-sb-start",
+        "prior0", "no-coords", "four-atoms", "branch-sum", "word-length"])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

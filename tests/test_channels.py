@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -708,3 +709,26 @@ class TestParseChannelSpec:
         assert type(err.value) is ChannelSpecError and isinstance(err.value, ValueError)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Bec(1.5), "BEC erasure probability must lie in [0, 1]"),
+    (lambda: Bnsc(1.5, 0.0), "BNSC parameters must lie in [0, 1]"),
+    (lambda: BscMixture(()), "mixture needs at least one atom"),
+    (lambda: NoisePair(cb=1.5), "cb must lie in [0, 1]"),
+    (lambda: MscChannel([1.0]), "probability vector must be 1-D with length >= 2"),
+    (lambda: MscMixture(((0.5, MscChannel([0.5, 0.5])), (0.5, MscChannel([0.4, 0.3, 0.3])))),
+     "all atoms must share the alphabet size"),
+    (lambda: CbVector([1.0]), "CB vector must be 1-D with length >= 2"),
+    (lambda: cb_of(MscChannel([0.5, 0.5])), "cb_of: MscChannel"),
+    (lambda: sb_of(MscChannel([0.5, 0.5])), "sb_of: MscChannel"),
+    (lambda: x_erasure_decompose(MscChannel([0.5, 0.5]), 2), "x_erasure_decompose needs x != 0"),
+    (lambda: msc_decompose(np.eye(2), [0, 0]), "transform must be a permutation of the outputs"),
+    (lambda: msc_decompose(np.full((3, 3), 1.0 / 3.0), [1, 0, 2]),
+     "transform must satisfy T^m = identity"),
+], ids=["bec", "bnsc", "empty-mixture", "noise-pair", "msc-length", "msc-mixture-sizes",
+        "cb-vector-length", "cb-of-msc", "sb-of-msc", "x-zero", "not-a-permutation",
+        "not-of-order-m"])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

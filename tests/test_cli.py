@@ -328,6 +328,13 @@ class TestRegion:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
+    def test_grid_of_one_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, "region", "--grid", "1x5",
+                                 "--out", str(out_path), "--p-star", "0.0837")
+        assert code == 2 and out == "" and "grid counts must be >= 2" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_is_refused_exit_2(self, capsys, tmp_path):
         # the serial sweep settles most points in closed form; no pool is left
         out_path = tmp_path / "r.csv"
@@ -411,6 +418,14 @@ class TestDecompose:
                                "--symmetrize")
         data = json.loads(out)
         assert data["cb_vector"][1] == pytest.approx(0.44721, abs=1e-5)
+
+    def test_neither_transform_nor_symmetrize_exit_2(self, capsys, tmp_path):
+        path, out_path = tmp_path / "m.json", tmp_path / "out.json"
+        path.write_text("[[0.9, 0.1], [0.1, 0.9]]")
+        code, out, err = run_cli(capsys, "decompose", "--matrix", str(path),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and "--transform is required" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_symmetrize_refuses_rows_that_are_not_distributions(self, capsys, tmp_path):
         path = tmp_path / "m.json"

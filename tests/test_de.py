@@ -688,7 +688,7 @@ class TestDeThreshold:
         res = channel_threshold("de", family, e)
         assert (res.lo, res.hi) == (lo, hi)
 
-    def test_default_36_searches_take_at_most_3433_steps(self, e36, monkeypatch):
+    def test_default_36_searches_take_at_most_3153_steps(self, e36, monkeypatch):
         # README's figure, witness steps included, so that a faster step
         # cannot hide more work; at most, as last bits can move a step count
         steps, stage = [], de_mod._variable_stage
@@ -700,7 +700,7 @@ class TestDeThreshold:
         monkeypatch.setattr(de_mod, "_variable_stage", counted)
         for family in ("bsc", "biawgn", "bilc", "rayleigh", "bec"):
             channel_threshold("de", family, e36)
-        assert len(steps) <= 3433
+        assert len(steps) <= 3153
 
     def test_density_builder_family(self, e36):
         # a family may build bin masses directly, as the amplitude-

@@ -123,3 +123,8 @@ def test_json_mass_tolerance():
         ensemble_from_json('{"lambda": [[3, 1.01]], "rho": [[6, 1.0]]}')
     with pytest.raises(ValueError):
         ensemble_from_json('{"lambda": [[3, 1.0]]}')
+
+
+def test_empty_distribution_is_refused():
+    with pytest.raises(ValueError, match="lambda distribution is empty"):
+        DegreeEnsemble((), ((6, 1.0),))

@@ -221,3 +221,8 @@ def test_family_refuses_non_finite_weights(atoms):
     # which phi_variable_sb reads as noise-free (SB 0)
     with pytest.raises(ValueError, match="finite"):
         AtomicBscFamily(atoms)
+
+
+def test_empty_family_is_refused():
+    with pytest.raises(ValueError, match="family needs at least one atom"):
+        AtomicBscFamily(())

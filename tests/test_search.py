@@ -13,7 +13,7 @@ import bpbounds.search as search_mod
 from bpbounds import (CHANNEL_FAMILIES, DegreeEnsemble, DeVerdict,
                       IterationLimits, NoisePair, NonMonotoneError, cb_of,
                       channel_threshold, iterate_bound, measure_threshold,
-                      regular_ensemble, region_sweep, sb_of)
+                      regular_ensemble, region_sweep, sb_of, ub_sb_star)
 from bpbounds.search import _channel_verdict
 
 
@@ -296,6 +296,12 @@ class TestRegionSweep:
             pair = NoisePair(2 * math.sqrt(p * (1 - p)), 4 * p * (1 - p))
             traj = iterate_bound("ub-cbsb", pair, e36, limits)
             assert (traj.verdict == "decodable") is expect
+
+    def test_ub_sb_star_overlay_from_de(self, e36):
+        # without p_star the overlay is the bound at DE's bsc threshold
+        grid = region_sweep(e36, 3, 2)
+        p_de = channel_threshold("de", "bsc", e36).value
+        assert grid.overlays["ub_sb_star"] == ub_sb_star(p_de)
 
     def test_csv_format(self, e36):
         grid = region_sweep(e36, 3, 2, p_star=0.0837)
@@ -718,3 +724,12 @@ class TestDeUnprovenEnd:
         assert res.hi - res.lo == pytest.approx(0.06 * 2.0 ** -13, rel=1e-9)
         # below the bsc ub-cb threshold 0.0484 CB* settles a probe, no DE runs
         assert len(probes) < res.iterations + 1 and all(p > 0.048 for p in probes)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: channel_threshold("nope", "bsc", regular_ensemble(3, 6)), "unknown bound kind 'nope'"),
+    (lambda: region_sweep(regular_ensemble(3, 6), 1, 5), "grid counts must be >= 2"),
+], ids=["kind", "grid"])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -287,3 +287,12 @@ class TestGfqStability:
         e = regular_ensemble(3, 6)
         with pytest.raises(ValueError):
             gfq_stability(e, CbVector(np.ones(6)), 6)
+
+    @pytest.mark.parametrize("q, message", [
+        (3, "CB vector has m=2, expected q=3"),
+        (1, "q must be prime, got 1"),
+        (0, "q must be prime, got 0"),
+    ], ids=["m-not-q", "q-1", "q-0"])
+    def test_refusals(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            gfq_stability(regular_ensemble(3, 6), CbVector([0.0, 0.1]), q)
